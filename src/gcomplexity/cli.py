@@ -21,8 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .coherent import coherent_complexity, coherent_geodesic
-from .complexity_core import relative_complex_structure, state_complexity
+from .complexity_core import (
+    complexity_from_relative,
+    relative_complex_structure,
+    state_complexity,
+)
 from .errors import (
+    DisplacementPresent,
     GaussianComplexityError,
     NumericDomainError,
     SchemaError,
@@ -83,7 +88,7 @@ def _fail(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _load_state(path: str):
+def _load_state(path: str, tol: float):
     try:
         raw = Path(path).read_text()
     except OSError as exc:
@@ -92,7 +97,7 @@ def _load_state(path: str):
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"state file {path} is not valid JSON: {exc}")
-    return state_from_dict(data)
+    return state_from_dict(data, tol=tol)
 
 
 def _parse_pair(text: str, what: str):
@@ -189,23 +194,44 @@ def _parse_potential(spec: str) -> VectorPotential:
     )
 
 
-def _complexity_payload(reference, target, tol: float) -> dict:
+def _delta_eigenvalues(rel) -> list:
+    """Eigenvalues of Delta as [re, im] pairs, by descending re, then im.
+
+    Bosons: e^s from the pencil log-spectrum.  Fermions: e^{+-i theta}
+    from the Schur angles.  An angle within 1e-12 of the one below it is
+    set equal to it, so a repeated angle lists all its +sin pairs before
+    its -sin pairs instead of an order set by rounding noise.
+    """
+    if rel.pencil is not None:
+        pairs = [(float(w), 0.0) for w in np.exp(rel.pencil.logs)]
+    else:
+        angles = np.sort(rel.radial_exponents)
+        for i in range(1, len(angles)):
+            if angles[i] - angles[i - 1] <= 1e-12:
+                angles[i] = angles[i - 1]
+        pairs = []
+        for theta in angles:
+            c, s = float(np.cos(theta)), float(np.sin(theta))
+            pairs += [(c, s), (c, 0.0 - s)]  # 0.0 - s: no -0 at theta = 0
+    return [list(p) for p in sorted(pairs, key=lambda p: (-p[0], -p[1]))]
+
+
+def _complexity_payload(reference, target) -> dict:
+    if np.any(reference.z != 0.0) or np.any(target.z != 0.0):
+        raise DisplacementPresent(
+            "complexity requires zero displacements; use the coherent command "
+            "for displaced targets"
+        )
     rel = relative_complex_structure(reference, target)
-    c = state_complexity(reference, target, tol=tol)
-    eig = np.linalg.eigvals(rel.delta)
-    pairs = sorted(
-        ((float(w.real), float(w.imag)) for w in eig),
-        key=lambda p: (-p[0], -p[1]),
-    )
     return {
-        "complexity": c,
+        "complexity": complexity_from_relative(rel),
         "generator": (0.5 * rel.log_delta).tolist(),
-        "delta_eigenvalues": [list(p) for p in pairs],
+        "delta_eigenvalues": _delta_eigenvalues(rel),
     }
 
 
 def cmd_complexity(args) -> int:
-    reference = _load_state(args.reference)
+    reference = _load_state(args.reference, args.tol)
     if args.batch:
         directory = Path(args.batch)
         if not directory.is_dir():
@@ -218,8 +244,8 @@ def cmd_complexity(args) -> int:
         for f in files:
             entry = {"file": f.name}
             try:
-                target = _load_state(str(f))
-                entry.update(_complexity_payload(reference, target, args.tol))
+                target = _load_state(str(f), args.tol)
+                entry.update(_complexity_payload(reference, target))
             except ValidationError as exc:
                 entry.update(_fail(exc))
                 worst = worst or EXIT_VALIDATION
@@ -231,25 +257,19 @@ def cmd_complexity(args) -> int:
         return worst
     if not args.target:
         raise ValidationError("either --target or --batch is required")
-    target = _load_state(args.target)
-    _emit(_complexity_payload(reference, target, args.tol), args.format)
+    target = _load_state(args.target, args.tol)
+    _emit(_complexity_payload(reference, target), args.format)
     return EXIT_OK
 
 
 def cmd_coherent(args) -> int:
-    reference = _load_state(args.reference)
-    target = _load_state(args.target)
+    reference = _load_state(args.reference, args.tol)
+    target = _load_state(args.target, args.tol)
     geo = coherent_geodesic(reference, target)
-    rel = geo.delta
-    eig = np.linalg.eigvals(rel.delta)
-    pairs = sorted(
-        ((float(w.real), float(w.imag)) for w in eig),
-        key=lambda p: (-p[0], -p[1]),
-    )
     payload = {
         "complexity": coherent_complexity(geo),
-        "generator": (0.5 * rel.log_delta).tolist(),
-        "delta_eigenvalues": [list(p) for p in pairs],
+        "generator": (0.5 * geo.delta.log_delta).tolist(),
+        "delta_eigenvalues": _delta_eigenvalues(geo.delta),
         "z_target": geo.z_target.tolist(),
         "N_matrix": geo.n_matrix.tolist(),
     }
@@ -258,8 +278,8 @@ def cmd_coherent(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    reference = _load_state(args.reference)
-    target = _load_state(args.target)
+    reference = _load_state(args.reference, args.tol)
+    target = _load_state(args.target, args.tol)
     factor = _parse_omega(args.omega)
     base = state_complexity(reference, target, tol=args.tol)
     deformed = weyl_complexity(base, factor, args.quad_steps)
@@ -310,8 +330,8 @@ def cmd_nonrev(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    reference = _load_state(args.reference)
-    target = _load_state(args.target)
+    reference = _load_state(args.reference, args.tol)
+    target = _load_state(args.target, args.tol)
     if np.any(target.z != 0.0) or np.any(reference.z != 0.0):
         geo = coherent_geodesic(reference, target)
         closed = coherent_complexity(geo)

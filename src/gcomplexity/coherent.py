@@ -10,8 +10,13 @@ the state complexity is
 
     C = 1/2 sqrt(Tr|log Delta|^2 / 2 + z_T^T G z_T).
 
-When Delta = 1 the limit is N = 2.1 and the displacement path is the
-straight line z(tau) = tau z_T.
+N is the function f(x) = log x / (sqrt x - 1) of Delta.  It is read off
+the pencil decomposition of Delta as f = 2y / expm1(y) with y = s/2 on
+the log-spectrum s.  That form is analytic at y = 0 with value 2, so N
+is finite wherever Delta has an eigenvalue at 1, and N = 2 times the
+identity when Delta = 1.  The point (M(tau), z(tau)) is one exponential
+of the affine generator [[log(Delta)/2, N z_T/2], [0, 0]]; at Delta = 1
+it is the straight line z(tau) = tau z_T.
 """
 
 from __future__ import annotations
@@ -21,13 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity_core import RelativeComplexStructure, relative_complex_structure
-from .errors import (
-    DisplacementPresent,
-    KindMismatch,
-    SingularEndpoint,
-    SingularN,
-)
-from .lie_numerics import matrix_exp, sqrt_spd_pencil
+from .errors import DisplacementPresent, KindMismatch
+from .lie_numerics import matrix_exp
 from .phase_space import (
     GaussianState,
     GaussianTransformation,
@@ -35,8 +35,6 @@ from .phase_space import (
     SymplecticForm,
     covariance_of,
 )
-
-IDENTITY_DELTA_CUTOFF = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,56 +45,34 @@ class CoherentGeodesic:
     n_matrix: np.ndarray
     z_target: np.ndarray
     g_form: np.ndarray
-    sqrt_delta: np.ndarray
     sigma_R: np.ndarray
 
-    @property
-    def is_identity(self) -> bool:
-        return self.delta.is_identity
+
+def _n_of_log_spectrum(s: np.ndarray) -> np.ndarray:
+    """log x / (sqrt x - 1) at x = e^s, as 2y / expm1(y) with y = s/2 (2 at y = 0)."""
+    y = 0.5 * s
+    safe = np.where(y == 0.0, 1.0, y)
+    return np.where(y == 0.0, 2.0, 2.0 * safe / np.expm1(safe))
 
 
 def coherent_geodesic(
     reference: GaussianState, target: GaussianState, sigma_R=None
 ) -> CoherentGeodesic:
-    """Build Delta, N and G for a (possibly displaced) bosonic target.
-
-    Raises SingularN when sqrt(Delta) - 1 is singular although Delta is
-    not the identity: some eigenvalue pair of Delta degenerates to 1 and
-    the displacement formula has no preferred value there.
-    """
+    """Build Delta, N and G for a (possibly displaced) bosonic target."""
     if reference.kind is not StateKind.BOSON or target.kind is not StateKind.BOSON:
         raise KindMismatch("coherent geodesics are defined for bosons only")
     if np.any(reference.z != 0.0):
         raise DisplacementPresent("reference displacement must be zero")
     rel = relative_complex_structure(reference, target)
-    d = rel.delta.shape[0]
     if sigma_R is None:
         sig = covariance_of(reference)
     else:
         sig = sigma_R.sigma if hasattr(sigma_R, "sigma") else np.asarray(sigma_R, float)
-    sig_inv = np.linalg.inv(sig)
     z_t = np.asarray(target.z, dtype=float)
-    if rel.is_identity:
-        n_matrix = 2.0 * np.eye(d)
-        sqrt_delta = np.eye(d)
-    else:
-        small = np.abs(rel.radial_exponents) < IDENTITY_DELTA_CUTOFF
-        if np.any(small):
-            raise SingularN(
-                "sqrt(Delta) - 1 is singular while Delta != identity: the "
-                f"log-eigenvalue pair(s) {rel.radial_exponents[small]} degenerate "
-                "to zero"
-            )
-        sigma_t = covariance_of(target)
-        sigma_r = covariance_of(reference)
-        if np.allclose(sigma_r, np.eye(d), atol=1e-13):
-            sqrt_delta = sqrt_spd_pencil(sigma_t)
-        else:
-            sqrt_delta = sqrt_spd_pencil(sigma_t, sigma_r)
-        n_matrix = np.linalg.solve((sqrt_delta - np.eye(d)).T, rel.log_delta.T).T
-    g_form = n_matrix.T @ sig_inv @ n_matrix
+    n_matrix = rel.pencil.apply(_n_of_log_spectrum)
+    g_form = n_matrix.T @ np.linalg.inv(sig) @ n_matrix
     g_form = 0.5 * (g_form + g_form.T)
-    return CoherentGeodesic(rel, n_matrix, z_t, g_form, sqrt_delta, sig)
+    return CoherentGeodesic(rel, n_matrix, z_t, g_form, sig)
 
 
 def coherent_complexity(geo: CoherentGeodesic) -> float:
@@ -107,19 +83,13 @@ def coherent_complexity(geo: CoherentGeodesic) -> float:
 
 
 def coherent_geodesic_point(geo: CoherentGeodesic, tau: float) -> GaussianTransformation:
-    """Optimal circuit point (z(tau), M(tau))."""
-    m = matrix_exp(0.5 * tau * geo.delta.log_delta)
-    d = m.shape[0]
-    if geo.is_identity:
-        z = tau * geo.z_target
-    else:
-        e = geo.sqrt_delta - np.eye(d)
-        try:
-            w = np.linalg.solve(e, geo.z_target)
-        except np.linalg.LinAlgError as exc:
-            raise SingularEndpoint("M(1) - 1 is singular") from exc
-        z = (m - np.eye(d)) @ w
-    return GaussianTransformation(z, m, StateKind.BOSON)
+    """Optimal circuit point (z(tau), M(tau)) from the affine flow of hamiltonian_coefficients."""
+    d = geo.z_target.shape[0]
+    generator = np.zeros((d + 1, d + 1))
+    generator[:d, :d] = 0.5 * geo.delta.log_delta
+    generator[:d, d] = 0.5 * geo.n_matrix @ geo.z_target
+    flow = matrix_exp(tau * generator)
+    return GaussianTransformation(flow[:d, d], flow[:d, :d], StateKind.BOSON)
 
 
 def hamiltonian_coefficients(geo: CoherentGeodesic, omega: SymplecticForm):

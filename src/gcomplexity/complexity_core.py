@@ -30,7 +30,7 @@ from .errors import (
     LengthMismatch,
     ValidationError,
 )
-from .lie_numerics import log_spd_pencil, log_special_orthogonal, matrix_exp
+from .lie_numerics import SpdPencil, log_special_orthogonal, matrix_exp, spd_pencil
 from .phase_space import (
     DEFAULT_TOL,
     GaussianState,
@@ -49,23 +49,20 @@ class RelativeComplexStructure:
 
     ``radial_exponents`` holds the nonnegative half of the log-spectrum
     (log-eigenvalues for bosons, rotation angles for fermions), length
-    N, sorted descending.
+    N, sorted descending.  For bosons ``pencil`` keeps the one
+    eigen-decomposition every other function of Delta is read from; it
+    is None for fermions.
     """
 
     delta: np.ndarray
     log_delta: np.ndarray
     radial_exponents: np.ndarray
     kind: StateKind
+    pencil: SpdPencil = None
 
     @property
     def n_modes(self) -> int:
         return self.delta.shape[0] // 2
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(
-            np.linalg.norm(self.delta - np.eye(self.delta.shape[0])) < 1e-8
-        )
 
 
 @dataclass(frozen=True)
@@ -107,26 +104,22 @@ def relative_complex_structure(
 ) -> RelativeComplexStructure:
     """Build Delta = J_T J_R^{-1} with its principal log.
 
-    For bosons Delta equals sigma_T sigma_R^{-1} and is computed through
-    the SPD pencil; for fermions Delta is special orthogonal and the log
-    comes from its real Schur form.  Both routes raise BranchCut when
-    the target leaves the principal chart.
+    For bosons Delta equals sigma_T sigma_R^{-1} and is decomposed once
+    through the SPD pencil, which is kept on the result; for fermions
+    Delta is special orthogonal and the log comes from its real Schur
+    form, which raises BranchCut when a rotation angle reaches pi.
     """
     _check_pair(reference, target)
     jr = reference.j.j
     jt = target.j.j
     delta = jt @ (-jr)
-    if reference.kind is StateKind.BOSON:
-        sigma_r = covariance_of(reference)
-        sigma_t = covariance_of(target)
-        d = delta.shape[0]
-        if np.allclose(sigma_r, np.eye(d), atol=1e-13):
-            log_delta, exponents = log_spd_pencil(sigma_t)
-        else:
-            log_delta, exponents = log_spd_pencil(sigma_t, sigma_r)
-    else:
+    if reference.kind is StateKind.FERMION:
         log_delta, exponents = log_special_orthogonal(delta)
-    return RelativeComplexStructure(delta, log_delta, exponents, reference.kind)
+        return RelativeComplexStructure(delta, log_delta, exponents, reference.kind)
+    pencil = spd_pencil(covariance_of(target), covariance_of(reference))
+    return RelativeComplexStructure(
+        delta, pencil.apply(lambda s: s), pencil.radial_exponents, reference.kind, pencil
+    )
 
 
 def state_complexity(

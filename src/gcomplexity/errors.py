@@ -63,14 +63,6 @@ class Singular(NumericDomainError):
     """A matrix that must be inverted is numerically singular."""
 
 
-class SingularN(NumericDomainError):
-    """sqrt(Delta) - 1 is singular although Delta != identity."""
-
-
-class SingularEndpoint(NumericDomainError):
-    """M(1) - 1 is singular, so the displacement path is undefined."""
-
-
 class PotentialTooLarge(NumericDomainError):
     """The vector potential exceeds unit norm somewhere on the path."""
 

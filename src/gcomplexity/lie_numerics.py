@@ -1,7 +1,8 @@
 r"""Matrix-function kernels and Lie-algebra machinery.
 
-Provides exp, principal log and principal square root with residual
-contracts, the inner product at the identity
+Provides exp and principal log with residual contracts, the bosonic
+pencil kernel that evaluates any function of Delta from one eigen-solve,
+the inner product at the identity
 
     g_1(V, W) = 1/2 Tr(V sigma_R W^T sigma_R^{-1}),
 
@@ -128,23 +129,6 @@ def matrix_exp(v: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(v)
 
 
-def _eig_checked(m, tol, what):
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise NonFinite(f"{what} input contains non-finite entries")
-    w, vecs = np.linalg.eig(m)
-    scale = np.abs(w).max() if w.size else 0.0
-    if scale == 0.0 or np.abs(w).min() < 1e-14 * scale:
-        raise Singular(f"{what}: input is numerically singular")
-    bad = np.abs(np.angle(w)) > np.pi - BRANCH_CUT_MARGIN
-    if np.any(bad):
-        raise BranchCut(
-            f"{what}: eigenvalue {w[bad][0]:.6g} within the branch-cut margin "
-            "of the negative real axis"
-        )
-    return m, w, vecs
-
-
 def matrix_log_principal(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Real principal logarithm via complex eigendecomposition.
 
@@ -153,7 +137,19 @@ def matrix_log_principal(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     NumericDomainError when the residual ||e^L - m|| indicates the
     eigenvector basis was too ill-conditioned.
     """
-    m, w, vecs = _eig_checked(m, tol, "matrix_log_principal")
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise NonFinite("matrix_log_principal input contains non-finite entries")
+    w, vecs = np.linalg.eig(m)
+    scale = np.abs(w).max() if w.size else 0.0
+    if scale == 0.0 or np.abs(w).min() < 1e-14 * scale:
+        raise Singular("matrix_log_principal: input is numerically singular")
+    bad = np.abs(np.angle(w)) > np.pi - BRANCH_CUT_MARGIN
+    if np.any(bad):
+        raise BranchCut(
+            f"matrix_log_principal: eigenvalue {w[bad][0]:.6g} within the "
+            "branch-cut margin of the negative real axis"
+        )
     L = (vecs * np.log(w)) @ np.linalg.inv(vecs)
     L = L.real
     resid = np.linalg.norm(scipy.linalg.expm(L) - m) / (1.0 + np.linalg.norm(m))
@@ -163,20 +159,6 @@ def matrix_log_principal(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
             "input is too ill-conditioned"
         )
     return L
-
-
-def matrix_sqrt_principal(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root with spectrum in the right half-plane."""
-    m, w, vecs = _eig_checked(m, tol, "matrix_sqrt_principal")
-    S = (vecs * np.sqrt(w.astype(complex))) @ np.linalg.inv(vecs)
-    S = S.real
-    resid = np.linalg.norm(S @ S - m) / (1.0 + np.linalg.norm(m))
-    if resid > max(tol, 1e-9):
-        raise NumericDomainError(
-            f"matrix_sqrt_principal: residual {resid:.3e} exceeds tolerance; "
-            "input is too ill-conditioned"
-        )
-    return S
 
 
 def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
@@ -206,18 +188,43 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, d, d)
 
 
-def log_spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None):
-    """Principal log of Delta = sigma_T sigma_R^{-1} through the SPD pencil.
+@dataclass(frozen=True)
+class SpdPencil:
+    r"""One eigen-decomposition of Delta = sigma_T sigma_R^{-1}.
 
-    Returns (log_delta, radial_exponents) where radial_exponents are the
-    N nonnegative members of the reciprocal-paired log-spectrum, sorted
-    descending.  The large eigenvalues of a symmetric matrix carry full
-    relative precision, so this route stays accurate at strong squeezing
-    where a dense logarithm does not.
+    Delta = H U diag(e^s) U^T H^{-1} with H = sigma_R^{1/2} (left out when
+    sigma_R is the identity) and U, e^s the eigenpairs of the whitened
+    target covariance H^{-1} sigma_T H^{-1}.  Every function of Delta that
+    is analytic on the positive axis is read off this one solve.
+    """
+
+    logs: np.ndarray
+    u: np.ndarray
+    half: np.ndarray = None
+    inv_half: np.ndarray = None
+
+    def apply(self, f) -> np.ndarray:
+        """f(Delta) for a scalar f acting elementwise on the log-spectrum s."""
+        m = (self.u * f(self.logs)) @ self.u.T
+        return m if self.half is None else self.half @ m @ self.inv_half
+
+    @property
+    def radial_exponents(self) -> np.ndarray:
+        """The N nonnegative members of the reciprocal-paired log-spectrum, descending."""
+        return np.sort(self.logs)[::-1][: self.logs.shape[0] // 2].copy()
+
+
+def spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None) -> SpdPencil:
+    """Decompose Delta = sigma_T sigma_R^{-1} through the symmetric pencil.
+
+    The large eigenvalues of a symmetric matrix carry full relative
+    precision, so this route stays accurate at strong squeezing where a
+    dense logarithm does not.  sigma_R within 1e-13 of the identity is
+    taken as the identity, and no whitening is done.
     """
     sigma_T = 0.5 * (sigma_T + sigma_T.T)
     d = sigma_T.shape[0]
-    if sigma_R is None or np.array_equal(sigma_R, np.eye(d)):
+    if sigma_R is None or np.allclose(sigma_R, np.eye(d), rtol=0.0, atol=1e-13):
         half = inv_half = None
         w_mid = sigma_T
     else:
@@ -234,32 +241,7 @@ def log_spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None):
             "relative covariance is not positive-definite; states are not a "
             "valid pure pair"
         )
-    logs = np.log(w)
-    log_mid = (u * logs) @ u.T
-    log_delta = log_mid if half is None else half @ log_mid @ inv_half
-    exponents = np.sort(logs)[::-1][: d // 2].copy()
-    return log_delta, exponents
-
-
-def sqrt_spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None) -> np.ndarray:
-    """Principal square root of Delta = sigma_T sigma_R^{-1}, same route."""
-    sigma_T = 0.5 * (sigma_T + sigma_T.T)
-    d = sigma_T.shape[0]
-    if sigma_R is None or np.array_equal(sigma_R, np.eye(d)):
-        w, u = np.linalg.eigh(sigma_T)
-        if w.min() <= 0.0:
-            raise NumericDomainError("sigma_T is not positive-definite")
-        return (u * np.sqrt(w)) @ u.T
-    wr, ur = np.linalg.eigh(0.5 * (sigma_R + sigma_R.T))
-    if wr.min() <= 0.0:
-        raise NumericDomainError("sigma_R is not positive-definite")
-    half = (ur * np.sqrt(wr)) @ ur.T
-    inv_half = (ur / np.sqrt(wr)) @ ur.T
-    w_mid = inv_half @ sigma_T @ inv_half
-    w, u = np.linalg.eigh(0.5 * (w_mid + w_mid.T))
-    if w.min() <= 0.0:
-        raise NumericDomainError("relative covariance is not positive-definite")
-    return half @ ((u * np.sqrt(w)) @ u.T) @ inv_half
+    return SpdPencil(np.log(w), u, half, inv_half)
 
 
 def log_special_orthogonal(delta: np.ndarray, margin: float = BRANCH_CUT_MARGIN):

@@ -238,12 +238,12 @@ def reference_state(kind: StateKind, n_modes: int) -> GaussianState:
 
 
 def complex_structure_from_covariance(
-    sigma: CovarianceMatrix, omega: SymplecticForm, kind: StateKind
+    sigma: CovarianceMatrix, omega: SymplecticForm, kind: StateKind, tol: float = DEFAULT_TOL
 ) -> ComplexStructure:
     """Build J = -sigma.Omega^{-1} (bosons) or Omega.sigma^{-1} (fermions).
 
     Raises NotPure when the resulting J fails J^2 = -1, i.e. the input
-    covariance describes a mixed state.
+    covariance describes a mixed state; ``tol`` bounds that residual.
     """
     if sigma.sigma.shape != omega.omega.shape:
         raise DimensionMismatch(
@@ -253,7 +253,7 @@ def complex_structure_from_covariance(
         j = -sigma.sigma @ omega.inverse
     else:
         j = omega.omega @ sigma.inverse
-    return ComplexStructure(j, kind)
+    return ComplexStructure(j, kind, tol)
 
 
 def apply_transformation(
@@ -293,14 +293,14 @@ def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:
     return GaussianTransformation(np.zeros(2), m, StateKind.BOSON)
 
 
-def state_from_dict(data: dict) -> GaussianState:
+def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     """Parse the JSON state schema into a GaussianState.
 
     Schema: {"kind": "boson"|"fermion", "n_modes": N, "sigma": [[...]],
     "z": [...]} with "z" optional and forbidden for fermions.  For
     bosons "sigma" is the symmetric covariance matrix; for fermions it
     is the antisymmetric state symplectic form (the covariance is fixed
-    to the identity).
+    to the identity).  ``tol`` bounds the purity residual ||J^2 + 1||.
     """
     if not isinstance(data, dict):
         raise SchemaError("state file must contain a JSON object")
@@ -328,11 +328,11 @@ def state_from_dict(data: dict) -> GaussianState:
             raise DisplacementPresent("fermion state files must not contain 'z'")
         omega = SymplecticForm(sig)
         j = complex_structure_from_covariance(
-            CovarianceMatrix(np.eye(2 * n)), omega, kind
+            CovarianceMatrix(np.eye(2 * n)), omega, kind, tol
         )
         return GaussianState(j)
     omega = standard_symplectic_form(n)
-    j = complex_structure_from_covariance(CovarianceMatrix(sig), omega, kind)
+    j = complex_structure_from_covariance(CovarianceMatrix(sig), omega, kind, tol)
     z = data.get("z")
     if z is not None:
         z = np.asarray(z, dtype=float)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coherent import coherent_geodesic
 from .complexity_core import relative_complex_structure
-from .errors import SingularN, ValidationError
+from .errors import ValidationError
 from .lie_numerics import (
     LieAlgebraElement,
     algebra_basis,
@@ -357,20 +357,16 @@ class _Problem:
         return np.concatenate([xv, xu + du.reshape(self.K, self.d)], axis=1)
 
     def warm_start(self, reference, target):
-        rel = relative_complex_structure(reference, target)
+        geo = coherent_geodesic(reference, target) if self.displaced else None
+        rel = relative_complex_structure(reference, target) if geo is None else geo.delta
         flat = self.basis.reshape(self.D, -1).T
         coeff = np.linalg.lstsq(
             flat, (rel.log_delta / (2.0 * self.K)).ravel(), rcond=None
         )[0]
         x = np.tile(coeff, (self.K, 1))
-        if not self.displaced:
+        if geo is None:
             return x
-        try:
-            geo = coherent_geodesic(reference, target)
-            shift = 0.5 * geo.n_matrix @ self.z_t
-            u = np.tile(shift / self.K, (self.K, 1))
-        except SingularN:
-            u = np.zeros((self.K, self.d))
+        u = np.tile(0.5 * geo.n_matrix @ self.z_t / self.K, (self.K, 1))
         return np.concatenate([x, u], axis=1)
 
     def to_path(self, x):

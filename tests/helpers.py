@@ -33,3 +33,13 @@ def random_target(kind: StateKind, n_modes: int, rng, scale: float = 0.5):
 def displaced_target(n_modes: int, rng, scale: float = 0.5):
     t = random_target(StateKind.BOSON, n_modes, rng, scale)
     return GaussianState(t.j, rng.normal(scale=1.0, size=2 * n_modes))
+
+
+def passive(rng, n_modes: int) -> np.ndarray:
+    """Random orthogonal symplectic matrix in (Q1, P1, ..., QN, PN) order."""
+    a = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
+    q, r = np.linalg.qr(a)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    block = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    perm = np.stack([np.arange(n_modes), n_modes + np.arange(n_modes)], axis=1).ravel()
+    return block[np.ix_(perm, perm)]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gcomplexity.cli import main
 
@@ -122,6 +123,73 @@ def test_complexity_batch_keeps_going(tmp_path, capsys):
     assert [r["file"] for r in results] == ["a_good.json", "b_bad.json"]
     assert results[0]["complexity"] == pytest.approx(0.8, abs=1e-12)
     assert results[1]["error"].startswith("NotPure:")
+
+
+def test_tol_reaches_the_purity_check(tmp_path, capsys):
+    # J^2 + 1 has relative residual 4.7e-9: mixed at the default 1e-10
+    ref = boson_ref(tmp_path)
+    near = write_state(
+        tmp_path, "near.json",
+        {"kind": "boson", "n_modes": 1, "sigma": [[1.0 + 1e-8, 0.0], [0.0, 1.0]]},
+    )
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", near)
+    assert code == 3
+    assert json.loads(out)["error"].startswith("NotPure:")
+    code, out = run_cli(
+        capsys, "complexity", "--reference", ref, "--target", near, "--tol", "1e-6"
+    )
+    assert code == 0
+    assert json.loads(out)["complexity"] == pytest.approx(0.5e-8, rel=1e-6)
+
+
+def test_complexity_rejects_displaced_target(tmp_path, capsys):
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.4, z=[0.3, 0.0])
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", target)
+    assert code == 3
+    assert json.loads(out)["error"].startswith("DisplacementPresent:")
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    squeezed(batch, 0.4, z=[0.3, 0.0], name="a_displaced.json")
+    squeezed(batch, 0.8, name="b_good.json")
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", str(batch))
+    assert code == 3
+    results = json.loads(out)["results"]
+    assert results[0]["error"].startswith("DisplacementPresent:")
+    assert results[1]["complexity"] == pytest.approx(0.8, abs=1e-12)
+
+
+def fermion_states(tmp_path, alpha):
+    """Two-mode J_T = e^{2A} J_R; every such A has one rotation angle 2 ||A||_2, twice."""
+    jr = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    b = np.zeros((4, 4))
+    b[0, 2], b[2, 0] = 1.0, -1.0
+    a = 0.5 * (b + jr @ b @ jr)
+    a *= alpha / np.linalg.norm(a, 2)
+    jt = scipy.linalg.expm(2.0 * a) @ jr
+    ref = write_state(tmp_path, "fref.json", {"kind": "fermion", "n_modes": 2, "sigma": jr.tolist()})
+    target = write_state(
+        tmp_path, "ft.json", {"kind": "fermion", "n_modes": 2, "sigma": jt.tolist()}
+    )
+    return ref, target
+
+
+def test_fermion_delta_eigenvalues_order_at_a_repeated_angle(tmp_path, capsys):
+    theta = 2.0
+    ref, target = fermion_states(tmp_path, theta / 2.0)
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", target)
+    assert code == 0
+    got = np.array(json.loads(out)["delta_eigenvalues"])
+    c, s = np.cos(theta), np.sin(theta)
+    assert np.allclose(got, [[c, s], [c, s], [c, -s], [c, -s]], rtol=0.0, atol=1e-12)
+
+
+def test_fermion_identity_eigenvalues_have_no_negative_zero(tmp_path, capsys):
+    ref, _ = fermion_states(tmp_path, 0.1)
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", ref)
+    assert code == 0
+    assert json.loads(out)["delta_eigenvalues"] == [[1.0, 0.0]] * 4
+    assert "-0" not in out
 
 
 def test_complexity_requires_target_or_batch(tmp_path, capsys):

@@ -1,25 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from gcomplexity import (
+    CovarianceMatrix,
     DisplacementPresent,
     GaussianState,
     GaussianTransformation,
     KindMismatch,
-    SingularN,
     StateKind,
     apply_transformation,
     coherent_complexity,
     coherent_geodesic,
     coherent_geodesic_point,
+    complex_structure_from_covariance,
     hamiltonian_coefficients,
     reference_state,
     single_mode_squeezing,
     standard_symplectic_form,
     state_complexity,
 )
-from helpers import displaced_target, random_target
+from helpers import displaced_target, passive, random_target
 
 
 def test_pure_displacement_345():
@@ -119,23 +121,75 @@ def test_complexity_is_quadratic_in_displacement():
     assert c2**2 - c0**2 == pytest.approx(4.0 * (c1**2 - c0**2), rel=1e-10)
 
 
-def test_singular_n_raises():
+def n_of_exponents(x):
+    """2x / expm1(x), with its limit 2 at x = 0."""
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 2.0, 2.0 * safe / np.expm1(safe))
+
+
+def test_n_matrix_at_unsqueezed_mode():
     # one squeezed and one untouched mode: a log-eigenvalue pair sits at
-    # zero while Delta != 1, so N has no preferred value
+    # zero while Delta != 1, and N takes its limit 2 on that pair
     ref = reference_state(StateKind.BOSON, 2)
     m = np.eye(4)
     m[:2, :2] = single_mode_squeezing(1.0, 0.0).m
     squeezed = apply_transformation(ref, GaussianTransformation(None, m, StateKind.BOSON))
     target = GaussianState(squeezed.j, np.array([0.5, 0.0, 0.2, 0.0]))
-    with pytest.raises(SingularN):
-        coherent_geodesic(ref, target)
+    geo = coherent_geodesic(ref, target)
+    want = np.diag(n_of_exponents(np.array([1.0, -1.0, 0.0, 0.0])))
+    assert np.allclose(geo.n_matrix, want, atol=1e-12)
+    y = want @ target.z
+    assert coherent_complexity(geo) == pytest.approx(0.5 * np.sqrt(4.0 + y @ y), rel=1e-12)
+    end = apply_transformation(ref, coherent_geodesic_point(geo, 1.0))
+    assert np.linalg.norm(end.z - target.z) <= 1e-12
+
+
+def _constructed_target(p, radii, z):
+    """sigma = P diag(e^{+-2 r_i}) P^T for passive P, displaced by z."""
+    n = len(radii)
+    x = np.repeat(radii, 2) * np.tile([1.0, -1.0], n)
+    sigma = (p * np.exp(2.0 * x)) @ p.T
+    j = complex_structure_from_covariance(
+        CovarianceMatrix(0.5 * (sigma + sigma.T)), standard_symplectic_form(n), StateKind.BOSON
+    )
+    f = n_of_exponents(x)
+    y = f * (p.T @ z)
+    return GaussianState(j, z), (p * f) @ p.T, 0.5 * np.sqrt(4.0 * radii @ radii + y @ y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    radii=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_n_matrix_and_complexity_match_construction(radii, seed):
+    rng = np.random.default_rng(seed)
+    radii = np.asarray(radii)
+    n = len(radii)
+    p = passive(rng, n)
+    z = rng.normal(size=2 * n)
+    ref = reference_state(StateKind.BOSON, n)
+    target, n_want, c_want = _constructed_target(p, radii, z)
+    geo = coherent_geodesic(ref, target)
+    assert np.allclose(geo.n_matrix, n_want, rtol=0.0, atol=1e-10 * (1.0 + radii.max()))
+    assert coherent_complexity(geo) == pytest.approx(c_want, rel=1e-10, abs=1e-12)
+    # squeezing one mode by eps -> 0 converges to the unsqueezed value
+    c = {}
+    for eps in (1e-3, 1e-7, 0.0):
+        radii_eps = radii.copy()
+        radii_eps[0] = eps
+        target, _, c_want = _constructed_target(p, radii_eps, z)
+        c[eps] = coherent_complexity(coherent_geodesic(ref, target))
+        assert c[eps] == pytest.approx(c_want, rel=1e-10, abs=1e-12)
+    for eps in (1e-3, 1e-7):
+        assert abs(c[eps] ** 2 - c[0.0] ** 2) <= 2.0 * eps * (1.0 + z @ z)
 
 
 def test_identity_delta_straight_line():
     ref = reference_state(StateKind.BOSON, 1)
     target = GaussianState(ref.j, np.array([1.0, 2.0]))
     geo = coherent_geodesic(ref, target)
-    assert geo.is_identity
+    assert not np.any(geo.delta.log_delta)
     assert coherent_complexity(geo) == pytest.approx(np.linalg.norm(target.z))
     mid = coherent_geodesic_point(geo, 0.5)
     assert np.allclose(mid.v, 0.5 * target.z)

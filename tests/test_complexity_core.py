@@ -58,7 +58,7 @@ def test_delta_spectrum_of_squeezed_state():
     w = np.sort(np.linalg.eigvals(rel.delta).real)
     assert np.allclose(w, [np.exp(-3.0), np.exp(3.0)], rtol=1e-12)
     assert np.allclose(rel.radial_exponents, [3.0], atol=1e-12)
-    assert not rel.is_identity
+    assert np.allclose(np.exp(rel.pencil.logs), [np.exp(-3.0), np.exp(3.0)], rtol=1e-12)
 
 
 def test_multimode_quadrature_sum():
@@ -157,6 +157,12 @@ def test_noncanonical_sigma_matches_direct_trace():
         np.trace(L @ sig @ L.T @ np.linalg.inv(sig)).real
     )
     assert state_complexity(ref, target, sigma_R=sig) == pytest.approx(want, abs=1e-9)
+
+
+def test_slightly_squeezed_reference_is_not_taken_as_identity():
+    # a reference squeezed by 1e-7 is whitened, so the pair (R, R) has C = 0
+    ref = squeezed(1e-7)
+    assert state_complexity(ref, ref) <= 1e-14
 
 
 def test_displacement_rejected():

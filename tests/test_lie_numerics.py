@@ -14,15 +14,13 @@ from gcomplexity import (
     algebra_basis,
     algebra_of_kind,
     inner_product_identity,
-    log_spd_pencil,
     log_special_orthogonal,
     matrix_exp,
     matrix_exp_batch,
     matrix_log_principal,
-    matrix_sqrt_principal,
     project_onto_complement,
     reference_state,
-    sqrt_spd_pencil,
+    spd_pencil,
     stabilizer_basis,
     standard_symplectic_form,
 )
@@ -78,12 +76,6 @@ def test_log_principal_branch_cut_and_singular():
         matrix_log_principal(np.diag([1.0, 0.0]))
 
 
-def test_sqrt_principal_known_value():
-    assert np.allclose(matrix_sqrt_principal(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    m = matrix_sqrt_principal(rotation(1.0))
-    assert np.allclose(m @ m, rotation(1.0), atol=1e-12)
-
-
 def test_matrix_exp_batch_matches_scipy():
     rng = np.random.default_rng(11)
     vs = rng.normal(scale=0.7, size=(12, 4, 4))
@@ -93,10 +85,15 @@ def test_matrix_exp_batch_matches_scipy():
         assert np.linalg.norm(batch[k] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def pencil_log(sigma_T, sigma_R=None):
+    pencil = spd_pencil(sigma_T, sigma_R)
+    return pencil.apply(lambda s: s), pencil.radial_exponents
+
+
 def test_log_spd_pencil_single_mode():
     r = 0.8
     sig = np.diag([np.exp(2 * r), np.exp(-2 * r)])
-    log_delta, exps = log_spd_pencil(sig)
+    log_delta, exps = pencil_log(sig)
     assert np.allclose(log_delta, np.diag([2 * r, -2 * r]), atol=1e-13)
     assert exps.shape == (1,)
     assert abs(exps[0] - 2 * r) <= 1e-13
@@ -106,13 +103,13 @@ def test_log_spd_pencil_precision_at_strong_squeezing():
     # the symmetric-pencil route keeps full relative precision at r = 5
     r = 5.0
     sig = np.diag([np.exp(2 * r), np.exp(-2 * r)])
-    _, exps = log_spd_pencil(sig)
+    _, exps = pencil_log(sig)
     assert abs(exps[0] - 10.0) <= 1e-12
 
 
 def test_log_spd_pencil_sorted_descending():
     sig = np.diag([np.exp(0.4), np.exp(-0.4), np.exp(3.0), np.exp(-3.0)])
-    _, exps = log_spd_pencil(sig)
+    _, exps = pencil_log(sig)
     assert np.allclose(exps, [3.0, 0.4], atol=1e-13)
 
 
@@ -122,25 +119,29 @@ def test_log_spd_pencil_general_reference():
     sigma_R = a @ a.T + 4.0 * np.eye(4)
     b = rng.normal(scale=0.3, size=(4, 4))
     sigma_T = scipy.linalg.expm(b) @ sigma_R @ scipy.linalg.expm(b).T
-    log_delta, _ = log_spd_pencil(sigma_T, sigma_R)
+    log_delta, _ = pencil_log(sigma_T, sigma_R)
     direct = scipy.linalg.logm(sigma_T @ np.linalg.inv(sigma_R))
     assert np.linalg.norm(log_delta - direct) <= 1e-9
 
 
 def test_log_spd_pencil_rejects_indefinite():
     with pytest.raises(NumericDomainError):
-        log_spd_pencil(np.diag([1.0, -1.0]))
+        pencil_log(np.diag([1.0, -1.0]))
+
+
+def pencil_sqrt(sigma_T, sigma_R=None):
+    return spd_pencil(sigma_T, sigma_R).apply(lambda s: np.exp(0.5 * s))
 
 
 def test_sqrt_spd_pencil():
     sig = np.diag([4.0, 0.25])
-    assert np.allclose(sqrt_spd_pencil(sig), np.diag([2.0, 0.5]), atol=1e-14)
+    assert np.allclose(pencil_sqrt(sig), np.diag([2.0, 0.5]), atol=1e-14)
     rng = np.random.default_rng(13)
     a = rng.normal(size=(4, 4))
     sigma_R = a @ a.T + 4.0 * np.eye(4)
     b = rng.normal(scale=0.3, size=(4, 4))
     sigma_T = scipy.linalg.expm(b) @ sigma_R @ scipy.linalg.expm(b).T
-    root = sqrt_spd_pencil(sigma_T, sigma_R)
+    root = pencil_sqrt(sigma_T, sigma_R)
     delta = sigma_T @ np.linalg.inv(sigma_R)
     assert np.linalg.norm(root @ root - delta) <= 1e-10 * np.linalg.norm(delta)
 
