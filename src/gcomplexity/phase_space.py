@@ -69,6 +69,7 @@ class SymplecticForm:
 
     omega: np.ndarray
     n_modes: int = field(default=0)
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = _as_matrix(self.omega, "omega")
@@ -77,7 +78,7 @@ class SymplecticForm:
             raise DimensionMismatch(
                 f"n_modes {self.n_modes} inconsistent with omega shape {m.shape}"
             )
-        if _rel(m + m.T, np.linalg.norm(m)) > DEFAULT_TOL:
+        if _rel(m + m.T, np.linalg.norm(m)) > self.tol:
             raise GroupViolation("omega is not antisymmetric")
         if abs(abs(np.linalg.det(m)) - 1.0) > 1e-8:
             raise GroupViolation("omega must have |det| = 1 in the standard basis")
@@ -300,7 +301,8 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     "z": [...]} with "z" optional and forbidden for fermions.  For
     bosons "sigma" is the symmetric covariance matrix; for fermions it
     is the antisymmetric state symplectic form (the covariance is fixed
-    to the identity).  ``tol`` bounds the purity residual ||J^2 + 1||.
+    to the identity).  ``tol`` bounds the purity residual ||J^2 + 1|| and,
+    for fermions, the antisymmetry residual of "sigma".
     """
     if not isinstance(data, dict):
         raise SchemaError("state file must contain a JSON object")
@@ -326,7 +328,7 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     if kind is StateKind.FERMION:
         if "z" in data:
             raise DisplacementPresent("fermion state files must not contain 'z'")
-        omega = SymplecticForm(sig)
+        omega = SymplecticForm(sig, tol=tol)
         j = complex_structure_from_covariance(
             CovarianceMatrix(np.eye(2 * n)), omega, kind, tol
         )

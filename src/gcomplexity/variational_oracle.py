@@ -11,7 +11,11 @@ so the discretized length is sum_k sqrt(g_1(V_k, V_k) + u_k^T
 sigma_R^{-1} u_k).  The length is minimized subject to the endpoint
 constraint by a quadratic penalty with an increasing weight schedule;
 the inner optimizer is plain gradient descent with backtracking line
-search on central-difference gradients.  Everything is seeded and
+search on the exact reverse-mode gradient, and a Levenberg-Marquardt
+step on the forward-mode Jacobian restores feasibility.  Both
+derivatives come from the block-triangular identity
+exp([[X, Y], [0, X]]) = [[e^X, L_exp(X, Y)], [0, e^X]] (Najfeld and
+Havel 1995; Al-Mohy and Higham 2009).  Everything is seeded and
 deterministic.
 """
 
@@ -36,7 +40,6 @@ from .phase_space import GaussianState, StateKind, standard_symplectic_form
 
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
-FD_STEP = 1e-5
 STAGE_ITERATIONS = (60, 60, 80, 80, 120)
 
 
@@ -91,8 +94,41 @@ def path_length(path: GroupPath, sigma_R=None) -> float:
     return float(np.sum(np.sqrt(np.maximum(sq, 0.0))))
 
 
+def _suffixes(e):
+    """S_k = E_{K-1} ... E_{k+1} for a stack E_0, ..., E_{K-1}."""
+    suf = np.empty_like(e)
+    suf[-1] = np.eye(e.shape[-1])
+    for k in range(len(e) - 1, 0, -1):
+        suf[k - 1] = suf[k] @ e[k]
+    return suf
+
+
+def _frechet_exp(x, y):
+    """L_exp(X, Y), the upper-right block of exp([[X, Y], [0, X]]), for stacks.
+
+    Each Y is scaled to unit max-norm first (L_exp is linear in Y), so a
+    large Y does not add squarings or error to the exponential.
+    """
+    n = x.shape[-1]
+    scale = np.abs(y).max(axis=(-2, -1), keepdims=True)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    blk = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-2] + (2 * n, 2 * n))
+    blk[..., :n, :n] = x
+    blk[..., n:, n:] = x
+    blk[..., :n, n:] = y / scale
+    return matrix_exp_batch(blk)[..., :n, n:] * scale
+
+
 class _Problem:
-    """Penalty objective for one (reference, target) pair at sigma_R = 1."""
+    """Penalty objective for one (reference, target) pair at sigma_R = 1.
+
+    Coordinate c of segment k moves the generator A_k along dirs[c]: the
+    algebra basis, plus for a displaced target the unit displacement
+    columns of the affine generator [[V, u], [0, 0]].  Derivatives are
+    exact: the gradient pulls the penalty back through the adjoint
+    Frechet derivative of exp, the restore Jacobian pushes every
+    coordinate forward through the Frechet derivative.
+    """
 
     def __init__(self, reference, target, segments):
         self.kind = reference.kind
@@ -104,11 +140,18 @@ class _Problem:
         basis = algebra_basis(algebra_of_kind(self.kind), reference.n_modes)
         self.basis = np.stack([b.v for b in basis])
         self.D = len(basis)
-        flat = self.basis.reshape(self.D, -1)
-        self.gram = 0.5 * (flat @ flat.T)
         self.displaced = bool(np.any(target.z != 0.0))
         self.z_t = np.asarray(target.z, dtype=float)
         self.ncoord = self.D + (self.d if self.displaced else 0)
+        da = self.d + 1 if self.displaced else self.d
+        self.dirs = np.zeros((self.ncoord, da, da))
+        self.dirs[: self.D, : self.d, : self.d] = self.basis
+        if self.displaced:
+            self.dirs[self.D :, : self.d, self.d] = np.eye(self.d)
+        # g_1 on the coordinates; the displacement part is Euclidean
+        flat = self.basis.reshape(self.D, -1)
+        self.gram = np.eye(self.ncoord)
+        self.gram[: self.D, : self.D] = 0.5 * (flat @ flat.T)
 
     def _group_inverse(self, m):
         if self.kind is StateKind.FERMION:
@@ -119,141 +162,94 @@ class _Problem:
     def _split(self, x):
         return (x[:, : self.D], x[:, self.D :]) if self.displaced else (x, None)
 
-    def _exps(self, x):
-        """Segment exponentials; augmented with the displacement column."""
-        xv, xu = self._split(x)
-        v = np.einsum("kd,dij->kij", xv, self.basis)
-        if not self.displaced:
-            return matrix_exp_batch(v)
-        aug = np.zeros((self.K, self.d + 1, self.d + 1))
-        aug[:, : self.d, : self.d] = v
-        aug[:, : self.d, self.d] = xu
-        return matrix_exp_batch(aug)
+    def _forward(self, x):
+        """Generators A_k, E_k = e^{A_k} and prefixes P_k = E_{k-1} ... E_0.
 
-    def _endpoint(self, e):
-        m = np.eye(e.shape[-1])
+        P has K + 1 entries; P_K is the endpoint M = S_k E_k P_k.
+        """
+        a = np.einsum("kc,cij->kij", x, self.dirs)
+        e = matrix_exp_batch(a)
+        pre = np.empty((self.K + 1,) + e.shape[1:])
+        pre[0] = np.eye(e.shape[-1])
         for k in range(self.K):
-            m = e[k] @ m
-        return m
+            pre[k + 1] = e[k] @ pre[k]
+        return a, e, pre
 
-    def _resid_sq(self, m_aug):
-        if self.displaced:
-            m = m_aug[: self.d, : self.d]
-            z = m_aug[: self.d, self.d]
-        else:
-            m = m_aug
-        r = m @ self.jr @ self._group_inverse(m) - self.jt
-        out = float(np.sum(r * r))
-        if self.displaced:
-            dz = z - self.z_t
-            out += float(dz @ dz)
-        return out
+    def _residual(self, m):
+        """R = M J_R M^{-1} - J_T at the endpoint, and z - z_T (or None)."""
+        mm = m[: self.d, : self.d]
+        r = mm @ self.jr @ self._group_inverse(mm) - self.jt
+        return r, (m[: self.d, self.d] - self.z_t if self.displaced else None)
+
+    def _resid_vec(self, m):
+        r, dz = self._residual(m)
+        return r.ravel() if dz is None else np.concatenate([r.ravel(), dz])
 
     def seg_norm_sq(self, x):
-        xv, xu = self._split(x)
-        q = np.einsum("kd,de,ke->k", xv, self.gram, xv)
-        if self.displaced:
-            q = q + np.einsum("ki,ki->k", xu, xu)
-        return q
+        return np.einsum("kc,ce,ke->k", x, self.gram, x)
 
     def length(self, x):
         return float(np.sum(np.sqrt(np.maximum(self.seg_norm_sq(x), 0.0))))
 
     def constraint_residual(self, x):
-        return float(np.sqrt(self._resid_sq(self._endpoint(self._exps(x)))))
+        return float(np.linalg.norm(self._resid_vec(self._forward(x)[2][-1])))
 
-    def total(self, x, w):
-        return self.length(x) + w * self._resid_sq(self._endpoint(self._exps(x)))
+    def total(self, x, w, fwd=None):
+        r = self._resid_vec((self._forward(x) if fwd is None else fwd)[2][-1])
+        return self.length(x) + w * float(r @ r)
 
-    def _perturbed_residuals(self, x, eps):
-        """Endpoint residuals under +/- eps shifts of every coordinate.
+    def gradient(self, x, w, fwd=None):
+        """Exact gradient of length + w * residual^2, by reverse mode.
 
-        Perturbing one coordinate of segment k changes only that
-        segment's exponential, so the perturbed endpoints reuse cached
-        prefix and suffix products.  Returns (rr, dz) with rr of shape
-        (K, ncoord, 2, d, d) and dz of shape (K, ncoord, 2, d) or None.
+        ``fwd`` is ``_forward(x)`` when the caller already has it.
         """
-        e = self._exps(x)
-        da = e.shape[-1]
-        pre = np.empty((self.K, da, da))
-        suf = np.empty((self.K, da, da))
-        p = np.eye(da)
-        for k in range(self.K):
-            pre[k] = p
-            p = e[k] @ p
-        s = np.eye(da)
-        for k in range(self.K - 1, -1, -1):
-            suf[k] = s
-            s = s @ e[k]
-        xv, xu = self._split(x)
-        v = np.einsum("kd,dij->kij", xv, self.basis)
-        aug = np.zeros((self.K, da, da))
-        aug[:, : self.d, : self.d] = v
-        if self.displaced:
-            aug[:, : self.d, self.d] = xu
-        # perturbation directions in the augmented algebra
-        dirs = np.zeros((self.ncoord, da, da))
-        dirs[: self.D, : self.d, : self.d] = self.basis
-        if self.displaced:
-            for i in range(self.d):
-                dirs[self.D + i, i, self.d] = 1.0
-        pert = (
-            aug[:, None, None, :, :]
-            + np.array([eps, -eps])[None, None, :, None, None]
-            * dirs[None, :, None, :, :]
+        a, e, pre = self._forward(x) if fwd is None else fwd
+        m = pre[-1]
+        mm = m[: self.d, : self.d]
+        r, dz = self._residual(m)
+        # d/dM of w ||M J_R G(M) - J_T||^2; G is self-adjoint in tr(X^T Y)
+        gm = np.zeros_like(m)
+        gm[: self.d, : self.d] = (2.0 * w) * (
+            r @ self._group_inverse(mm).T @ self.jr.T
+            + self._group_inverse(self.jr.T @ mm.T @ r)
         )
-        ep = matrix_exp_batch(pert.reshape(-1, da, da)).reshape(
-            self.K, self.ncoord, 2, da, da
-        )
-        mp = np.einsum("kab,kcubd,kde->kcuae", suf, ep, pre, optimize=True)
-        if self.displaced:
-            mm = mp[..., : self.d, : self.d]
-            zz = mp[..., : self.d, self.d]
-        else:
-            mm = mp
-        minv = self._group_inverse(mm)
-        rr = np.einsum("kcuab,bz,kcuze->kcuae", mm, self.jr, minv, optimize=True) - self.jt
-        dz = (zz - self.z_t) if self.displaced else None
-        return rr, dz
-
-    def gradient(self, x, w, eps=FD_STEP, length_term=True):
-        """Central-difference gradient of length + w * residual^2.
-
-        With ``length_term=False`` the gradient is of the constraint
-        residual alone.
-        """
-        rr, dz = self._perturbed_residuals(x, eps)
-        xv, xu = self._split(x)
-        pen = np.einsum("kcuae,kcuae->kcu", rr, rr)
         if dz is not None:
-            pen = pen + np.einsum("kcui,kcui->kcu", dz, dz)
-        tot = w * pen
-        if length_term:
-            # length term from the quadratic form expansion
-            q0 = self.seg_norm_sq(x)
-            gx = np.zeros((self.K, self.ncoord))
-            gx[:, : self.D] = xv @ self.gram
-            diag = np.ones(self.ncoord)
-            diag[: self.D] = np.diag(self.gram)
-            if self.displaced:
-                gx[:, self.D :] = xu
-            qp = (
-                q0[:, None, None]
-                + 2.0 * eps * np.array([1.0, -1.0])[None, None, :] * gx[:, :, None]
-                + eps * eps * diag[None, :, None]
-            )
-            lenp = np.sqrt(np.maximum(qp, 0.0))
-            base = np.sqrt(np.maximum(q0, 0.0))
-            tot = tot + lenp - base[:, None, None]
-        return (tot[:, :, 0] - tot[:, :, 1]) / (2.0 * eps)
+            gm[: self.d, self.d] = (2.0 * w) * dz
+        # G_{E_k} = S_k^T G_M P_k^T, with S_k^T G_M accumulated from the end
+        ge = np.empty_like(e)
+        for k in range(self.K - 1, -1, -1):
+            ge[k] = gm @ pre[k].T
+            gm = e[k].T @ gm
+        ga = _frechet_exp(np.swapaxes(a, -1, -2), ge)
+        g = np.einsum("kij,cij->kc", ga, self.dirs)
+        # length term; 0 on a zero segment, where the norm has a kink
+        root = np.sqrt(np.maximum(self.seg_norm_sq(x), 0.0))[:, None]
+        gx = x @ self.gram
+        return g + np.divide(gx, root, out=np.zeros_like(gx), where=root > 0.0)
+
+    def _jacobian(self, fwd):
+        """Jacobian of the residual vector in x, by forward mode."""
+        a, e, pre = fwd
+        de = _frechet_exp(a[:, None], self.dirs[None])
+        dm = _suffixes(e)[:, None] @ de @ pre[:-1, None]
+        mm = pre[-1][: self.d, : self.d]
+        dmm = dm[..., : self.d, : self.d]
+        dr = dmm @ (self.jr @ self._group_inverse(mm)) + (mm @ self.jr) @ (
+            self._group_inverse(dmm)
+        )
+        cols = dr.reshape(self.K, self.ncoord, -1)
+        if self.displaced:
+            cols = np.concatenate([cols, dm[..., : self.d, self.d]], axis=2)
+        return cols.reshape(self.K * self.ncoord, -1).T
 
     def minimize(self, x0):
         x = x0.copy()
+        fwd = self._forward(x)
         step = 0.1
         for w, max_iter in zip(PENALTY_SCHEDULE, STAGE_ITERATIONS):
-            f = self.total(x, w)
+            f = self.total(x, w, fwd)
             for _ in range(max_iter):
-                g = self.gradient(x, w)
+                g = self.gradient(x, w, fwd)
                 gn2 = float(np.sum(g * g))
                 if gn2 < 1e-20:
                     break
@@ -262,9 +258,10 @@ class _Problem:
                 with np.errstate(over="ignore", invalid="ignore"):
                     for _ in range(40):
                         xn = x - trial * g
-                        fn = self.total(xn, w)
+                        fwd_n = self._forward(xn)
+                        fn = self.total(xn, w, fwd_n)
                         if fn < f - 1e-4 * trial * gn2:
-                            x, f, step = xn, fn, trial
+                            x, f, fwd, step = xn, fn, fwd_n, trial
                             accepted = True
                             break
                         trial *= 0.5
@@ -272,19 +269,7 @@ class _Problem:
                     break
         return x
 
-    def _resid_parts(self, m_aug):
-        """Flattened endpoint residual vector."""
-        if self.displaced:
-            m = m_aug[: self.d, : self.d]
-            z = m_aug[: self.d, self.d]
-        else:
-            m = m_aug
-        rm = (m @ self.jr @ self._group_inverse(m) - self.jt).ravel()
-        if not self.displaced:
-            return rm
-        return np.concatenate([rm, z - self.z_t])
-
-    def restore(self, x, tol=1e-9, max_iter=20, eps=FD_STEP):
+    def restore(self, x, tol=1e-9, max_iter=20):
         """Levenberg-Marquardt descent on the constraint residual alone.
 
         The penalty stages leave a bias of order lambda / w off the
@@ -295,18 +280,14 @@ class _Problem:
         endpoint Jacobian (the endpoint cannot leave the orbit of the
         reference complex structure).
         """
-        r = self._resid_parts(self._endpoint(self._exps(x)))
+        fwd = self._forward(x)
+        r = self._resid_vec(fwd[2][-1])
         r2 = float(r @ r)
         lam = 1e-4
         for _ in range(max_iter):
             if r2 < tol * tol:
                 break
-            rr, dz = self._perturbed_residuals(x, eps)
-            cols = (rr[:, :, 0] - rr[:, :, 1]).reshape(self.K, self.ncoord, -1)
-            if dz is not None:
-                cols = np.concatenate([cols, dz[:, :, 0] - dz[:, :, 1]], axis=2)
-            jac = cols.reshape(self.K * self.ncoord, -1).T / (2.0 * eps)
-            u, s, vt = np.linalg.svd(jac, full_matrices=False)
+            u, s, vt = np.linalg.svd(self._jacobian(fwd), full_matrices=False)
             if s[0] == 0.0:
                 break
             utr = u.T @ r
@@ -316,10 +297,11 @@ class _Problem:
                     coef = s / (s * s + lam * s[0] * s[0])
                     delta = (vt.T * coef) @ utr
                     xn = x - delta.reshape(self.K, self.ncoord)
-                    rn = self._resid_parts(self._endpoint(self._exps(xn)))
+                    fwd_n = self._forward(xn)
+                    rn = self._resid_vec(fwd_n[2][-1])
                     r2n = float(rn @ rn)
                     if r2n < r2:
-                        x, r, r2 = xn, rn, r2n
+                        x, r, r2, fwd = xn, rn, r2n, fwd_n
                         lam = max(lam * 0.3, 1e-12)
                         accepted = True
                         break
@@ -339,18 +321,12 @@ class _Problem:
         if not self.displaced:
             return x
         xv, xu = self._split(x)
-        v = np.einsum("kd,dij->kij", xv, self.basis)
-        e = matrix_exp_batch(v)
-        suf = np.empty_like(e)
-        s = np.eye(self.d)
-        for k in range(self.K - 1, -1, -1):
-            suf[k] = s
-            s = s @ e[k]
         blk = np.zeros((self.K, 2 * self.d, 2 * self.d))
-        blk[:, : self.d, : self.d] = v
+        blk[:, : self.d, : self.d] = np.einsum("kd,dij->kij", xv, self.basis)
         blk[:, : self.d, self.d :] = np.eye(self.d)
-        phi = matrix_exp_batch(blk)[:, : self.d, self.d :]
-        a = suf @ phi
+        # exp([[V, 1], [0, 0]]) = [[e^V, phi_1(V)], [0, 1]]
+        ephi = matrix_exp_batch(blk)[:, : self.d]
+        a = _suffixes(ephi[:, :, : self.d]) @ ephi[:, :, self.d :]
         z_now = np.einsum("kij,kj->i", a, xu)
         amat = a.transpose(1, 0, 2).reshape(self.d, self.K * self.d)
         du = np.linalg.lstsq(amat, self.z_t - z_now, rcond=None)[0]

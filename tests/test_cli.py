@@ -192,6 +192,25 @@ def test_fermion_identity_eigenvalues_have_no_negative_zero(tmp_path, capsys):
     assert "-0" not in out
 
 
+def test_tol_reaches_the_fermion_antisymmetry_check(tmp_path, capsys):
+    ref, target = fermion_states(tmp_path, 0.4)
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", target)
+    assert code == 0
+    clean = json.loads(out)["complexity"]
+    # ||sigma + sigma^T|| / (1 + ||sigma||) = 1e-9: not antisymmetric at the default 1e-10
+    sigma = np.array(json.loads(Path(target).read_text())["sigma"])
+    sigma += 7.5e-10 * np.diag([1.0, -1.0, 1.0, -1.0])
+    near = write_state(tmp_path, "near.json", {"kind": "fermion", "n_modes": 2, "sigma": sigma.tolist()})
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", near)
+    assert code == 3
+    assert json.loads(out)["error"] == "GroupViolation: omega is not antisymmetric"
+    code, out = run_cli(
+        capsys, "complexity", "--reference", ref, "--target", near, "--tol", "1e-6"
+    )
+    assert code == 0
+    assert json.loads(out)["complexity"] == pytest.approx(clean, rel=1e-6)
+
+
 def test_complexity_requires_target_or_batch(tmp_path, capsys):
     ref = boson_ref(tmp_path)
     code, out = run_cli(capsys, "complexity", "--reference", ref)

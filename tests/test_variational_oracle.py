@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gcomplexity import (
     GroupPath,
@@ -16,7 +17,24 @@ from gcomplexity import (
     stabilizer_basis,
     state_complexity,
 )
+from gcomplexity.variational_oracle import _Problem
 from helpers import displaced_target, random_target
+
+DERIVATIVE_CASES = [
+    (StateKind.BOSON, 1, False),
+    (StateKind.BOSON, 2, False),
+    (StateKind.FERMION, 2, False),
+    (StateKind.BOSON, 1, True),
+    (StateKind.BOSON, 2, True),
+]
+
+
+def _problem(kind, n, displaced, seed):
+    rng = np.random.default_rng(seed)
+    ref = reference_state(kind, n)
+    target = displaced_target(n, rng) if displaced else random_target(kind, n, rng)
+    prob = _Problem(ref, target, 8)
+    return prob, rng.normal(scale=0.1, size=(8, prob.ncoord))
 
 
 def test_path_length_hand_value():
@@ -143,3 +161,54 @@ def test_stationarity_negative_control():
     report = check_stabilizer_geodesic(v, perturbation_count=20, seed=3)
     assert not report.passed
     assert report.max_abs > 0.1
+
+
+@pytest.mark.parametrize("kind,n,displaced", DERIVATIVE_CASES)
+@pytest.mark.parametrize("w", [1e2, 1e6])
+def test_gradient_matches_central_difference(kind, n, displaced, w):
+    prob, x = _problem(kind, n, displaced, seed=60 + n)
+    h = 1e-6
+    want = np.zeros_like(x)
+    for idx in np.ndindex(*x.shape):
+        step = np.zeros_like(x)
+        step[idx] = h
+        want[idx] = (prob.total(x + step, w) - prob.total(x - step, w)) / (2.0 * h)
+    got = prob.gradient(x, w)
+    assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind,n,displaced", DERIVATIVE_CASES)
+def test_jacobian_matches_expm_frechet(kind, n, displaced):
+    prob, x = _problem(kind, n, displaced, seed=70 + n)
+    gens = np.einsum("kc,cij->kij", x, prob.dirs)
+    exps = [scipy.linalg.expm(a) for a in gens]
+    eye = np.eye(gens.shape[-1])
+    m = eye
+    for e in exps:
+        m = e @ m
+    d = prob.d
+    minv = np.linalg.inv(m[:d, :d])
+    cols = []
+    for k, a in enumerate(gens):
+        before, after = eye, eye
+        for e in exps[:k]:
+            before = e @ before
+        for e in exps[k + 1 :]:
+            after = e @ after
+        for b in prob.dirs:
+            dm = after @ scipy.linalg.expm_frechet(a, b, compute_expm=False) @ before
+            # d(M J_R M^{-1}) = dM J_R M^{-1} - M J_R M^{-1} dM M^{-1}
+            dr = dm[:d, :d] @ prob.jr @ minv - m[:d, :d] @ prob.jr @ minv @ dm[:d, :d] @ minv
+            cols.append(np.concatenate([dr.ravel(), dm[:d, d]]) if displaced else dr.ravel())
+    want = np.array(cols).T
+    got = prob._jacobian(prob._forward(x))
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind,n", [(StateKind.BOSON, 1), (StateKind.BOSON, 2), (StateKind.FERMION, 2)])
+def test_gradient_vanishes_at_the_self_target(kind, n):
+    ref = reference_state(kind, n)
+    prob = _Problem(ref, ref, 8)
+    g = prob.gradient(np.zeros((8, prob.ncoord)), 1e6)
+    assert np.all(np.isfinite(g))
+    assert np.all(g == 0.0)
