@@ -281,7 +281,7 @@ def cmd_weyl(args) -> int:
     reference = _load_state(args.reference, args.tol)
     target = _load_state(args.target, args.tol)
     factor = _parse_omega(args.omega)
-    base = state_complexity(reference, target, tol=args.tol)
+    base = state_complexity(reference, target)
     deformed = weyl_complexity(base, factor, args.quad_steps)
     payload = {
         "complexity": deformed,
@@ -336,7 +336,7 @@ def cmd_oracle_verify(args) -> int:
         geo = coherent_geodesic(reference, target)
         closed = coherent_complexity(geo)
     else:
-        closed = state_complexity(reference, target, tol=args.tol)
+        closed = state_complexity(reference, target)
     path, oracle_len = minimize_to_target(
         reference,
         target,

@@ -6,6 +6,7 @@ For a target (J_T, z_T) the optimal circuit is
     z(tau) = (M(tau) - 1)(M(1) - 1)^{-1} z_T,
 
 and with N = log(Delta)(sqrt(Delta) - 1)^{-1} and G = N^T sigma_R^{-1} N
+= (H^{-1} N)^T (H^{-1} N), H = sigma_R^{1/2} the pencil's whitening,
 the state complexity is
 
     C = 1/2 sqrt(Tr|log Delta|^2 / 2 + z_T^T G z_T).
@@ -33,7 +34,6 @@ from .phase_space import (
     GaussianTransformation,
     StateKind,
     SymplecticForm,
-    covariance_of,
 )
 
 
@@ -45,7 +45,6 @@ class CoherentGeodesic:
     n_matrix: np.ndarray
     z_target: np.ndarray
     g_form: np.ndarray
-    sigma_R: np.ndarray
 
 
 def _n_of_log_spectrum(s: np.ndarray) -> np.ndarray:
@@ -55,24 +54,19 @@ def _n_of_log_spectrum(s: np.ndarray) -> np.ndarray:
     return np.where(y == 0.0, 2.0, 2.0 * safe / np.expm1(safe))
 
 
-def coherent_geodesic(
-    reference: GaussianState, target: GaussianState, sigma_R=None
-) -> CoherentGeodesic:
+def coherent_geodesic(reference: GaussianState, target: GaussianState) -> CoherentGeodesic:
     """Build Delta, N and G for a (possibly displaced) bosonic target."""
     if reference.kind is not StateKind.BOSON or target.kind is not StateKind.BOSON:
         raise KindMismatch("coherent geodesics are defined for bosons only")
     if np.any(reference.z != 0.0):
         raise DisplacementPresent("reference displacement must be zero")
     rel = relative_complex_structure(reference, target)
-    if sigma_R is None:
-        sig = covariance_of(reference)
-    else:
-        sig = sigma_R.sigma if hasattr(sigma_R, "sigma") else np.asarray(sigma_R, float)
     z_t = np.asarray(target.z, dtype=float)
     n_matrix = rel.pencil.apply(_n_of_log_spectrum)
-    g_form = n_matrix.T @ np.linalg.inv(sig) @ n_matrix
+    white_n = rel.pencil.whiten(n_matrix)
+    g_form = white_n.T @ white_n
     g_form = 0.5 * (g_form + g_form.T)
-    return CoherentGeodesic(rel, n_matrix, z_t, g_form, sig)
+    return CoherentGeodesic(rel, n_matrix, z_t, g_form)
 
 
 def coherent_complexity(geo: CoherentGeodesic) -> float:

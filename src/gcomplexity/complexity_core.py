@@ -4,14 +4,15 @@ The relative complex structure Delta = J_T J_R^{-1} generates the
 optimal circuit: the geodesic from the reference to the target is
 M(tau) = e^{tau log(Delta)/2} and the state complexity is
 
-    C = (1 / (2 sqrt 2)) sqrt(Tr[(log Delta) sigma_R (log Delta)^T sigma_R^{-1}]).
+    C = (1 / (2 sqrt 2)) sqrt(Tr[(log Delta) sigma_R (log Delta)^T sigma_R^{-1}]),
 
-In the sigma_R = identity basis the weighted trace is the squared
-Frobenius norm of log Delta.  The eigenvalues of Delta come in
-reciprocal pairs for pure-state pairs, so the trace equals twice the
-sum of squares over the nonnegative half of the log-spectrum; the
-complexity is evaluated from that half, which is numerically exact even
-at strong squeezing.
+with sigma_R the covariance of the reference itself.  The SPD pencil
+whitens by H = sigma_R^{1/2}, where the weighted trace is the squared
+Frobenius norm of H^{-1} log(Delta) H; no other module handles sigma_R.
+The eigenvalues of Delta come in reciprocal pairs for pure-state pairs,
+so the trace equals twice the sum of squares over the nonnegative half
+of the log-spectrum; the complexity is evaluated from that half, which
+is numerically exact even at strong squeezing.
 
 Also provides the standard Finsler cost-function evaluators F1, F1p,
 F2, F2q.
@@ -32,12 +33,10 @@ from .errors import (
 )
 from .lie_numerics import SpdPencil, log_special_orthogonal, matrix_exp, spd_pencil
 from .phase_space import (
-    DEFAULT_TOL,
     GaussianState,
     GaussianTransformation,
     StateKind,
     covariance_of,
-    standard_symplectic_form,
 )
 
 COMPLEXITY_PREFACTOR = 1.0 / (2.0 * np.sqrt(2.0))
@@ -122,33 +121,19 @@ def relative_complex_structure(
     )
 
 
-def state_complexity(
-    reference: GaussianState,
-    target: GaussianState,
-    sigma_R=None,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def state_complexity(reference: GaussianState, target: GaussianState) -> float:
     r"""Closed-form complexity C = (1/(2 sqrt 2)) sqrt(Tr |log Delta|^2).
 
     Both states must have zero displacement; displaced targets are
-    handled by the coherent module.  ``sigma_R`` defaults to the
-    covariance of the reference state, which is the inner product the
-    geodesic formula is derived in.
+    handled by the coherent module.  The metric is g_1 at the covariance
+    of the reference, the inner product the geodesic formula is derived in.
     """
     if np.any(reference.z != 0.0) or np.any(target.z != 0.0):
         raise DisplacementPresent(
             "state_complexity requires zero displacements; use the coherent "
             "module for displaced targets"
         )
-    rel = relative_complex_structure(reference, target)
-    if sigma_R is not None:
-        sig = sigma_R.sigma if hasattr(sigma_R, "sigma") else np.asarray(sigma_R, float)
-        canonical = covariance_of(reference)
-        if np.linalg.norm(sig - canonical) / (1.0 + np.linalg.norm(canonical)) > tol:
-            L = rel.log_delta
-            tr = float(np.trace(L @ sig @ L.T @ np.linalg.inv(sig)))
-            return COMPLEXITY_PREFACTOR * np.sqrt(max(tr, 0.0))
-    return complexity_from_relative(rel)
+    return complexity_from_relative(relative_complex_structure(reference, target))
 
 
 def complexity_from_relative(rel: RelativeComplexStructure) -> float:

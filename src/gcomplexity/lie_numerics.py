@@ -10,6 +10,12 @@ membership checks for sp(2N, R) and so(2N), and the splitting of the
 algebra into the stabilizer subalgebra sta = {V : [V, J_R] = 0} and its
 g_1-orthogonal complement.
 
+sigma_R is decomposed in one place only: the pencil whitens by
+H = sigma_R^{1/2}, which is symplectic, so V -> H^{-1} V H carries g_1
+at sigma_R to g_1 at the vacuum, 1/2 Tr(V W^T).  The inner product and
+the stabilizer splitting here are those of the vacuum reference; for
+another reference, whiten first (``SpdPencil.whiten``).
+
 Structured logarithm routes are used where the input is known to be
 similar to a symmetric positive-definite matrix (bosonic relative
 complex structures) or special orthogonal (fermionic ones); these keep
@@ -36,7 +42,6 @@ from .errors import (
 from .phase_space import (
     DEFAULT_TOL,
     ComplexStructure,
-    CovarianceMatrix,
     StateKind,
     standard_symplectic_form,
 )
@@ -108,17 +113,6 @@ def _mat(x) -> np.ndarray:
     if isinstance(x, LieAlgebraElement):
         return x.v
     return np.asarray(x, dtype=float)
-
-
-def _sigma(sigma_R, dim) -> np.ndarray:
-    if sigma_R is None:
-        return np.eye(dim)
-    if isinstance(sigma_R, CovarianceMatrix):
-        sigma_R = sigma_R.sigma
-    s = np.asarray(sigma_R, dtype=float)
-    if s.shape != (dim, dim):
-        raise DimensionMismatch(f"sigma_R must be {dim} x {dim}, got {s.shape}")
-    return s
 
 
 def matrix_exp(v: np.ndarray) -> np.ndarray:
@@ -208,6 +202,10 @@ class SpdPencil:
         m = (self.u * f(self.logs)) @ self.u.T
         return m if self.half is None else self.half @ m @ self.inv_half
 
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """H^{-1} x: a vector or matrix x in the frame where sigma_R is the identity."""
+        return x if self.inv_half is None else self.inv_half @ x
+
     @property
     def radial_exponents(self) -> np.ndarray:
         """The N nonnegative members of the reciprocal-paired log-spectrum, descending."""
@@ -279,16 +277,16 @@ def log_special_orthogonal(delta: np.ndarray, margin: float = BRANCH_CUT_MARGIN)
     return log_delta, np.sort(np.asarray(angles))[::-1]
 
 
-def inner_product_identity(v, w, sigma_R=None) -> float:
-    r"""Right-invariant metric at the identity: 1/2 Tr(V sigma_R W^T sigma_R^{-1})."""
+def inner_product_identity(v, w) -> float:
+    r"""Right-invariant metric at the identity for the vacuum reference: 1/2 Tr(V W^T).
+
+    For a reference sigma_R = H^2, pass the whitened H^{-1} V H and H^{-1} W H.
+    """
     vm = _mat(v)
     wm = _mat(w)
     if vm.shape != wm.shape:
         raise DimensionMismatch(f"shapes differ: {vm.shape} vs {wm.shape}")
-    sig = _sigma(sigma_R, vm.shape[0])
-    if np.array_equal(sig, np.eye(vm.shape[0])):
-        return 0.5 * float(np.tensordot(vm, wm, axes=2))
-    return 0.5 * float(np.trace(vm @ sig @ wm.T @ np.linalg.inv(sig)))
+    return 0.5 * float(np.tensordot(vm, wm, axes=2))
 
 
 def algebra_basis(algebra: LieAlgebra, n_modes: int) -> tuple:
@@ -314,34 +312,34 @@ def algebra_basis(algebra: LieAlgebra, n_modes: int) -> tuple:
     return tuple(out)
 
 
-def _gram_schmidt(mats, sig, against=(), tol=1e-9):
+def _gram_schmidt(mats, against=(), tol=1e-9):
     """Modified Gram-Schmidt under g_1 with one re-orthogonalization pass."""
     ortho = []
     for m in mats:
         v = m.copy()
         for _ in range(2):
             for b in against:
-                v = v - inner_product_identity(v, b, sig) * b
+                v = v - inner_product_identity(v, b) * b
             for b in ortho:
-                v = v - inner_product_identity(v, b, sig) * b
-        nrm = np.sqrt(inner_product_identity(v, v, sig))
+                v = v - inner_product_identity(v, b) * b
+        nrm = np.sqrt(inner_product_identity(v, v))
         if nrm > tol:
             ortho.append(v / nrm)
     return ortho
 
 
-def stabilizer_basis(j_R: ComplexStructure, sigma_R=None) -> StabilizerBasis:
+def stabilizer_basis(j_R: ComplexStructure) -> StabilizerBasis:
     """Split the algebra into sta = {V : [V, J_R] = 0} and its complement.
 
     The splitting solves the commutator condition as a dense linear
     system over the canonical basis; the complement is then
-    g_1-orthonormalized against the stabilizer part.
+    g_1-orthonormalized against the stabilizer part.  Orthonormality is
+    under the vacuum g_1, 1/2 Tr(V W^T): for a squeezed reference, split
+    at the whitened H^{-1} J_R H (the standard J) and map back.
     """
     kind = j_R.kind
     algebra = algebra_of_kind(kind)
     n = j_R.n_modes
-    d = 2 * n
-    sig = _sigma(sigma_R, d)
     basis = algebra_basis(algebra, n)
     mats = [b.v for b in basis]
     jr = j_R.j
@@ -353,22 +351,17 @@ def stabilizer_basis(j_R: ComplexStructure, sigma_R=None) -> StabilizerBasis:
     coeff_comp = vt[:rank]
     sta_raw = [np.einsum("d,dij->ij", c, mats) for c in coeff_sta]
     comp_raw = [np.einsum("d,dij->ij", c, mats) for c in coeff_comp]
-    sta = _gram_schmidt(sta_raw, sig)
-    comp = _gram_schmidt(comp_raw, sig, against=sta)
+    sta = _gram_schmidt(sta_raw)
+    comp = _gram_schmidt(comp_raw, against=sta)
     elements = tuple(LieAlgebraElement(m, algebra) for m in sta)
     complement = tuple(LieAlgebraElement(m, algebra) for m in comp)
     return StabilizerBasis(elements, complement)
 
 
-def project_onto_complement(v, basis: StabilizerBasis, sigma_R=None) -> LieAlgebraElement:
+def project_onto_complement(v, basis: StabilizerBasis) -> LieAlgebraElement:
     """Remove the g_1-orthogonal projection onto span(stabilizer)."""
     vm = _mat(v).copy()
-    if basis.elements:
-        sig = _sigma(sigma_R, vm.shape[0])
-        for b in basis.elements:
-            vm = vm - (
-                inner_product_identity(vm, b, sig)
-                / inner_product_identity(b, b, sig)
-            ) * b.v
+    for b in basis.elements:
+        vm = vm - (inner_product_identity(vm, b) / inner_product_identity(b, b)) * b.v
     algebra = basis.elements[0].algebra if basis.elements else basis.complement[0].algebra
     return LieAlgebraElement(vm, algebra)

@@ -51,35 +51,20 @@ def metric_phiphi_dr(r):
 
 
 @dataclass(frozen=True)
-class ChartMetric:
-    """Diagonal metric evaluation contract on an (r, phi) chart."""
-
-    g_rr: object
-    g_phiphi: object
-
-
-def single_mode_metric() -> ChartMetric:
-    return ChartMetric(lambda r, phi: np.ones_like(np.asarray(r, dtype=float)),
-                       lambda r, phi: metric_phiphi(r))
-
-
-@dataclass(frozen=True)
 class WeylFactor:
     """Scalar conformal factor omega(r)."""
 
     fn: object
-    label: str = "custom"
 
     @staticmethod
     def constant(c: float) -> "WeylFactor":
         c = float(c)
-        return WeylFactor(lambda r: np.full_like(np.asarray(r, dtype=float), c),
-                          f"const:{c}")
+        return WeylFactor(lambda r: np.full_like(np.asarray(r, dtype=float), c))
 
     @staticmethod
     def linear(beta: float) -> "WeylFactor":
         beta = float(beta)
-        return WeylFactor(lambda r: beta * np.asarray(r, dtype=float), f"linear:{beta}")
+        return WeylFactor(lambda r: beta * np.asarray(r, dtype=float))
 
     @staticmethod
     def tabulated(r_values, omega_values) -> "WeylFactor":
@@ -92,22 +77,10 @@ class WeylFactor:
         if not (np.all(np.isfinite(r_values)) and np.all(np.isfinite(omega_values))):
             raise ValidationError("tabulated factor contains non-finite values")
         interp = PchipInterpolator(r_values, omega_values, extrapolate=True)
-        return WeylFactor(interp, "tabulated")
-
-    @staticmethod
-    def from_callable(fn) -> "WeylFactor":
-        return WeylFactor(fn)
+        return WeylFactor(interp)
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        try:
-            out = np.asarray(self.fn(r), dtype=float)
-            if out.shape != r.shape:
-                raise TypeError
-        except TypeError:
-            out = np.array([float(self.fn(x)) for x in np.atleast_1d(r)])
-            out = out.reshape(r.shape)
-        return out
+        return np.asarray(self.fn(np.asarray(r, dtype=float)), dtype=float)
 
 
 def _simpson(values: np.ndarray, step: float) -> float:
@@ -232,14 +205,13 @@ class VectorPotential:
         dap = (self.a_phi(r + step, phi) - self.a_phi(r - step, phi)) / (2.0 * step)
         return dap - dar
 
-    def norm_sq(self, r, phi, metric: ChartMetric):
-        """Squared metric norm g^{ij} A_i A_j."""
+    def norm_sq(self, r, phi):
+        """Squared metric norm g^{ij} A_i A_j, with g_rr = 1."""
         r = np.asarray(r, dtype=float)
         ar = self.a_r(r, phi)
         ap = self.a_phi(r, phi)
-        grr = metric.g_rr(r, phi)
-        gpp = metric.g_phiphi(r, phi)
-        out = ar * ar / grr
+        gpp = metric_phiphi(r)
+        out = ar * ar
         nz = np.asarray(ap != 0.0)
         if np.any(nz):
             out = out + np.where(gpp > 0.0, ap * ap / np.where(gpp > 0.0, gpp, 1.0), np.inf)
@@ -287,14 +259,13 @@ class DiscretizedPath:
         )
 
 
-def _cost_terms(path: DiscretizedPath, metric: ChartMetric, a: VectorPotential):
+def _cost_terms(path: DiscretizedPath, a: VectorPotential):
     r = path.samples[:, 0]
     phi = path.samples[:, 1]
-    grr = np.asarray(metric.g_rr(r, phi), dtype=float)
-    gpp = np.asarray(metric.g_phiphi(r, phi), dtype=float)
+    gpp = metric_phiphi(r)
     ar = np.asarray(a.a_r(r, phi), dtype=float)
     ap = np.asarray(a.a_phi(r, phi), dtype=float)
-    norm_sq = np.asarray(a.norm_sq(r, phi, metric), dtype=float)
+    norm_sq = np.asarray(a.norm_sq(r, phi), dtype=float)
     if np.any(norm_sq > 1.0 + 1e-12):
         i = int(np.argmax(norm_sq))
         raise PotentialTooLarge(
@@ -303,44 +274,38 @@ def _cost_terms(path: DiscretizedPath, metric: ChartMetric, a: VectorPotential):
         )
     dr = np.diff(r)
     dphi = np.diff(phi)
-    grr_m = 0.5 * (grr[1:] + grr[:-1])
     gpp_m = 0.5 * (gpp[1:] + gpp[:-1])
     ar_m = 0.5 * (ar[1:] + ar[:-1])
     ap_m = 0.5 * (ap[1:] + ap[:-1])
-    seg_len = np.sqrt(grr_m * dr * dr + gpp_m * dphi * dphi)
+    seg_len = np.sqrt(dr * dr + gpp_m * dphi * dphi)
     seg_pot = ar_m * dr + ap_m * dphi
     return seg_len, seg_pot
 
 
-def nonreversible_cost(
-    path: DiscretizedPath, metric: ChartMetric = None, a: VectorPotential = None
-) -> float:
+def nonreversible_cost(path: DiscretizedPath, a: VectorPotential = None) -> float:
     r"""Generalized length C = Integral (||gamma'|| + A_i gamma'^i) dt.
 
     Trapezoidal in the potential and chordal in the length; exact for
     piecewise-linear paths under constant potentials.  Raises
     PotentialTooLarge when ||A||_g > 1 at any sample.
     """
-    metric = metric or single_mode_metric()
     a = a or VectorPotential.none()
-    seg_len, seg_pot = _cost_terms(path, metric, a)
+    seg_len, seg_pot = _cost_terms(path, a)
     return float(np.sum(seg_len) + np.sum(seg_pot))
 
 
-def path_length(path: DiscretizedPath, metric: ChartMetric = None) -> float:
+def path_length(path: DiscretizedPath) -> float:
     """Pure metric length of a discretized chart path."""
-    metric = metric or single_mode_metric()
-    seg_len, _ = _cost_terms(path, metric, VectorPotential.none())
+    seg_len, _ = _cost_terms(path, VectorPotential.none())
     return float(np.sum(seg_len))
 
 
 def nonreversible_cost_profile(
-    path: DiscretizedPath, metric: ChartMetric = None, a: VectorPotential = None
+    path: DiscretizedPath, a: VectorPotential = None
 ) -> np.ndarray:
     """Cumulative cost at each sample, starting from zero."""
-    metric = metric or single_mode_metric()
     a = a or VectorPotential.none()
-    seg_len, seg_pot = _cost_terms(path, metric, a)
+    seg_len, seg_pot = _cost_terms(path, a)
     out = np.zeros(len(path.params))
     np.cumsum(seg_len + seg_pot, out=out[1:])
     return out
@@ -366,8 +331,9 @@ def lorentz_geodesic(
 ) -> DiscretizedPath:
     """Integrate the Lorentz-force geodesic with fixed-step classic RK4.
 
-    ``start`` is a SingleModeChart or an (r, phi) pair; the initial
-    velocity is normalized to unit metric speed so the trajectory is
+    ``start`` is an (r, phi) pair with r >= 0; start, velocity and length
+    must be finite (ValidationError otherwise).  The initial velocity is
+    normalized to unit metric speed so the trajectory is
     parametrized by arc length and covers the requested length.  The
     conserved speed is monitored; drift beyond ``drift_tol`` raises
     StepTooCoarse (pass a larger value for deliberate coarse-step
@@ -375,10 +341,14 @@ def lorentz_geodesic(
     motion raise ChartBoundary carrying the partial path.
     """
     a = a or VectorPotential.none()
-    r0, phi0 = (start.r, start.phi) if hasattr(start, "r") else map(float, start)
+    r0, phi0 = map(float, start)
     vr0, vphi0 = map(float, initial_velocity)
     if rk_steps < 8:
         raise ValidationError("rk_steps must be >= 8")
+    if not np.all(np.isfinite([r0, phi0, vr0, vphi0, length])):
+        raise ValidationError("start, velocity and length must be finite")
+    if r0 < 0.0:
+        raise ValidationError("radial coordinate must be nonnegative")
     if length < 0.0:
         raise ValidationError("length must be nonnegative")
     n = int(rk_steps)
@@ -427,16 +397,3 @@ def lorentz_geodesic(
         )
     return DiscretizedPath(traj[:, :2].copy(), np.linspace(0.0, 1.0, n + 1), traj[:, 2:].copy())
 
-
-@dataclass(frozen=True)
-class SingleModeChart:
-    """Point (r, phi) on the single-mode squeezing chart."""
-
-    r: float
-    phi: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.r) or not np.isfinite(self.phi):
-            raise ValidationError("chart coordinates must be finite")
-        if self.r < 0.0:
-            raise ValidationError("radial coordinate must be nonnegative")

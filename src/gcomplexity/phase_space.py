@@ -113,10 +113,6 @@ class CovarianceMatrix:
     def n_modes(self) -> int:
         return self.sigma.shape[0] // 2
 
-    @property
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.sigma)
-
 
 @dataclass(frozen=True)
 class ComplexStructure:
@@ -253,7 +249,7 @@ def complex_structure_from_covariance(
     if kind is StateKind.BOSON:
         j = -sigma.sigma @ omega.inverse
     else:
-        j = omega.omega @ sigma.inverse
+        j = np.linalg.solve(sigma.sigma, omega.omega.T).T  # Omega sigma^{-1}, sigma symmetric
     return ComplexStructure(j, kind, tol)
 
 
@@ -270,15 +266,6 @@ def apply_transformation(
     j = t.m @ state.j.j @ t.inverse_m
     z = t.m @ state.z + t.v
     return GaussianState(ComplexStructure(j, state.kind), z)
-
-
-def compose(t2: GaussianTransformation, t1: GaussianTransformation) -> GaussianTransformation:
-    """Semidirect-product composition (v2, M2).(v1, M1) = (M2 v1 + v2, M2 M1)."""
-    if t2.kind is not t1.kind:
-        raise KindMismatch(f"kinds differ: {t2.kind} vs {t1.kind}")
-    if t2.n_modes != t1.n_modes:
-        raise DimensionMismatch("mode counts differ")
-    return GaussianTransformation(t2.m @ t1.v + t2.v, t2.m @ t1.m, t2.kind)
 
 
 def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:

@@ -8,7 +8,11 @@ increments u_k for bosons, in which case
 
 Right-invariance makes each segment cost depend only on its increment,
 so the discretized length is sum_k sqrt(g_1(V_k, V_k) + u_k^T
-sigma_R^{-1} u_k).  The length is minimized subject to the endpoint
+sigma_R^{-1} u_k).  The problem is posed in the frame the SPD pencil
+whitens to, H = sigma_R^{1/2}: there the reference is the vacuum, the
+target is (H^{-1} J_T H, H^{-1} z_T) and g_1 is the Frobenius form
+1/2 Tr(V V^T) + u^T u, so paths and lengths are those of the vacuum
+frame.  The length is minimized subject to the endpoint
 constraint by a quadratic penalty with an increasing weight schedule;
 the inner optimizer is plain gradient descent with backtracking line
 search on the exact reverse-mode gradient, and a Levenberg-Marquardt
@@ -45,7 +49,11 @@ STAGE_ITERATIONS = (60, 60, 80, 80, 120)
 
 @dataclass(frozen=True)
 class GroupPath:
-    """Discretized group trajectory given by Lie-algebra increments."""
+    """Discretized group trajectory given by Lie-algebra increments.
+
+    Increments are in the vacuum frame: for a reference sigma_R = H^2 the
+    path on the group is H M_k H^{-1}, with displacements H z_k.
+    """
 
     increments: np.ndarray
     kind: StateKind
@@ -73,24 +81,13 @@ class GroupPath:
         return self.increments.shape[0]
 
 
-def path_length(path: GroupPath, sigma_R=None) -> float:
-    """Sum of per-segment g_1 norms of the increments."""
+def path_length(path: GroupPath) -> float:
+    """Sum of per-segment g_1 norms of the (vacuum-frame) increments."""
     v = path.increments
     sq = 0.5 * np.einsum("kij,kij->k", v, v)
-    if sigma_R is not None:
-        sig = sigma_R.sigma if hasattr(sigma_R, "sigma") else np.asarray(sigma_R, float)
-        if not np.array_equal(sig, np.eye(v.shape[1])):
-            sig_inv = np.linalg.inv(sig)
-            sq = np.array(
-                [0.5 * np.trace(vk @ sig @ vk.T @ sig_inv) for vk in v]
-            )
     if path.displacement_increments is not None:
         u = path.displacement_increments
-        if sigma_R is None:
-            sq = sq + np.einsum("ki,ki->k", u, u)
-        else:
-            sig = sigma_R.sigma if hasattr(sigma_R, "sigma") else np.asarray(sigma_R, float)
-            sq = sq + np.einsum("ki,ij,kj->k", u, np.linalg.inv(sig), u)
+        sq = sq + np.einsum("ki,ki->k", u, u)
     return float(np.sum(np.sqrt(np.maximum(sq, 0.0))))
 
 
@@ -120,8 +117,11 @@ def _frechet_exp(x, y):
 
 
 class _Problem:
-    """Penalty objective for one (reference, target) pair at sigma_R = 1.
+    """Penalty objective for one (reference, target) pair, in the vacuum frame.
 
+    Bosons are whitened by the pencil of Delta: J_R becomes the standard
+    Omega, J_T becomes H^{-1} J_T H and z_T becomes H^{-1} z_T, so the
+    metric is the Frobenius gram.  Fermions have sigma_R = 1 already.
     Coordinate c of segment k moves the generator A_k along dirs[c]: the
     algebra basis, plus for a displaced target the unit displacement
     columns of the affine generator [[V, u], [0, 0]].  Derivatives are
@@ -134,14 +134,25 @@ class _Problem:
         self.kind = reference.kind
         self.d = 2 * reference.n_modes
         self.K = segments
-        self.jr = reference.j.j
-        self.jt = target.j.j
         self.om = standard_symplectic_form(reference.n_modes).omega
         basis = algebra_basis(algebra_of_kind(self.kind), reference.n_modes)
         self.basis = np.stack([b.v for b in basis])
         self.D = len(basis)
         self.displaced = bool(np.any(target.z != 0.0))
-        self.z_t = np.asarray(target.z, dtype=float)
+        geo = coherent_geodesic(reference, target) if self.displaced else None
+        rel = relative_complex_structure(reference, target) if geo is None else geo.delta
+        pencil = rel.pencil
+        if pencil is None:
+            self.jr, self.jt, self.log_delta = reference.j.j, target.j.j, rel.log_delta
+        else:
+            hinv = pencil.whiten(np.eye(self.d))
+            self.jr = self.om
+            # H^{-1} J_T H: H^{-1} is symplectic, and its group inverse is H
+            self.jt = hinv @ target.j.j @ self._group_inverse(hinv)
+            self.log_delta = (pencil.u * pencil.logs) @ pencil.u.T
+        if geo is not None:
+            self.z_t = pencil.whiten(target.z)
+            self.z_rate = pencil.whiten(0.5 * geo.n_matrix @ target.z)
         self.ncoord = self.D + (self.d if self.displaced else 0)
         da = self.d + 1 if self.displaced else self.d
         self.dirs = np.zeros((self.ncoord, da, da))
@@ -332,17 +343,16 @@ class _Problem:
         du = np.linalg.lstsq(amat, self.z_t - z_now, rcond=None)[0]
         return np.concatenate([xv, xu + du.reshape(self.K, self.d)], axis=1)
 
-    def warm_start(self, reference, target):
-        geo = coherent_geodesic(reference, target) if self.displaced else None
-        rel = relative_complex_structure(reference, target) if geo is None else geo.delta
+    def warm_start(self):
+        """The closed-form geodesic: log(Delta) / 2K per segment, whitened."""
         flat = self.basis.reshape(self.D, -1).T
         coeff = np.linalg.lstsq(
-            flat, (rel.log_delta / (2.0 * self.K)).ravel(), rcond=None
+            flat, (self.log_delta / (2.0 * self.K)).ravel(), rcond=None
         )[0]
         x = np.tile(coeff, (self.K, 1))
-        if geo is None:
+        if not self.displaced:
             return x
-        u = np.tile(0.5 * geo.n_matrix @ self.z_t / self.K, (self.K, 1))
+        u = np.tile(self.z_rate / self.K, (self.K, 1))
         return np.concatenate([x, u], axis=1)
 
     def to_path(self, x):
@@ -387,7 +397,7 @@ def minimize_to_target(
     best_resid = np.inf
     for restart in range(restarts):
         if restart == 0:
-            x0 = prob.warm_start(reference, target)
+            x0 = prob.warm_start()
         else:
             x0 = rng.normal(scale=0.05, size=(segments, prob.ncoord))
         x = prob.project_displacement(prob.restore(prob.minimize(x0)))
@@ -422,7 +432,6 @@ class StationarityReport:
 
 def check_stabilizer_geodesic(
     v: LieAlgebraElement,
-    sigma_R=None,
     perturbation_count: int = 50,
     seed: int = 0,
     segments: int = 8,
@@ -435,7 +444,8 @@ def check_stabilizer_geodesic(
     algebra elements of unit total g_1 norm; the last increment is
     recomputed through the matrix logarithm so the endpoint is exact.
     The reported numbers are central-difference directional derivatives
-    of the discretized length.
+    of the discretized length under the vacuum g_1; for a squeezed
+    reference pass the whitened generator H^{-1} V H.
     """
     vm = v.v
     k_seg = segments
@@ -454,15 +464,15 @@ def check_stabilizer_geodesic(
         last = matrix_log_principal(target @ np.linalg.inv(m))
         total = 0.0
         for k in range(k_seg - 1):
-            total += np.sqrt(inner_product_identity(incs[k], incs[k], sigma_R))
-        total += np.sqrt(inner_product_identity(last, last, sigma_R))
+            total += np.sqrt(inner_product_identity(incs[k], incs[k]))
+        total += np.sqrt(inner_product_identity(last, last))
         return total
 
     derivs = np.empty(perturbation_count)
     for p in range(perturbation_count):
         coeff = rng.normal(size=(k_seg - 1, len(basis)))
         deltas = np.einsum("kd,dij->kij", coeff, mats)
-        scale = np.sqrt(sum(inner_product_identity(d, d, sigma_R) for d in deltas))
+        scale = np.sqrt(sum(inner_product_identity(d, d) for d in deltas))
         deltas /= scale
         derivs[p] = (length_at(deltas, epsilon) - length_at(deltas, -epsilon)) / (
             2.0 * epsilon

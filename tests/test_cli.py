@@ -366,6 +366,22 @@ def test_nonrev_validation(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--start", "nan,0", "--velocity", "1,0"],
+        ["--start", "0.5,nan", "--velocity", "1,0"],
+        ["--start", "0.5,0", "--velocity", "nan,0"],
+        ["--start", "0.5,0", "--velocity", "1,0", "--length", "nan"],
+        ["--start", "0.5,0", "--velocity", "1,0", "--length", "inf"],
+    ],
+)
+def test_nonrev_rejects_non_finite_input(capsys, extra):
+    code, out = run_cli(capsys, "nonrev", *extra)
+    assert code == 3
+    assert json.loads(out)["error"].startswith("ValidationError:")
+
+
 def test_oracle_verify_self(tmp_path, capsys):
     ref = boson_ref(tmp_path)
     code, out = run_cli(

@@ -204,12 +204,3 @@ def test_validation():
     displaced_ref = GaussianState(bref.j, np.array([0.1, 0.0]))
     with pytest.raises(DisplacementPresent):
         coherent_geodesic(displaced_ref, bref)
-
-
-def test_explicit_canonical_sigma_matches_default():
-    rng = np.random.default_rng(35)
-    target = displaced_target(1, rng)
-    ref = reference_state(StateKind.BOSON, 1)
-    a = coherent_complexity(coherent_geodesic(ref, target))
-    b = coherent_complexity(coherent_geodesic(ref, target, sigma_R=np.eye(2)))
-    assert a == b

@@ -145,20 +145,6 @@ def test_geodesic_additivity():
         assert state_complexity(ref, mid) == pytest.approx(tau * c_full, abs=1e-10)
 
 
-def test_noncanonical_sigma_matches_direct_trace():
-    rng = np.random.default_rng(24)
-    ref = reference_state(StateKind.BOSON, 1)
-    target = squeezed(0.9, 0.3)
-    a = rng.normal(size=(2, 2))
-    sig = a @ a.T + 2.0 * np.eye(2)
-    rel = relative_complex_structure(ref, target)
-    L = scipy.linalg.logm(rel.delta).real
-    want = COMPLEXITY_PREFACTOR * np.sqrt(
-        np.trace(L @ sig @ L.T @ np.linalg.inv(sig)).real
-    )
-    assert state_complexity(ref, target, sigma_R=sig) == pytest.approx(want, abs=1e-9)
-
-
 def test_slightly_squeezed_reference_is_not_taken_as_identity():
     # a reference squeezed by 1e-7 is whitened, so the pair (R, R) has C = 0
     ref = squeezed(1e-7)

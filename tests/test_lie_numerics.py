@@ -173,16 +173,6 @@ def test_inner_product_identity_canonical():
     assert inner_product_identity(v, w) == pytest.approx(0.5 * 5.0, abs=1e-14)
 
 
-def test_inner_product_identity_general_sigma():
-    rng = np.random.default_rng(14)
-    a = rng.normal(size=(2, 2))
-    sig = a @ a.T + 2.0 * np.eye(2)
-    v = rng.normal(size=(2, 2))
-    w = rng.normal(size=(2, 2))
-    direct = 0.5 * np.trace(v @ sig @ w.T @ np.linalg.inv(sig))
-    assert inner_product_identity(v, w, sig) == pytest.approx(direct, abs=1e-12)
-
-
 def test_algebra_basis_dimensions():
     assert len(algebra_basis(LieAlgebra.SP, 1)) == 3
     assert len(algebra_basis(LieAlgebra.SP, 2)) == 10

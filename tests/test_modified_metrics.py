@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from gcomplexity import (
     DiscretizedPath,
     NonFiniteFactor,
     PotentialTooLarge,
-    SingleModeChart,
     StepTooCoarse,
     ValidationError,
     VectorPotential,
@@ -16,10 +17,10 @@ from gcomplexity import (
     metric_phiphi,
     nonreversible_cost,
     nonreversible_cost_profile,
-    single_mode_metric,
     weyl_affine_reparametrization,
     weyl_complexity,
 )
+from gcomplexity.cli import main
 from gcomplexity.modified_metrics import metric_phiphi_dr
 
 
@@ -210,8 +211,7 @@ def test_field_strength_fallback_matches_analytic():
 
 def test_norm_sq():
     pot = VectorPotential.constant(0.4)
-    m = single_mode_metric()
-    assert pot.norm_sq(0.7, 0.0, m) == pytest.approx(0.16)
+    assert pot.norm_sq(0.7, 0.0) == pytest.approx(0.16)
 
 
 def test_discretized_path_validation():
@@ -244,9 +244,7 @@ def test_lorentz_radial_launch_from_origin():
 
 
 def test_lorentz_unit_speed_and_params():
-    path = lorentz_geodesic(
-        SingleModeChart(1.0, 0.0), (0.3, 0.7), length=1.5, rk_steps=512
-    )
+    path = lorentz_geodesic((1.0, 0.0), (0.3, 0.7), length=1.5, rk_steps=512)
     speeds = np.sqrt(
         path.velocities[:, 0] ** 2
         + metric_phiphi(path.samples[:, 0]) * path.velocities[:, 1] ** 2
@@ -256,9 +254,7 @@ def test_lorentz_unit_speed_and_params():
 
 
 def test_lorentz_conserves_angular_momentum_without_field():
-    path = lorentz_geodesic(
-        SingleModeChart(1.2, 0.0), (0.2, 0.5), length=1.0, rk_steps=512
-    )
+    path = lorentz_geodesic((1.2, 0.0), (0.2, 0.5), length=1.0, rk_steps=512)
     p_phi = metric_phiphi(path.samples[:, 0]) * path.velocities[:, 1]
     assert np.abs(p_phi - p_phi[0]).max() <= 1e-9
 
@@ -308,11 +304,30 @@ def test_lorentz_f_of_r_only_is_degenerate():
     assert cost_pot != pytest.approx(cost_free, abs=1e-3)
 
 
-def test_single_mode_chart_validation():
+def test_single_mode_chart_validation(capsys):
     with pytest.raises(ValidationError):
-        SingleModeChart(-0.1, 0.0)
+        lorentz_geodesic((-0.1, 0.0), (1.0, 0.0))
     with pytest.raises(ValidationError):
-        SingleModeChart(np.inf, 0.0)
+        lorentz_geodesic((np.inf, 0.0), (1.0, 0.0))
+    for start in ("-0.1,0", "inf,0"):
+        assert main(["nonrev", f"--start={start}", "--velocity", "1,0"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"].startswith("ValidationError:")
+
+
+@pytest.mark.parametrize(
+    "start, velocity, length",
+    [
+        ((np.nan, 0.0), (1.0, 0.0), 1.0),
+        ((0.5, np.nan), (1.0, 0.0), 1.0),
+        ((0.5, 0.0), (np.nan, 0.0), 1.0),
+        ((0.5, 0.0), (1.0, -np.inf), 1.0),
+        ((0.5, 0.0), (1.0, 0.0), np.nan),
+        ((0.5, 0.0), (1.0, 0.0), np.inf),
+    ],
+)
+def test_lorentz_geodesic_rejects_non_finite_input(start, velocity, length):
+    with pytest.raises(ValidationError, match="must be finite"):
+        lorentz_geodesic(start, velocity, length=length)
 
 
 def test_gradient_potential_validation():

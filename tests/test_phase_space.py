@@ -16,7 +16,6 @@ from gcomplexity import (
     StateKind,
     SymplecticForm,
     apply_transformation,
-    compose,
     complex_structure_from_covariance,
     covariance_of,
     reference_state,
@@ -120,21 +119,6 @@ def test_inverse_m_is_group_inverse():
     for kind in StateKind:
         t = random_transformation(kind, 2, rng)
         assert np.allclose(t.m @ t.inverse_m, np.eye(4), atol=1e-12)
-
-
-def test_compose_matches_sequential_action():
-    rng = np.random.default_rng(1)
-    ref = reference_state(StateKind.BOSON, 2)
-    t1 = GaussianTransformation(
-        rng.normal(size=4), random_transformation(StateKind.BOSON, 2, rng).m, StateKind.BOSON
-    )
-    t2 = GaussianTransformation(
-        rng.normal(size=4), random_transformation(StateKind.BOSON, 2, rng).m, StateKind.BOSON
-    )
-    seq = apply_transformation(apply_transformation(ref, t1), t2)
-    combined = apply_transformation(ref, compose(t2, t1))
-    assert np.allclose(seq.j.j, combined.j.j, atol=1e-12)
-    assert np.allclose(seq.z, combined.z, atol=1e-12)
 
 
 def test_single_mode_squeezing_closed_form():
