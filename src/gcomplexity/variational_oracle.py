@@ -100,20 +100,26 @@ def _suffixes(e):
     return suf
 
 
+def _norm_exponent(m):
+    """e with ||m||_1 < 2^e, per matrix of a stack (0 for a zero matrix)."""
+    return np.frexp(np.abs(m).sum(axis=-2).max(axis=-1))[1][..., None, None]
+
+
 def _frechet_exp(x, y):
     """L_exp(X, Y), the upper-right block of exp([[X, Y], [0, X]]), for stacks.
 
-    Each Y is scaled to unit max-norm first (L_exp is linear in Y), so a
-    large Y does not add squarings or error to the exponential.
+    L_exp is linear in Y, so each Y is first scaled by a power of two to
+    the binade of ||X||_1: the block then needs at most one squaring more
+    than X alone, and the scaling and its inverse are exact, so
+    L_exp(X, 2^k Y) = 2^k L_exp(X, Y) bit for bit.
     """
     n = x.shape[-1]
-    scale = np.abs(y).max(axis=(-2, -1), keepdims=True)
-    scale = np.where(scale > 0.0, scale, 1.0)
+    shift = _norm_exponent(x) - _norm_exponent(y)
     blk = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-2] + (2 * n, 2 * n))
     blk[..., :n, :n] = x
     blk[..., n:, n:] = x
-    blk[..., :n, n:] = y / scale
-    return matrix_exp_batch(blk)[..., :n, n:] * scale
+    blk[..., :n, n:] = np.ldexp(y, shift)
+    return np.ldexp(matrix_exp_batch(blk)[..., :n, n:], -shift)
 
 
 class _Problem:
@@ -159,6 +165,7 @@ class _Problem:
         self.dirs[: self.D, : self.d, : self.d] = self.basis
         if self.displaced:
             self.dirs[self.D :, : self.d, self.d] = np.eye(self.d)
+        self.dirs_flat = self.dirs.reshape(self.ncoord, -1)
         # g_1 on the coordinates; the displacement part is Euclidean
         flat = self.basis.reshape(self.D, -1)
         self.gram = np.eye(self.ncoord)
@@ -178,7 +185,7 @@ class _Problem:
 
         P has K + 1 entries; P_K is the endpoint M = S_k E_k P_k.
         """
-        a = np.einsum("kc,cij->kij", x, self.dirs)
+        a = (x @ self.dirs_flat).reshape(self.K, *self.dirs.shape[1:])
         e = matrix_exp_batch(a)
         pre = np.empty((self.K + 1,) + e.shape[1:])
         pre[0] = np.eye(e.shape[-1])
@@ -197,7 +204,7 @@ class _Problem:
         return r.ravel() if dz is None else np.concatenate([r.ravel(), dz])
 
     def seg_norm_sq(self, x):
-        return np.einsum("kc,ce,ke->k", x, self.gram, x)
+        return ((x @ self.gram) * x).sum(axis=1)
 
     def length(self, x):
         return float(np.sum(np.sqrt(np.maximum(self.seg_norm_sq(x), 0.0))))
@@ -232,7 +239,7 @@ class _Problem:
             ge[k] = gm @ pre[k].T
             gm = e[k].T @ gm
         ga = _frechet_exp(np.swapaxes(a, -1, -2), ge)
-        g = np.einsum("kij,cij->kc", ga, self.dirs)
+        g = ga.reshape(self.K, -1) @ self.dirs_flat.T
         # length term; 0 on a zero segment, where the norm has a kink
         root = np.sqrt(np.maximum(self.seg_norm_sq(x), 0.0))[:, None]
         gx = x @ self.gram

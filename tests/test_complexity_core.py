@@ -12,6 +12,7 @@ from gcomplexity import (
     GaussianTransformation,
     KindMismatch,
     LengthMismatch,
+    RelativeComplexStructure,
     StateKind,
     ValidationError,
     apply_transformation,
@@ -133,6 +134,23 @@ def test_geodesic_point_endpoints():
     assert np.allclose(
         apply_transformation(ref, at1).j.j, target.j.j, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("r", [0.5, 5.0, 20.0])
+@pytest.mark.parametrize("phi", [0.0, 0.3, 1.0])
+def test_geodesic_point_matches_analytic_squeezing(r, phi):
+    # log Delta = 2r R diag(1, -1) R^T for the squeezing S(r, phi), R the
+    # rotation by phi / 2; built directly because the pencil cannot
+    # resolve the e^{-2r} eigenvalue off-axis at r = 20
+    c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
+    rot = np.array([[c, -s], [s, c]])
+    delta = rot @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ rot.T
+    log_delta = rot @ np.diag([2.0 * r, -2.0 * r]) @ rot.T
+    rel = RelativeComplexStructure(delta, log_delta, np.array([2.0 * r]), StateKind.BOSON)
+    for tau in (0.25, 0.6, 1.0):
+        want = rot @ np.diag([np.exp(tau * r), np.exp(-tau * r)]) @ rot.T
+        got = geodesic_point(rel, tau).m
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_geodesic_additivity():

@@ -76,13 +76,42 @@ def test_log_principal_branch_cut_and_singular():
         matrix_log_principal(np.diag([1.0, 0.0]))
 
 
-def test_matrix_exp_batch_matches_scipy():
-    rng = np.random.default_rng(11)
-    vs = rng.normal(scale=0.7, size=(12, 4, 4))
+def _with_norm1(vs, norms):
+    """Scale each matrix of the stack to the given ||.||_1 (max column sum)."""
+    return vs * (norms / np.abs(vs).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+# d covers the oracle's shapes: 2N and 2N + 1 generators, and the 4N and
+# 4N + 2 Frechet blocks, for N = 1, 2.
+@pytest.mark.parametrize("norm1", [0.1, 0.5, 1.0, 2.0, 8.0, 32.0])
+@pytest.mark.parametrize("d", [2, 4, 5, 8, 10])
+def test_matrix_exp_batch_matches_scipy(d, norm1):
+    rng = np.random.default_rng([11, d, int(10 * norm1)])
+    vs = _with_norm1(rng.normal(size=(12, d, d)), norm1)
     batch = matrix_exp_batch(vs)
-    for k in range(12):
-        ref = scipy.linalg.expm(vs[k])
-        assert np.linalg.norm(batch[k] - ref) <= 1e-12 * np.linalg.norm(ref)
+    bound = 3e-14 if norm1 <= 1.0 else 3e-13 * norm1
+    for v, e in zip(vs, batch):
+        ref = scipy.linalg.expm(v)
+        assert np.linalg.norm(e - ref) <= bound * np.linalg.norm(ref)
+
+
+def test_matrix_exp_batch_edge_shapes():
+    assert np.array_equal(matrix_exp_batch(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert matrix_exp_batch(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    vs = np.random.default_rng(13).normal(scale=0.5, size=(2, 3, 4, 4))
+    out = matrix_exp_batch(vs)
+    assert out.shape == (2, 3, 4, 4)
+    assert np.array_equal(out.reshape(6, 4, 4), matrix_exp_batch(vs.reshape(6, 4, 4)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_matrix_exp_batch_squares_each_matrix_on_its_own(d):
+    # norms over four decades take 0 to 7 squarings; a matrix must not
+    # be squared more because a larger one shares its batch
+    rng = np.random.default_rng([14, d])
+    vs = _with_norm1(rng.normal(size=(16, d, d)), np.geomspace(1e-3, 30.0, 16))
+    for v, e in zip(vs, matrix_exp_batch(vs)):
+        assert np.array_equal(e, matrix_exp_batch(v[None])[0])
 
 
 def pencil_log(sigma_T, sigma_R=None):
