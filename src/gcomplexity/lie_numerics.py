@@ -155,7 +155,6 @@ def matrix_log_principal(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return L
 
 
-# Degree-12 Taylor at ||X||_1 <= 1/2: truncation error about 2e-14 relative.
 _TAYLOR_THETA = 0.5
 _TAYLOR_COEF = 1.0 / np.cumprod([1.0] + list(range(1, 13)))
 # Paterson-Stockmeyer blocks: row j holds the coefficients of 1, X, X^2,
@@ -171,8 +170,8 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
 
     Scaling and squaring with the degree-12 Taylor polynomial at
     theta = 1/2: each matrix is scaled by an exact power of two 2^-s to
-    ||X||_1 < theta, where the polynomial is accurate to machine
-    precision, and its result squared s times, with s chosen per matrix.
+    ||X||_1 < theta, where the truncation error is below 2e-14 relative,
+    and its result squared s times, with s chosen per matrix.
     The polynomial is evaluated by Paterson-Stockmeyer: X^2, X^3, X^4,
     then Horner in X^4 over three cubic blocks, 5 matrix products in all.
     """

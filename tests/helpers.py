@@ -14,6 +14,13 @@ from gcomplexity import (
 )
 
 
+def random_with_norm1(rng, norms, d: int) -> np.ndarray:
+    """Random d x d matrices, one per entry of norms, each at that ||.||_1 (max column sum)."""
+    norms = np.asarray(norms, dtype=float)
+    vs = rng.normal(size=norms.shape + (d, d))
+    return vs * (norms / np.abs(vs).sum(axis=-2).max(axis=-1))[..., None, None]
+
+
 def random_algebra_matrix(kind: StateKind, n_modes: int, rng, scale: float = 0.5):
     basis = algebra_basis(algebra_of_kind(kind), n_modes)
     coeff = rng.normal(scale=scale, size=len(basis))

@@ -24,7 +24,7 @@ from gcomplexity import (
     stabilizer_basis,
     standard_symplectic_form,
 )
-from helpers import random_algebra_matrix
+from helpers import random_algebra_matrix, random_with_norm1
 
 
 def rotation(theta):
@@ -76,18 +76,13 @@ def test_log_principal_branch_cut_and_singular():
         matrix_log_principal(np.diag([1.0, 0.0]))
 
 
-def _with_norm1(vs, norms):
-    """Scale each matrix of the stack to the given ||.||_1 (max column sum)."""
-    return vs * (norms / np.abs(vs).sum(axis=-2).max(axis=-1))[:, None, None]
-
-
-# d covers the oracle's shapes: 2N and 2N + 1 generators, and the 4N and
-# 4N + 2 Frechet blocks, for N = 1, 2.
+# d spans the oracle's shapes: 2N and 2N + 1 generators, and 4N and
+# 4N + 2 Frechet blocks, at N = 1, 2.
 @pytest.mark.parametrize("norm1", [0.1, 0.5, 1.0, 2.0, 8.0, 32.0])
 @pytest.mark.parametrize("d", [2, 4, 5, 8, 10])
 def test_matrix_exp_batch_matches_scipy(d, norm1):
     rng = np.random.default_rng([11, d, int(10 * norm1)])
-    vs = _with_norm1(rng.normal(size=(12, d, d)), norm1)
+    vs = random_with_norm1(rng, np.full(12, norm1), d)
     batch = matrix_exp_batch(vs)
     bound = 3e-14 if norm1 <= 1.0 else 3e-13 * norm1
     for v, e in zip(vs, batch):
@@ -106,10 +101,10 @@ def test_matrix_exp_batch_edge_shapes():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_matrix_exp_batch_squares_each_matrix_on_its_own(d):
-    # norms over four decades take 0 to 7 squarings; a matrix must not
-    # be squared more because a larger one shares its batch
+    # norms from 1e-3 to 30 take 0 to 6 squarings; a matrix must not be
+    # squared more because a larger one shares its batch
     rng = np.random.default_rng([14, d])
-    vs = _with_norm1(rng.normal(size=(16, d, d)), np.geomspace(1e-3, 30.0, 16))
+    vs = random_with_norm1(rng, np.geomspace(1e-3, 30.0, 16), d)
     for v, e in zip(vs, matrix_exp_batch(vs)):
         assert np.array_equal(e, matrix_exp_batch(v[None])[0])
 

@@ -18,7 +18,7 @@ from gcomplexity import (
     state_complexity,
 )
 from gcomplexity.variational_oracle import _Problem, _frechet_exp
-from helpers import displaced_target, random_target
+from helpers import displaced_target, random_target, random_with_norm1
 
 DERIVATIVE_CASES = [
     (StateKind.BOSON, 1, False),
@@ -205,20 +205,12 @@ def test_jacobian_matches_expm_frechet(kind, n, displaced):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def _frechet_pair(rng, d, x_norms, y_norm):
-    """X at the given ||.||_1 per matrix, Y at ||Y||_1 = y_norm."""
-    x = rng.normal(size=(len(x_norms), d, d))
-    y = rng.normal(size=x.shape)
-    x *= (x_norms / np.abs(x).sum(axis=-2).max(axis=-1))[:, None, None]
-    y *= (y_norm / np.abs(y).sum(axis=-2).max(axis=-1))[:, None, None]
-    return x, y
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("y_norm", [1e-3, 1.0, 1e3, 1e6])
 def test_frechet_exp_matches_expm_frechet(d, y_norm):
     rng = np.random.default_rng([80, d])
-    x, y = _frechet_pair(rng, d, np.geomspace(0.05, 1.0, 8), y_norm)
+    x = random_with_norm1(rng, np.geomspace(0.05, 1.0, 8), d)
+    y = random_with_norm1(rng, np.full(8, y_norm), d)
     for xk, yk, got in zip(x, y, _frechet_exp(x, y)):
         want = scipy.linalg.expm_frechet(xk, yk, compute_expm=False)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -226,7 +218,8 @@ def test_frechet_exp_matches_expm_frechet(d, y_norm):
 
 def test_frechet_exp_is_exactly_linear_under_powers_of_two():
     rng = np.random.default_rng(81)
-    x, y = _frechet_pair(rng, 4, np.geomspace(0.05, 1.0, 8), 1.0)
+    x = random_with_norm1(rng, np.geomspace(0.05, 1.0, 8), 4)
+    y = random_with_norm1(rng, np.ones(8), 4)
     base = _frechet_exp(x, y)
     for k in (-40, -3, 1, 7, 40):
         assert np.array_equal(_frechet_exp(x, 2.0**k * y), 2.0**k * base)
