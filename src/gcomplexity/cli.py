@@ -26,13 +26,7 @@ from .complexity_core import (
     relative_complex_structure,
     state_complexity,
 )
-from .errors import (
-    DisplacementPresent,
-    GaussianComplexityError,
-    NumericDomainError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import DisplacementPresent, NumericDomainError, SchemaError, ValidationError
 from .modified_metrics import (
     VectorPotential,
     WeylFactor,
@@ -90,8 +84,8 @@ def _fail(exc: Exception) -> dict:
 
 def _load_state(path: str, tol: float):
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read state file {path}: {exc}")
     try:
         data = json.loads(raw)
@@ -156,10 +150,10 @@ def _parse_omega(spec: str) -> WeylFactor:
         try:
             rows = [
                 line.split(",")
-                for line in Path(arg).read_text().strip().splitlines()
+                for line in Path(arg).read_text(encoding="utf-8").strip().splitlines()
                 if line.strip()
             ]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read table file {arg}: {exc}")
         try:
             float(rows[0][0])
@@ -167,9 +161,10 @@ def _parse_omega(spec: str) -> WeylFactor:
             rows = rows[1:]
         try:
             data = np.array([[float(c) for c in row[:2]] for row in rows])
+            r_values, omega_values = data[:, 0], data[:, 1]
         except (ValueError, IndexError):
             raise ValidationError(f"table file {arg} must hold r,omega rows")
-        return WeylFactor.tabulated(data[:, 0], data[:, 1])
+        return WeylFactor.tabulated(r_values, omega_values)
     raise ValidationError(
         f"unknown omega spec {spec!r}; use const:c, linear:beta or table:file.csv"
     )
@@ -427,8 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.tol <= 0.0:
-        _emit(_fail(ValidationError("--tol must be positive")), "json")
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        need = "positive" if np.isfinite(args.tol) else "finite"
+        _emit(_fail(ValidationError(f"--tol must be {need}")), "json")
         return EXIT_VALIDATION
     try:
         return args.func(args)
@@ -438,9 +434,6 @@ def main(argv=None) -> int:
     except NumericDomainError as exc:
         _emit(_fail(exc), "json")
         return EXIT_NUMERIC
-    except GaussianComplexityError as exc:
-        _emit(_fail(exc), "json")
-        return EXIT_VALIDATION
 
 
 def run():

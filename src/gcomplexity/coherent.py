@@ -29,12 +29,7 @@ import numpy as np
 from .complexity_core import RelativeComplexStructure, relative_complex_structure
 from .errors import DisplacementPresent, KindMismatch
 from .lie_numerics import matrix_exp
-from .phase_space import (
-    GaussianState,
-    GaussianTransformation,
-    StateKind,
-    SymplecticForm,
-)
+from .phase_space import GaussianState, GaussianTransformation, StateKind
 
 
 @dataclass(frozen=True)
@@ -77,25 +72,14 @@ def coherent_complexity(geo: CoherentGeodesic) -> float:
 
 
 def coherent_geodesic_point(geo: CoherentGeodesic, tau: float) -> GaussianTransformation:
-    """Optimal circuit point (z(tau), M(tau)) from the affine flow of hamiltonian_coefficients."""
+    """Optimal circuit point (z(tau), M(tau)), one exponential of the affine generator.
+
+    z(tau) solves x' = (log Delta / 2) x + N z_T / 2 from x(0) = 0, and
+    M(tau) = e^{tau log(Delta)/2} is the linear part of that flow.
+    """
     d = geo.z_target.shape[0]
     generator = np.zeros((d + 1, d + 1))
     generator[:d, :d] = 0.5 * geo.delta.log_delta
     generator[:d, d] = 0.5 * geo.n_matrix @ geo.z_target
     flow = matrix_exp(tau * generator)
     return GaussianTransformation(flow[:d, d], flow[:d, :d], StateKind.BOSON)
-
-
-def hamiltonian_coefficients(geo: CoherentGeodesic, omega: SymplecticForm):
-    r"""Quadratic Hamiltonian coefficients of the optimal circuit.
-
-    Returns (F, alpha) with F = 1/2 Omega^{-1} log Delta (symmetric) and
-    alpha = 1/2 Omega^{-1} N z_T.  The generated affine flow
-    x' = Omega(F x + alpha) = (log Delta / 2) x + N z_T / 2 reproduces
-    the geodesic (M(tau), z(tau)).
-    """
-    om_inv = omega.inverse
-    f = 0.5 * om_inv @ geo.delta.log_delta
-    f = 0.5 * (f + f.T)
-    alpha = 0.5 * om_inv @ geo.n_matrix @ geo.z_target
-    return f, alpha

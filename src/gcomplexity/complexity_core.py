@@ -13,9 +13,6 @@ The eigenvalues of Delta come in reciprocal pairs for pure-state pairs,
 so the trace equals twice the sum of squares over the nonnegative half
 of the log-spectrum; the complexity is evaluated from that half, which
 is numerically exact even at strong squeezing.
-
-Also provides the standard Finsler cost-function evaluators F1, F1p,
-F2, F2q.
 """
 
 from __future__ import annotations
@@ -24,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DisplacementPresent,
-    KindMismatch,
-    LengthMismatch,
-    ValidationError,
-)
+from .errors import DimensionMismatch, DisplacementPresent, KindMismatch
 from .lie_numerics import SpdPencil, log_special_orthogonal, matrix_exp, spd_pencil
 from .phase_space import (
     GaussianState,
@@ -38,8 +29,6 @@ from .phase_space import (
     StateKind,
     covariance_of,
 )
-
-COMPLEXITY_PREFACTOR = 1.0 / (2.0 * np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -62,29 +51,6 @@ class RelativeComplexStructure:
     @property
     def n_modes(self) -> int:
         return self.delta.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class CostFunctionSpec:
-    """One of the standard cost functions F1, F1p, F2, F2q.
-
-    ``weights`` are the penalties p_I (F1p) or weights q_I (F2q); they
-    must be strictly positive and are ignored by F1 and F2.
-    """
-
-    variant: str
-    weights: np.ndarray = None
-
-    def __post_init__(self):
-        if self.variant not in ("F1", "F1p", "F2", "F2q"):
-            raise ValidationError(f"unknown cost function variant {self.variant!r}")
-        if self.variant in ("F1p", "F2q"):
-            if self.weights is None:
-                raise ValidationError(f"{self.variant} requires weights")
-            w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-                raise ValidationError("weights must be a vector of positive reals")
-            object.__setattr__(self, "weights", w)
 
 
 def _check_pair(reference: GaussianState, target: GaussianState):
@@ -148,21 +114,3 @@ def geodesic_point(
     m = matrix_exp(0.5 * tau * delta.log_delta)
     d = m.shape[0]
     return GaussianTransformation(np.zeros(d), m, delta.kind)
-
-
-def evaluate_cost_function(spec: CostFunctionSpec, y) -> float:
-    """Evaluate F1, F1p, F2 or F2q on the component vector Y^I."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise LengthMismatch(f"y must be a vector, got shape {y.shape}")
-    if spec.variant == "F1":
-        return float(np.sum(np.abs(y)))
-    if spec.variant == "F2":
-        return float(np.sqrt(np.sum(y * y)))
-    if spec.weights.shape != y.shape:
-        raise LengthMismatch(
-            f"weights length {spec.weights.shape[0]} != y length {y.shape[0]}"
-        )
-    if spec.variant == "F1p":
-        return float(np.sum(spec.weights * np.abs(y)))
-    return float(np.sqrt(np.sum(spec.weights * y * y)))

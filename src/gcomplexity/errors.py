@@ -1,9 +1,9 @@
 """Exception hierarchy for the Gaussian complexity library.
 
-Three families map onto the CLI exit codes: ValidationError (bad input,
-exit 3), NumericDomainError (computation left its domain of validity,
-exit 2) and NoConvergence (the variational oracle failed to meet its
-constraint tolerance, exit 4).
+Two families map onto the CLI exit codes: ValidationError (bad input,
+exit 3) and NumericDomainError (computation left its domain of validity,
+exit 2).  Exit 4 is not an exception: the CLI returns it when the
+variational oracle's GroupPath reports ``converged`` false.
 """
 
 
@@ -29,10 +29,6 @@ class GroupViolation(ValidationError):
 
 class DimensionMismatch(ValidationError):
     """Operands have incompatible shapes or mode counts."""
-
-
-class LengthMismatch(ValidationError):
-    """A weight vector does not match the component vector length."""
 
 
 class DisplacementPresent(ValidationError):
@@ -84,7 +80,3 @@ class StepTooCoarse(NumericDomainError):
 
 class NonFiniteFactor(NumericDomainError):
     """A Weyl factor evaluation returned NaN or infinity."""
-
-
-class NoConvergence(GaussianComplexityError):
-    """The oracle did not meet its constraint residual tolerance."""

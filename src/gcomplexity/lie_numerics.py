@@ -1,8 +1,8 @@
 r"""Matrix-function kernels and Lie-algebra machinery.
 
-Provides exp and principal log with residual contracts, the bosonic
-pencil kernel that evaluates any function of Delta from one eigen-solve,
-the inner product at the identity
+Provides the matrix exponential, the bosonic pencil kernel that
+evaluates any function of Delta from one eigen-solve, the real Schur
+logarithm of a rotation, the inner product at the identity
 
     g_1(V, W) = 1/2 Tr(V sigma_R W^T sigma_R^{-1}),
 
@@ -37,7 +37,6 @@ from .errors import (
     GroupViolation,
     NonFinite,
     NumericDomainError,
-    Singular,
 )
 from .phase_space import (
     DEFAULT_TOL,
@@ -64,7 +63,6 @@ class LieAlgebraElement:
 
     v: np.ndarray
     algebra: LieAlgebra
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = np.asarray(self.v, dtype=float)
@@ -76,13 +74,13 @@ class LieAlgebraElement:
         if self.algebra is LieAlgebra.SP:
             om = standard_symplectic_form(m.shape[0] // 2).omega
             resid = np.linalg.norm(m @ om + om @ m.T) / scale
-            if resid > self.tol:
+            if resid > DEFAULT_TOL:
                 raise GroupViolation(
                     f"not in sp(2N, R): V Omega + Omega V^T residual {resid:.3e}"
                 )
         else:
             resid = np.linalg.norm(m + m.T) / scale
-            if resid > self.tol:
+            if resid > DEFAULT_TOL:
                 raise GroupViolation(f"not in so(2N): V + V^T residual {resid:.3e}")
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
@@ -100,14 +98,6 @@ class StabilizerBasis:
     elements: tuple
     complement: tuple
 
-    @property
-    def dim_stabilizer(self) -> int:
-        return len(self.elements)
-
-    @property
-    def dim_complement(self) -> int:
-        return len(self.complement)
-
 
 def _mat(x) -> np.ndarray:
     if isinstance(x, LieAlgebraElement):
@@ -121,38 +111,6 @@ def matrix_exp(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise NonFinite("matrix_exp input contains non-finite entries")
     return matrix_exp_batch(v[None])[0]
-
-
-def matrix_log_principal(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real principal logarithm via complex eigendecomposition.
-
-    Raises BranchCut when an eigenvalue lies within the angular margin
-    of the negative real axis, Singular for non-invertible input, and a
-    NumericDomainError when the residual ||e^L - m|| indicates the
-    eigenvector basis was too ill-conditioned.
-    """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix_log_principal input contains non-finite entries")
-    w, vecs = np.linalg.eig(m)
-    scale = np.abs(w).max() if w.size else 0.0
-    if scale == 0.0 or np.abs(w).min() < 1e-14 * scale:
-        raise Singular("matrix_log_principal: input is numerically singular")
-    bad = np.abs(np.angle(w)) > np.pi - BRANCH_CUT_MARGIN
-    if np.any(bad):
-        raise BranchCut(
-            f"matrix_log_principal: eigenvalue {w[bad][0]:.6g} within the "
-            "branch-cut margin of the negative real axis"
-        )
-    L = (vecs * np.log(w)) @ np.linalg.inv(vecs)
-    L = L.real
-    resid = np.linalg.norm(matrix_exp(L) - m) / (1.0 + np.linalg.norm(m))
-    if resid > max(tol, 1e-9):
-        raise NumericDomainError(
-            f"matrix_log_principal: residual {resid:.3e} exceeds tolerance; "
-            "input is too ill-conditioned"
-        )
-    return L
 
 
 _TAYLOR_THETA = 0.5
@@ -259,12 +217,12 @@ def spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None) -> SpdPencil:
     return SpdPencil(np.log(w), u, half, inv_half)
 
 
-def log_special_orthogonal(delta: np.ndarray, margin: float = BRANCH_CUT_MARGIN):
+def log_special_orthogonal(delta: np.ndarray):
     """Principal log of a rotation through its real Schur form.
 
     Returns (log_delta, angles) with angles the absolute block rotation
     angles padded with zeros to length N, sorted descending.  Raises
-    BranchCut when a rotation angle reaches pi within the margin.
+    BranchCut when a rotation angle is within BRANCH_CUT_MARGIN of pi.
     """
     d = delta.shape[0]
     t, q = scipy.linalg.schur(delta, output="real")
@@ -274,7 +232,7 @@ def log_special_orthogonal(delta: np.ndarray, margin: float = BRANCH_CUT_MARGIN)
     while i < d:
         if i + 1 < d and abs(t[i + 1, i]) > 1e-12:
             theta = np.arctan2(t[i + 1, i], t[i, i])
-            if abs(theta) > np.pi - margin:
+            if abs(theta) > np.pi - BRANCH_CUT_MARGIN:
                 raise BranchCut(
                     f"rotation angle {theta:.6g} within the branch-cut margin of pi"
                 )
@@ -373,12 +331,3 @@ def stabilizer_basis(j_R: ComplexStructure) -> StabilizerBasis:
     elements = tuple(LieAlgebraElement(m, algebra) for m in sta)
     complement = tuple(LieAlgebraElement(m, algebra) for m in comp)
     return StabilizerBasis(elements, complement)
-
-
-def project_onto_complement(v, basis: StabilizerBasis) -> LieAlgebraElement:
-    """Remove the g_1-orthogonal projection onto span(stabilizer)."""
-    vm = _mat(v).copy()
-    for b in basis.elements:
-        vm = vm - (inner_product_identity(vm, b) / inner_product_identity(b, b)) * b.v
-    algebra = basis.elements[0].algebra if basis.elements else basis.complement[0].algebra
-    return LieAlgebraElement(vm, algebra)

@@ -5,9 +5,7 @@ radial geodesic to a target at radius r the deformed complexity is
 
     C~ = r * Integral_0^1 e^{omega(tau r)} d tau,
 
-evaluated with composite Simpson quadrature, together with the
-non-affine reparametrization s(tau) that makes the deformed geodesic
-affine again.
+evaluated with composite Simpson quadrature.
 
 The non-reversible machinery lives on the explicit single-mode chart
 with line element ds^2 = dr^2 + cosh(2r) sinh^2(r) dphi^2.  A vector
@@ -89,50 +87,22 @@ def _simpson(values: np.ndarray, step: float) -> float:
     )
 
 
-def _check_quad_steps(quad_steps: int):
+def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -> float:
+    r"""Deformed complexity r * Integral_0^1 e^{omega(tau r)} d tau."""
     if not isinstance(quad_steps, (int, np.integer)) or quad_steps < 2:
         raise ValidationError("quad_steps must be an integer >= 2")
     if quad_steps % 2 != 0:
         raise ValidationError("quad_steps must be even for Simpson quadrature")
-
-
-def _weyl_values(weyl: WeylFactor, radii: np.ndarray) -> np.ndarray:
-    vals = np.exp(weyl(radii))
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteFactor("Weyl factor evaluation is not finite")
-    return vals
-
-
-def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -> float:
-    r"""Deformed complexity r * Integral_0^1 e^{omega(tau r)} d tau."""
-    _check_quad_steps(quad_steps)
     r = float(base_complexity)
     if r < 0.0:
         raise ValidationError("base_complexity must be nonnegative")
     if r == 0.0:
         return 0.0
     tau = np.linspace(0.0, 1.0, quad_steps + 1)
-    vals = _weyl_values(weyl, tau * r)
+    vals = np.exp(weyl(tau * r))
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteFactor("Weyl factor evaluation is not finite")
     return r * _simpson(vals, 1.0 / quad_steps)
-
-
-def weyl_affine_reparametrization(
-    weyl: WeylFactor, r_target: float, tau: float, quad_steps: int
-) -> float:
-    r"""s(tau) = Integral_0^tau e^{omega} / Integral_0^1 e^{omega}."""
-    _check_quad_steps(quad_steps)
-    if not 0.0 <= tau <= 1.0:
-        raise ValidationError("tau must lie in [0, 1]")
-    r = float(r_target)
-    if r < 0.0:
-        raise ValidationError("r_target must be nonnegative")
-    if tau == 0.0:
-        return 0.0
-    grid = np.linspace(0.0, 1.0, quad_steps + 1)
-    den = _simpson(_weyl_values(weyl, grid * r), 1.0 / quad_steps)
-    num_grid = np.linspace(0.0, tau, quad_steps + 1)
-    num = _simpson(_weyl_values(weyl, num_grid * r), tau / quad_steps)
-    return num / den
 
 
 @dataclass(frozen=True)
@@ -140,13 +110,12 @@ class VectorPotential:
     """Background 1-form A = a_r dr + a_phi dphi on the chart.
 
     ``f_rphi`` is the analytic field strength F_rphi = d_r a_phi -
-    d_phi a_r when available; otherwise it is computed by central
-    differences at evaluation time.
+    d_phi a_r.
     """
 
     a_r: object
     a_phi: object
-    f_rphi: object = None
+    f_rphi: object
 
     @staticmethod
     def none() -> "VectorPotential":
@@ -190,20 +159,6 @@ class VectorPotential:
             np.asarray(r, dtype=float)
         )
         return VectorPotential(a_r, zero, f_rphi)
-
-    @staticmethod
-    def from_callables(a_r, a_phi=None, f_rphi=None) -> "VectorPotential":
-        if a_phi is None:
-            a_phi = lambda r, phi: np.zeros_like(np.asarray(r, dtype=float))
-        return VectorPotential(a_r, a_phi, f_rphi)
-
-    def field_strength(self, r, phi):
-        if self.f_rphi is not None:
-            return self.f_rphi(r, phi)
-        step = 1e-6
-        dar = (self.a_r(r, phi + step) - self.a_r(r, phi - step)) / (2.0 * step)
-        dap = (self.a_phi(r + step, phi) - self.a_phi(r - step, phi)) / (2.0 * step)
-        return dap - dar
 
     def norm_sq(self, r, phi):
         """Squared metric norm g^{ij} A_i A_j, with g_rr = 1."""
@@ -315,7 +270,7 @@ def _lorentz_rhs(state, a: VectorPotential):
     r, phi, vr, vphi = state
     gpp = float(metric_phiphi(r))
     dgpp = float(metric_phiphi_dr(r))
-    fs = float(a.field_strength(r, phi))
+    fs = float(a.f_rphi(r, phi))
     ar = 0.5 * dgpp * vphi * vphi + fs * vphi
     aphi = (-dgpp * vr * vphi - fs * vr) / gpp if gpp > 0.0 else 0.0
     return np.array([vr, vphi, ar, aphi])

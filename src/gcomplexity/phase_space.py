@@ -18,7 +18,7 @@ block-diagonal with 2x2 blocks [[0, 1], [-1, 0]].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,22 +68,19 @@ class SymplecticForm:
     """Antisymmetric non-degenerate form Omega with |det Omega| = 1."""
 
     omega: np.ndarray
-    n_modes: int = field(default=0)
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = _as_matrix(self.omega, "omega")
-        n = m.shape[0] // 2
-        if self.n_modes and self.n_modes != n:
-            raise DimensionMismatch(
-                f"n_modes {self.n_modes} inconsistent with omega shape {m.shape}"
-            )
         if _rel(m + m.T, np.linalg.norm(m)) > self.tol:
             raise GroupViolation("omega is not antisymmetric")
         if abs(abs(np.linalg.det(m)) - 1.0) > 1e-8:
             raise GroupViolation("omega must have |det| = 1 in the standard basis")
         object.__setattr__(self, "omega", _freeze(m))
-        object.__setattr__(self, "n_modes", n)
+
+    @property
+    def n_modes(self) -> int:
+        return self.omega.shape[0] // 2
 
     @property
     def inverse(self) -> np.ndarray:
@@ -172,7 +169,6 @@ class GaussianTransformation:
     v: np.ndarray
     m: np.ndarray
     kind: StateKind
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = _as_matrix(self.m, "m")
@@ -186,13 +182,13 @@ class GaussianTransformation:
         if self.kind is StateKind.BOSON:
             om = standard_symplectic_form(d // 2).omega
             resid = _rel(m @ om @ m.T - om, scale)
-            if resid > self.tol:
+            if resid > DEFAULT_TOL:
                 raise GroupViolation(
                     f"m is not symplectic (relative residual {resid:.3e})"
                 )
         else:
             resid = _rel(m @ m.T - np.eye(d), scale)
-            if resid > self.tol:
+            if resid > DEFAULT_TOL:
                 raise GroupViolation(
                     f"m is not orthogonal (relative residual {resid:.3e})"
                 )
@@ -304,7 +300,7 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     except ValueError:
         raise SchemaError(f"kind must be 'boson' or 'fermion', got {data['kind']!r}")
     n = data["n_modes"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("n_modes must be a positive integer")
     try:
         sig = np.asarray(data["sigma"], dtype=float)
@@ -324,7 +320,10 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     j = complex_structure_from_covariance(CovarianceMatrix(sig), omega, kind, tol)
     z = data.get("z")
     if z is not None:
-        z = np.asarray(z, dtype=float)
+        try:
+            z = np.asarray(z, dtype=float)
+        except (TypeError, ValueError):
+            raise SchemaError("z must be a numeric vector")
         if z.shape != (2 * n,):
             raise SchemaError(f"z must have length {2 * n}")
     return GaussianState(j, z)

@@ -31,20 +31,24 @@ import numpy as np
 
 from .coherent import coherent_geodesic
 from .complexity_core import relative_complex_structure
-from .errors import ValidationError
+from .errors import BranchCut, NumericDomainError, Singular, ValidationError
 from .lie_numerics import (
+    BRANCH_CUT_MARGIN,
     LieAlgebraElement,
     algebra_basis,
     algebra_of_kind,
     inner_product_identity,
     matrix_exp_batch,
-    matrix_log_principal,
 )
 from .phase_space import GaussianState, StateKind, standard_symplectic_form
 
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
 STAGE_ITERATIONS = (60, 60, 80, 80, 120)
+# check_stabilizer_geodesic: path segments, central-difference step, pass bound
+STATIONARITY_SEGMENTS = 8
+STATIONARITY_EPSILON = 3e-5
+STATIONARITY_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -437,13 +441,36 @@ class StationarityReport:
         return self.max_abs < self.threshold
 
 
+def _log_principal(m: np.ndarray) -> np.ndarray:
+    """Real principal logarithm via complex eigendecomposition.
+
+    Raises BranchCut when an eigenvalue lies within BRANCH_CUT_MARGIN of
+    the negative real axis, Singular for non-invertible input, and a
+    NumericDomainError when the residual ||e^L - m|| shows the
+    eigenvector basis was too ill-conditioned.
+    """
+    w, vecs = np.linalg.eig(m)
+    scale = np.abs(w).max() if w.size else 0.0
+    if scale == 0.0 or np.abs(w).min() < 1e-14 * scale:
+        raise Singular("matrix log: input is numerically singular")
+    bad = np.abs(np.angle(w)) > np.pi - BRANCH_CUT_MARGIN
+    if np.any(bad):
+        raise BranchCut(
+            f"matrix log: eigenvalue {w[bad][0]:.6g} within the "
+            "branch-cut margin of the negative real axis"
+        )
+    log_m = ((vecs * np.log(w)) @ np.linalg.inv(vecs)).real
+    resid = np.linalg.norm(matrix_exp_batch(log_m[None])[0] - m) / (1.0 + np.linalg.norm(m))
+    if resid > 1e-9:
+        raise NumericDomainError(
+            f"matrix log: residual {resid:.3e} exceeds tolerance; "
+            "input is too ill-conditioned"
+        )
+    return log_m
+
+
 def check_stabilizer_geodesic(
-    v: LieAlgebraElement,
-    perturbation_count: int = 50,
-    seed: int = 0,
-    segments: int = 8,
-    epsilon: float = 3e-5,
-    threshold: float = 1e-6,
+    v: LieAlgebraElement, perturbation_count: int = 50, seed: int = 0
 ) -> StationarityReport:
     """First-order stationarity of the curve t -> e^{tV} at fixed endpoints.
 
@@ -455,7 +482,7 @@ def check_stabilizer_geodesic(
     reference pass the whitened generator H^{-1} V H.
     """
     vm = v.v
-    k_seg = segments
+    k_seg = STATIONARITY_SEGMENTS
     base = vm / k_seg
     target = matrix_exp_batch(vm[None])[0]
     basis = algebra_basis(v.algebra, v.n_modes)
@@ -468,7 +495,7 @@ def check_stabilizer_geodesic(
         m = np.eye(vm.shape[0])
         for k in range(k_seg - 1):
             m = exps[k] @ m
-        last = matrix_log_principal(target @ np.linalg.inv(m))
+        last = _log_principal(target @ np.linalg.inv(m))
         total = 0.0
         for k in range(k_seg - 1):
             total += np.sqrt(inner_product_identity(incs[k], incs[k]))
@@ -481,7 +508,7 @@ def check_stabilizer_geodesic(
         deltas = np.einsum("kd,dij->kij", coeff, mats)
         scale = np.sqrt(sum(inner_product_identity(d, d) for d in deltas))
         deltas /= scale
-        derivs[p] = (length_at(deltas, epsilon) - length_at(deltas, -epsilon)) / (
-            2.0 * epsilon
-        )
-    return StationarityReport(derivs, threshold)
+        derivs[p] = (
+            length_at(deltas, STATIONARITY_EPSILON) - length_at(deltas, -STATIONARITY_EPSILON)
+        ) / (2.0 * STATIONARITY_EPSILON)
+    return StationarityReport(derivs, STATIONARITY_THRESHOLD)

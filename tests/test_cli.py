@@ -106,6 +106,20 @@ def test_complexity_missing_and_invalid_files(tmp_path, capsys):
     bad.write_text("{not json")
     code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", str(bad))
     assert code == 3
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"kind": "boson", "n_modes": 1, "sigma": [[1, 0], [0, 1]]}\xff')
+    bad_z = write_state(
+        tmp_path, "bad_z.json",
+        {"kind": "boson", "n_modes": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]], "z": ["a", 0]},
+    )
+    bool_n = write_state(
+        tmp_path, "bool_n.json",
+        {"kind": "boson", "n_modes": True, "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+    )
+    for target in (str(not_utf8), bad_z, bool_n):
+        code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", target)
+        assert code == 3
+        assert json.loads(out)["error"].startswith("SchemaError:")
 
 
 def test_complexity_batch_keeps_going(tmp_path, capsys):
@@ -117,12 +131,17 @@ def test_complexity_batch_keeps_going(tmp_path, capsys):
         batch, "b_bad.json",
         {"kind": "boson", "n_modes": 1, "sigma": [[2.0, 0.0], [0.0, 2.0]]},
     )
+    write_state(
+        batch, "c_bad_z.json",
+        {"kind": "boson", "n_modes": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]], "z": ["a", 0]},
+    )
     code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", str(batch))
     assert code == 3
     results = json.loads(out)["results"]
-    assert [r["file"] for r in results] == ["a_good.json", "b_bad.json"]
+    assert [r["file"] for r in results] == ["a_good.json", "b_bad.json", "c_bad_z.json"]
     assert results[0]["complexity"] == pytest.approx(0.8, abs=1e-12)
     assert results[1]["error"].startswith("NotPure:")
+    assert results[2]["error"].startswith("SchemaError:")
 
 
 def test_tol_reaches_the_purity_check(tmp_path, capsys):
@@ -301,6 +320,20 @@ def test_weyl_bad_spec(tmp_path, capsys):
         capsys, "weyl", "--reference", ref, "--target", ref, "--omega", "cubic:1"
     )
     assert code == 3
+    # empty, header-only, one-column and non-UTF-8 tables
+    for name, data in (
+        ("empty.csv", b""),
+        ("header.csv", b"r,omega\n"),
+        ("one.csv", b"0\n1\n2\n"),
+        ("latin1.csv", b"r,\xf8\n0,0\n1,1\n"),
+    ):
+        table = tmp_path / name
+        table.write_bytes(data)
+        code, out = run_cli(
+            capsys, "weyl", "--reference", ref, "--target", ref, "--omega", f"table:{table}"
+        )
+        assert code == 3
+        assert json.loads(out)["error"].startswith("ValidationError:")
 
 
 def test_nonrev_gradient_anchor(capsys):
@@ -425,12 +458,19 @@ def test_csv_format_quotes_compound_values(tmp_path, capsys):
     assert row["generator"].startswith('"')
 
 
-def test_negative_tol_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    # a tolerance that switches the checks off would let a mixed state through
     ref = boson_ref(tmp_path)
+    thermal = write_state(
+        tmp_path, "thermal.json",
+        {"kind": "boson", "n_modes": 1, "sigma": [[2.0, 0.0], [0.0, 2.0]]},
+    )
     code, out = run_cli(
-        capsys, "complexity", "--reference", ref, "--target", ref, "--tol", "-1"
+        capsys, "complexity", "--reference", ref, "--target", thermal, "--tol", tol
     )
     assert code == 3
+    assert json.loads(out)["error"].startswith("ValidationError: --tol must be")
 
 
 def test_cli_output_is_deterministic(tmp_path):

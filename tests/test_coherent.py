@@ -15,7 +15,6 @@ from gcomplexity import (
     coherent_geodesic,
     coherent_geodesic_point,
     complex_structure_from_covariance,
-    hamiltonian_coefficients,
     reference_state,
     single_mode_squeezing,
     standard_symplectic_form,
@@ -72,17 +71,17 @@ def test_endpoint_exactness():
 
 
 def test_displacement_flow_matches_hamiltonian_integration():
-    # the circuit must solve x' = Omega (F x + alpha) starting from the
-    # phase-space origin; integrating that flow is an independent oracle
-    # for N, G and the z(tau) profile together
+    # the circuit must solve x' = (log Delta / 2) x + N z_T / 2 starting from
+    # the phase-space origin; integrating that flow is an independent oracle
+    # for N and the z(tau) profile together
     rng = np.random.default_rng(32)
     for n in (1, 2):
         target = displaced_target(n, rng)
         ref = reference_state(StateKind.BOSON, n)
         geo = coherent_geodesic(ref, target)
-        om = standard_symplectic_form(n)
-        f, alpha = hamiltonian_coefficients(geo, om)
-        rhs = lambda t, x: om.omega @ (f @ x + alpha)
+        half_log = 0.5 * geo.delta.log_delta
+        drift = 0.5 * geo.n_matrix @ geo.z_target
+        rhs = lambda t, x: half_log @ x + drift
         sol = solve_ivp(
             rhs,
             (0.0, 1.0),

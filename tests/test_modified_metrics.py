@@ -17,7 +17,6 @@ from gcomplexity import (
     metric_phiphi,
     nonreversible_cost,
     nonreversible_cost_profile,
-    weyl_affine_reparametrization,
     weyl_complexity,
 )
 from gcomplexity.cli import main
@@ -108,23 +107,6 @@ def test_weyl_overflow_raises():
             weyl_complexity(1.0, WeylFactor.linear(1e4), 16)
 
 
-def test_affine_reparametrization_anchors():
-    w = WeylFactor.linear(1.0)
-    assert weyl_affine_reparametrization(w, 1.0, 0.0, 128) == 0.0
-    assert weyl_affine_reparametrization(w, 1.0, 1.0, 128) == pytest.approx(
-        1.0, abs=1e-14
-    )
-    # s(1/2) = (e^{1/2} - 1) / (e - 1)
-    want = (np.exp(0.5) - 1.0) / (np.e - 1.0)
-    got = weyl_affine_reparametrization(w, 1.0, 0.5, 128)
-    assert got == pytest.approx(want, abs=1e-8)
-    taus = np.linspace(0.0, 1.0, 11)
-    ss = [weyl_affine_reparametrization(w, 1.0, t, 128) for t in taus]
-    assert np.all(np.diff(ss) > 0.0)
-    with pytest.raises(ValidationError):
-        weyl_affine_reparametrization(w, 1.0, 1.5, 128)
-
-
 def test_nonreversible_anchor_half_r_gradient():
     # h(r) = r/2 gives a_r = -1/2: cost 0 -> 2 is 1, and 2 -> 0 is 3
     pot = VectorPotential.gradient([0.0, 0.5])
@@ -201,12 +183,18 @@ def test_cost_profile_matches_total():
 
 
 def test_field_strength_fallback_matches_analytic():
-    analytic = VectorPotential.ripple(0.7, 0.4)
-    fallback = VectorPotential.from_callables(analytic.a_r)
-    for r, phi in [(0.5, 0.3), (1.2, -1.0), (0.8, 2.5)]:
-        assert fallback.field_strength(r, phi) == pytest.approx(
-            analytic.field_strength(r, phi), abs=1e-8
-        )
+    # each built-in f_rphi is d_r a_phi - d_phi a_r by central differences
+    step = 1e-6
+    for pot in (
+        VectorPotential.none(),
+        VectorPotential.constant(0.4),
+        VectorPotential.gradient([0.0, 0.5, 0.25]),
+        VectorPotential.ripple(0.7, 0.4),
+    ):
+        for r, phi in [(0.5, 0.3), (1.2, -1.0), (0.8, 2.5)]:
+            dar = (pot.a_r(r, phi + step) - pot.a_r(r, phi - step)) / (2.0 * step)
+            dap = (pot.a_phi(r + step, phi) - pot.a_phi(r - step, phi)) / (2.0 * step)
+            assert pot.f_rphi(r, phi) == pytest.approx(dap - dar, abs=1e-8)
 
 
 def test_norm_sq():
