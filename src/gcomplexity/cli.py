@@ -106,6 +106,7 @@ def _parse_pair(text: str, what: str):
 
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TERM = re.compile(rf"^({_FLOAT})?\*?(r(?:\^(\d+))?)?$")
+MAX_POLY_POWER = 64
 
 
 def _parse_poly(text: str) -> np.ndarray:
@@ -125,7 +126,10 @@ def _parse_poly(text: str) -> np.ndarray:
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValidationError(f"cannot parse polynomial term {part!r}")
         coef = float(m.group(1)) if m.group(1) else 1.0
-        power = 0 if m.group(2) is None else (int(m.group(3)) if m.group(3) else 1)
+        exponent = m.group(3) or ("1" if m.group(2) else "0")
+        if len(exponent.lstrip("0")) > len(str(MAX_POLY_POWER)) or int(exponent) > MAX_POLY_POWER:
+            raise ValidationError(f"polynomial powers are capped at r^{MAX_POLY_POWER}")
+        power = int(exponent)
         coeffs[power] = coeffs.get(power, 0.0) + sign * coef
     out = np.zeros(max(coeffs) + 1)
     for power, c in coeffs.items():
@@ -306,7 +310,10 @@ def cmd_nonrev(args) -> int:
         rows.append(f"{tau:.17g},{r:.17g},{phi:.17g},{cost:.17g}")
     csv_text = "\n".join(rows) + "\n"
     if args.csv_out:
-        Path(args.csv_out).write_text(csv_text)
+        try:
+            Path(args.csv_out).write_text(csv_text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write CSV file {args.csv_out}: {exc}")
     if args.format == "csv":
         sys.stdout.write(csv_text)
         return EXIT_OK

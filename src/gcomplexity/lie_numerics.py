@@ -72,7 +72,7 @@ class LieAlgebraElement:
             raise NonFinite("algebra element contains non-finite entries")
         scale = 1.0 + np.linalg.norm(m)
         if self.algebra is LieAlgebra.SP:
-            om = standard_symplectic_form(m.shape[0] // 2).omega
+            om = standard_symplectic_form(m.shape[0] // 2)
             resid = np.linalg.norm(m @ om + om @ m.T) / scale
             if resid > DEFAULT_TOL:
                 raise GroupViolation(
@@ -270,7 +270,7 @@ def algebra_basis(algebra: LieAlgebra, n_modes: int) -> tuple:
     d = 2 * n_modes
     out = []
     if algebra is LieAlgebra.SP:
-        om = standard_symplectic_form(n_modes).omega
+        om = standard_symplectic_form(n_modes)
         for i in range(d):
             for j in range(i, d):
                 s = np.zeros((d, d))

@@ -57,11 +57,15 @@ class WeylFactor:
     @staticmethod
     def constant(c: float) -> "WeylFactor":
         c = float(c)
+        if not np.isfinite(c):
+            raise ValidationError(f"constant factor must be finite, got {c}")
         return WeylFactor(lambda r: np.full_like(np.asarray(r, dtype=float), c))
 
     @staticmethod
     def linear(beta: float) -> "WeylFactor":
         beta = float(beta)
+        if not np.isfinite(beta):
+            raise ValidationError(f"linear factor must be finite, got {beta}")
         return WeylFactor(lambda r: beta * np.asarray(r, dtype=float))
 
     @staticmethod

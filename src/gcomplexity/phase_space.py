@@ -1,11 +1,11 @@
 r"""Pure Gaussian states and Gaussian transformations on phase space.
 
 A zero-displacement pure Gaussian state is labelled by its complex
-structure J, a real 2N x 2N matrix with J^2 = -1 built from the
-covariance matrix sigma and the symplectic form Omega:
-
-    J = -sigma . Omega^{-1}   (bosons)
-    J = Omega . sigma^{-1}    (fermions)
+structure J, a real 2N x 2N matrix with J^2 = -1.  For bosons
+J = -sigma . Omega_N^{-1} = sigma . Omega_N, from the covariance sigma and
+the standard form Omega_N, a read-only constant built once per N.  A
+fermion state has sigma = 1, so J = Omega . sigma^{-1} is its own form
+Omega, the only form that goes through the SymplecticForm checks.
 
 States carry an additional displacement vector z (identically zero for
 fermions).  Gaussian transformations are pairs (v, M) acting as
@@ -65,7 +65,7 @@ def _rel(num, scale):
 
 @dataclass(frozen=True)
 class SymplecticForm:
-    """Antisymmetric non-degenerate form Omega with |det Omega| = 1."""
+    """Antisymmetric form Omega with |det Omega| = 1, checked on outside input."""
 
     omega: np.ndarray
     tol: float = DEFAULT_TOL
@@ -77,17 +77,6 @@ class SymplecticForm:
         if abs(abs(np.linalg.det(m)) - 1.0) > 1e-8:
             raise GroupViolation("omega must have |det| = 1 in the standard basis")
         object.__setattr__(self, "omega", _freeze(m))
-
-    @property
-    def n_modes(self) -> int:
-        return self.omega.shape[0] // 2
-
-    @property
-    def inverse(self) -> np.ndarray:
-        try:
-            return np.linalg.inv(self.omega)
-        except np.linalg.LinAlgError as exc:
-            raise SingularInput("omega is singular") from exc
 
 
 @dataclass(frozen=True)
@@ -180,7 +169,7 @@ class GaussianTransformation:
             raise NonFinite("v contains non-finite entries")
         scale = np.linalg.norm(m) ** 2
         if self.kind is StateKind.BOSON:
-            om = standard_symplectic_form(d // 2).omega
+            om = standard_symplectic_form(d // 2)
             resid = _rel(m @ om @ m.T - om, scale)
             if resid > DEFAULT_TOL:
                 raise GroupViolation(
@@ -206,47 +195,51 @@ class GaussianTransformation:
     @property
     def inverse_m(self) -> np.ndarray:
         """Group inverse of m, computed without a linear solve."""
-        if self.kind is StateKind.FERMION:
-            return self.m.T
-        om = standard_symplectic_form(self.n_modes).omega
-        return -om @ self.m.T @ om
+        return group_inverse(self.m, self.kind)
 
 
-def standard_symplectic_form(n_modes: int) -> SymplecticForm:
-    """Block-diagonal standard form with N blocks [[0, 1], [-1, 0]]."""
-    if n_modes < 1:
-        raise DimensionMismatch("n_modes must be >= 1")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return SymplecticForm(np.kron(np.eye(n_modes), block))
+_STANDARD_FORMS = {}
+
+
+def standard_symplectic_form(n_modes: int) -> np.ndarray:
+    """Omega_N, N blocks [[0, 1], [-1, 0]] on the diagonal: one read-only array per N."""
+    om = _STANDARD_FORMS.get(n_modes)
+    if om is None:
+        if n_modes < 1:
+            raise DimensionMismatch("n_modes must be >= 1")
+        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        om = _STANDARD_FORMS[n_modes] = _freeze(np.kron(np.eye(n_modes), block))
+    return om
+
+
+def group_inverse(m: np.ndarray, kind: StateKind) -> np.ndarray:
+    """Inverse of m, or of a stack of them: -Omega_N m^T Omega_N in Sp(2N, R), m^T in SO(2N)."""
+    mt = np.swapaxes(m, -1, -2)
+    if kind is StateKind.FERMION:
+        return mt
+    om = standard_symplectic_form(m.shape[-1] // 2)
+    return -om @ mt @ om
 
 
 def reference_state(kind: StateKind, n_modes: int) -> GaussianState:
     """Reference state with sigma_R = identity and z = 0.
 
-    Its complex structure is the standard block-diagonal J_R, the same
-    matrix for bosons and fermions in the standard basis.
+    Its complex structure is the standard block-diagonal J_R = Omega_N,
+    the same matrix for bosons and fermions in the standard basis.
     """
-    j = standard_symplectic_form(n_modes).omega.copy()
-    return GaussianState(ComplexStructure(j, kind))
+    return GaussianState(ComplexStructure(standard_symplectic_form(n_modes), kind))
 
 
 def complex_structure_from_covariance(
-    sigma: CovarianceMatrix, omega: SymplecticForm, kind: StateKind, tol: float = DEFAULT_TOL
+    sigma: CovarianceMatrix, tol: float = DEFAULT_TOL
 ) -> ComplexStructure:
-    """Build J = -sigma.Omega^{-1} (bosons) or Omega.sigma^{-1} (fermions).
+    """Boson J = -sigma.Omega_N^{-1} = sigma.Omega_N.
 
-    Raises NotPure when the resulting J fails J^2 = -1, i.e. the input
-    covariance describes a mixed state; ``tol`` bounds that residual.
+    Raises NotPure when J fails J^2 = -1, i.e. the covariance describes a
+    mixed state; ``tol`` bounds that residual.
     """
-    if sigma.sigma.shape != omega.omega.shape:
-        raise DimensionMismatch(
-            f"sigma shape {sigma.sigma.shape} != omega shape {omega.omega.shape}"
-        )
-    if kind is StateKind.BOSON:
-        j = -sigma.sigma @ omega.inverse
-    else:
-        j = np.linalg.solve(sigma.sigma, omega.omega.T).T  # Omega sigma^{-1}, sigma symmetric
-    return ComplexStructure(j, kind, tol)
+    j = sigma.sigma @ standard_symplectic_form(sigma.n_modes)
+    return ComplexStructure(j, StateKind.BOSON, tol)
 
 
 def apply_transformation(
@@ -311,13 +304,9 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     if kind is StateKind.FERMION:
         if "z" in data:
             raise DisplacementPresent("fermion state files must not contain 'z'")
-        omega = SymplecticForm(sig, tol=tol)
-        j = complex_structure_from_covariance(
-            CovarianceMatrix(np.eye(2 * n)), omega, kind, tol
-        )
-        return GaussianState(j)
-    omega = standard_symplectic_form(n)
-    j = complex_structure_from_covariance(CovarianceMatrix(sig), omega, kind, tol)
+        # sigma = 1, so J = Omega sigma^{-1} is the state's own form
+        return GaussianState(ComplexStructure(SymplecticForm(sig, tol).omega, kind, tol))
+    j = complex_structure_from_covariance(CovarianceMatrix(sig), tol)
     z = data.get("z")
     if z is not None:
         try:
@@ -335,8 +324,7 @@ def state_to_dict(state: GaussianState) -> dict:
     if state.kind is StateKind.FERMION:
         sig = state.j.j
         return {"kind": "fermion", "n_modes": n, "sigma": sig.tolist()}
-    om = standard_symplectic_form(n).omega
-    sig = -state.j.j @ om
+    sig = -state.j.j @ standard_symplectic_form(n)
     out = {"kind": "boson", "n_modes": n, "sigma": sig.tolist()}
     if np.any(state.z != 0.0):
         out["z"] = state.z.tolist()
@@ -347,6 +335,5 @@ def covariance_of(state: GaussianState) -> np.ndarray:
     """Covariance matrix of a state: -J Omega for bosons, identity for fermions."""
     if state.kind is StateKind.FERMION:
         return np.eye(2 * state.n_modes)
-    om = standard_symplectic_form(state.n_modes).omega
-    sig = -state.j.j @ om
+    sig = -state.j.j @ standard_symplectic_form(state.n_modes)
     return 0.5 * (sig + sig.T)

@@ -40,7 +40,7 @@ from .lie_numerics import (
     inner_product_identity,
     matrix_exp_batch,
 )
-from .phase_space import GaussianState, StateKind, standard_symplectic_form
+from .phase_space import GaussianState, StateKind, group_inverse, standard_symplectic_form
 
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -144,7 +144,6 @@ class _Problem:
         self.kind = reference.kind
         self.d = 2 * reference.n_modes
         self.K = segments
-        self.om = standard_symplectic_form(reference.n_modes).omega
         basis = algebra_basis(algebra_of_kind(self.kind), reference.n_modes)
         self.basis = np.stack([b.v for b in basis])
         self.D = len(basis)
@@ -156,9 +155,9 @@ class _Problem:
             self.jr, self.jt, self.log_delta = reference.j.j, target.j.j, rel.log_delta
         else:
             hinv = pencil.whiten(np.eye(self.d))
-            self.jr = self.om
+            self.jr = standard_symplectic_form(reference.n_modes)
             # H^{-1} J_T H: H^{-1} is symplectic, and its group inverse is H
-            self.jt = hinv @ target.j.j @ self._group_inverse(hinv)
+            self.jt = hinv @ target.j.j @ group_inverse(hinv, self.kind)
             self.log_delta = (pencil.u * pencil.logs) @ pencil.u.T
         if geo is not None:
             self.z_t = pencil.whiten(target.z)
@@ -174,12 +173,6 @@ class _Problem:
         flat = self.basis.reshape(self.D, -1)
         self.gram = np.eye(self.ncoord)
         self.gram[: self.D, : self.D] = 0.5 * (flat @ flat.T)
-
-    def _group_inverse(self, m):
-        if self.kind is StateKind.FERMION:
-            return np.swapaxes(m, -1, -2)
-        mt = np.swapaxes(m, -1, -2)
-        return -self.om @ mt @ self.om
 
     def _split(self, x):
         return (x[:, : self.D], x[:, self.D :]) if self.displaced else (x, None)
@@ -200,7 +193,7 @@ class _Problem:
     def _residual(self, m):
         """R = M J_R M^{-1} - J_T at the endpoint, and z - z_T (or None)."""
         mm = m[: self.d, : self.d]
-        r = mm @ self.jr @ self._group_inverse(mm) - self.jt
+        r = mm @ self.jr @ group_inverse(mm, self.kind) - self.jt
         return r, (m[: self.d, self.d] - self.z_t if self.displaced else None)
 
     def _resid_vec(self, m):
@@ -232,8 +225,8 @@ class _Problem:
         # d/dM of w ||M J_R G(M) - J_T||^2; G is self-adjoint in tr(X^T Y)
         gm = np.zeros_like(m)
         gm[: self.d, : self.d] = (2.0 * w) * (
-            r @ self._group_inverse(mm).T @ self.jr.T
-            + self._group_inverse(self.jr.T @ mm.T @ r)
+            r @ group_inverse(mm, self.kind).T @ self.jr.T
+            + group_inverse(self.jr.T @ mm.T @ r, self.kind)
         )
         if dz is not None:
             gm[: self.d, self.d] = (2.0 * w) * dz
@@ -256,9 +249,8 @@ class _Problem:
         dm = _suffixes(e)[:, None] @ de @ pre[:-1, None]
         mm = pre[-1][: self.d, : self.d]
         dmm = dm[..., : self.d, : self.d]
-        dr = dmm @ (self.jr @ self._group_inverse(mm)) + (mm @ self.jr) @ (
-            self._group_inverse(dmm)
-        )
+        ginv = group_inverse(mm, self.kind)
+        dr = dmm @ (self.jr @ ginv) + (mm @ self.jr) @ group_inverse(dmm, self.kind)
         cols = dr.reshape(self.K, self.ncoord, -1)
         if self.displaced:
             cols = np.concatenate([cols, dm[..., : self.d, self.d]], axis=2)

@@ -320,6 +320,12 @@ def test_weyl_bad_spec(tmp_path, capsys):
         capsys, "weyl", "--reference", ref, "--target", ref, "--omega", "cubic:1"
     )
     assert code == 3
+    for spec in ("linear:nan", "const:inf", "const:-inf"):
+        code, out = run_cli(
+            capsys, "weyl", "--reference", ref, "--target", ref, "--omega", spec
+        )
+        assert code == 3
+        assert json.loads(out)["error"].startswith("ValidationError:")
     # empty, header-only, one-column and non-UTF-8 tables
     for name, data in (
         ("empty.csv", b""),
@@ -376,6 +382,32 @@ def test_nonrev_csv_file(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "tau,r,phi,cost_accumulated"
     assert len(lines) == 258
+
+
+def test_nonrev_csv_into_missing_directory(tmp_path, capsys):
+    csv_path = tmp_path / "missing" / "path.csv"
+    code, out = run_cli(
+        capsys, "nonrev", "--start", "0.4,0", "--velocity", "0,1",
+        "--potential", "none", "--csv-out", str(csv_path),
+    )
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error.startswith(f"ValidationError: cannot write CSV file {csv_path}:")
+
+
+@pytest.mark.parametrize(
+    "poly, code",
+    [("1e-30r^64", 0), ("1e-30r^65", 3), ("r^99999999999", 3), ("r^" + "9" * 5000, 3)],
+)
+def test_nonrev_polynomial_power_cap(capsys, poly, code):
+    got, out = run_cli(
+        capsys, "nonrev", "--start", "0.5,0", "--velocity", "1,0",
+        "--potential", f"grad:h={poly}", "--length", "0.5",
+    )
+    assert got == code
+    if code == 3:
+        error = json.loads(out)["error"]
+        assert error == "ValidationError: polynomial powers are capped at r^64"
 
 
 def test_nonrev_potential_too_large(capsys):

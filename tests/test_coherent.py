@@ -17,7 +17,6 @@ from gcomplexity import (
     complex_structure_from_covariance,
     reference_state,
     single_mode_squeezing,
-    standard_symplectic_form,
     state_complexity,
 )
 from helpers import displaced_target, passive, random_target
@@ -148,9 +147,7 @@ def _constructed_target(p, radii, z):
     n = len(radii)
     x = np.repeat(radii, 2) * np.tile([1.0, -1.0], n)
     sigma = (p * np.exp(2.0 * x)) @ p.T
-    j = complex_structure_from_covariance(
-        CovarianceMatrix(0.5 * (sigma + sigma.T)), standard_symplectic_form(n), StateKind.BOSON
-    )
+    j = complex_structure_from_covariance(CovarianceMatrix(0.5 * (sigma + sigma.T)))
     f = n_of_exponents(x)
     y = f * (p.T @ z)
     return GaussianState(j, z), (p * f) @ p.T, 0.5 * np.sqrt(4.0 * radii @ radii + y @ y)

@@ -32,7 +32,7 @@ def rotation(theta):
 
 
 def test_algebra_membership_checks():
-    om = standard_symplectic_form(1).omega
+    om = standard_symplectic_form(1)
     LieAlgebraElement(om, LieAlgebra.SP)
     LieAlgebraElement(om, LieAlgebra.SO)
     LieAlgebraElement(np.diag([1.0, -1.0]), LieAlgebra.SP)
@@ -242,7 +242,7 @@ def test_sp_exponential_is_symplectic(coeffs):
     basis = algebra_basis(LieAlgebra.SP, 1)
     v = sum(c * b.v for c, b in zip(coeffs, basis))
     m = matrix_exp(v)
-    om = standard_symplectic_form(1).omega
+    om = standard_symplectic_form(1)
     assert np.linalg.norm(m @ om @ m.T - om) <= 1e-12 * np.linalg.norm(m) ** 2
 
 

@@ -28,11 +28,52 @@ from helpers import displaced_target, random_target, random_transformation
 
 
 def test_standard_form_blocks():
-    om = standard_symplectic_form(2).omega
+    om = standard_symplectic_form(2)
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert np.array_equal(om[:2, :2], block)
     assert np.array_equal(om[2:, 2:], block)
     assert np.array_equal(om[:2, 2:], np.zeros((2, 2)))
+
+
+def test_standard_form_is_a_read_only_constant():
+    om = standard_symplectic_form(2)
+    assert standard_symplectic_form(2) is om
+    assert not om.flags.writeable
+    with pytest.raises(ValueError):
+        om[0, 1] = 2.0
+    assert reference_state(StateKind.BOSON, 2).j.j[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_standard_form_inverse_is_its_negative(n):
+    """inv(Omega_N) = -Omega_N exactly; the nonzero entries agree bit for bit
+    (LAPACK's zeros carry either sign, which J = sigma Omega_N never shows)."""
+    om = standard_symplectic_form(n)
+    inv = np.linalg.inv(om)
+    assert np.array_equal(inv, -om)
+    assert inv[om != 0].tobytes() == (-om)[om != 0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_state_from_dict_j_matches_inv_and_solve_formulas(n):
+    """J = sigma Omega_N for bosons and J = the form for fermions give the same
+    bits as -sigma inv(Omega_N) and Omega solve(sigma = 1, .) on random states."""
+    rng = np.random.default_rng(n)
+    om = standard_symplectic_form(n)
+    radii = np.repeat(rng.normal(size=n), 2) * np.tile([1.0, -1.0], n)
+    squeezed = {"kind": "boson", "n_modes": n, "sigma": np.diag(np.exp(2.0 * radii))}
+    bosons = [state_to_dict(random_target(StateKind.BOSON, n, rng)) for _ in range(5)]
+    for data in [squeezed, *bosons]:
+        want = -np.asarray(data["sigma"]) @ np.linalg.inv(om)
+        assert state_from_dict(data).j.j.tobytes() == want.tobytes()
+    for _ in range(5):
+        data = state_to_dict(random_target(StateKind.FERMION, n, rng))
+        form = np.asarray(data["sigma"])
+        want = np.ascontiguousarray(np.linalg.solve(np.eye(2 * n), form.T).T)
+        assert state_from_dict(data).j.j.tobytes() == want.tobytes()
+    # an exact zero of the form may come back from solve with the other sign
+    data = state_to_dict(reference_state(StateKind.FERMION, n))
+    assert np.array_equal(state_from_dict(data).j.j, np.linalg.solve(np.eye(2 * n), om.T).T)
 
 
 def test_symplectic_form_rejects_symmetric():
@@ -53,11 +94,10 @@ def test_covariance_rejects_non_positive():
 
 
 def test_purity_rejects_thermal():
-    om = standard_symplectic_form(1)
     with pytest.raises(NotPure):
-        complex_structure_from_covariance(
-            CovarianceMatrix(2.0 * np.eye(2)), om, StateKind.BOSON
-        )
+        complex_structure_from_covariance(CovarianceMatrix(2.0 * np.eye(2)))
+    with pytest.raises(NotPure):
+        state_from_dict({"kind": "boson", "n_modes": 1, "sigma": 2.0 * np.eye(2)})
 
 
 def test_reference_state_is_pure_and_standard():
@@ -180,9 +220,7 @@ def test_covariance_roundtrip_boson():
     rng = np.random.default_rng(4)
     state = random_target(StateKind.BOSON, 2, rng)
     sigma = covariance_of(state)
-    j = complex_structure_from_covariance(
-        CovarianceMatrix(sigma), standard_symplectic_form(2), StateKind.BOSON
-    )
+    j = complex_structure_from_covariance(CovarianceMatrix(sigma))
     assert np.allclose(j.j, state.j.j, atol=1e-10)
 
 
