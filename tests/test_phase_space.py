@@ -41,7 +41,6 @@ def test_standard_form_is_a_read_only_constant():
     assert not om.flags.writeable
     with pytest.raises(ValueError):
         om[0, 1] = 2.0
-    assert reference_state(StateKind.BOSON, 2).j.j[0, 1] == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 32])
