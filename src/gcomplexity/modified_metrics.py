@@ -129,6 +129,8 @@ class VectorPotential:
     @staticmethod
     def constant(f0: float) -> "VectorPotential":
         f0 = float(f0)
+        if not np.isfinite(f0):
+            raise ValidationError(f"constant potential must be finite, got {f0}")
         if f0 < 0.0:
             raise ValidationError("f must be nonnegative")
         zero = lambda r, phi: np.zeros_like(np.asarray(r, dtype=float))

@@ -13,14 +13,14 @@ whitens to, H = sigma_R^{1/2}: there the reference is the vacuum, the
 target is (H^{-1} J_T H, H^{-1} z_T) and g_1 is the Frobenius form
 1/2 Tr(V V^T) + u^T u, so paths and lengths are those of the vacuum
 frame.  The length is minimized subject to the endpoint
-constraint by a quadratic penalty with an increasing weight schedule;
-the inner optimizer is plain gradient descent with backtracking line
-search on the exact reverse-mode gradient, and a Levenberg-Marquardt
-step on the forward-mode Jacobian restores feasibility.  Both
-derivatives come from the block-triangular identity
+constraint by penalty stages with an increasing weight schedule (plain
+gradient descent with backtracking line search on the exact
+reverse-mode gradient), then one Levenberg-Marquardt restore on the
+forward-mode Jacobian; there is no projection step.  Both derivatives
+come from the block-triangular identity
 exp([[X, Y], [0, X]]) = [[e^X, L_exp(X, Y)], [0, e^X]] (Najfeld and
-Havel 1995; Al-Mohy and Higham 2009).  Everything is seeded and
-deterministic.
+Havel 1995; Al-Mohy and Higham 2009) and read the same prefix and
+suffix products.  Everything is seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ from .phase_space import GaussianState, StateKind, group_inverse, standard_sympl
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
 STAGE_ITERATIONS = (60, 60, 80, 80, 120)
+# Levenberg-Marquardt restore: residual norm it stops at, iteration cap
+RESTORE_TOL = 1e-9
+RESTORE_ITERATIONS = 20
 # check_stabilizer_geodesic: path segments, central-difference step, pass bound
 STATIONARITY_SEGMENTS = 8
 STATIONARITY_EPSILON = 3e-5
@@ -147,7 +150,7 @@ class _Problem:
         basis = algebra_basis(algebra_of_kind(self.kind), reference.n_modes)
         self.basis = np.stack([b.v for b in basis])
         self.D = len(basis)
-        self.displaced = bool(np.any(target.z != 0.0))
+        self.displaced = bool(np.any(target.z != 0.0) or np.any(reference.z != 0.0))
         geo = coherent_geodesic(reference, target) if self.displaced else None
         rel = relative_complex_structure(reference, target) if geo is None else geo.delta
         pencil = rel.pencil
@@ -173,9 +176,6 @@ class _Problem:
         flat = self.basis.reshape(self.D, -1)
         self.gram = np.eye(self.ncoord)
         self.gram[: self.D, : self.D] = 0.5 * (flat @ flat.T)
-
-    def _split(self, x):
-        return (x[:, : self.D], x[:, self.D :]) if self.displaced else (x, None)
 
     def _forward(self, x):
         """Generators A_k, E_k = e^{A_k} and prefixes P_k = E_{k-1} ... E_0.
@@ -206,9 +206,6 @@ class _Problem:
     def length(self, x):
         return float(np.sum(np.sqrt(np.maximum(self.seg_norm_sq(x), 0.0))))
 
-    def constraint_residual(self, x):
-        return float(np.linalg.norm(self._resid_vec(self._forward(x)[2][-1])))
-
     def total(self, x, w, fwd=None):
         r = self._resid_vec((self._forward(x) if fwd is None else fwd)[2][-1])
         return self.length(x) + w * float(r @ r)
@@ -230,11 +227,8 @@ class _Problem:
         )
         if dz is not None:
             gm[: self.d, self.d] = (2.0 * w) * dz
-        # G_{E_k} = S_k^T G_M P_k^T, with S_k^T G_M accumulated from the end
-        ge = np.empty_like(e)
-        for k in range(self.K - 1, -1, -1):
-            ge[k] = gm @ pre[k].T
-            gm = e[k].T @ gm
+        # G_{E_k} = S_k^T G_M P_k^T
+        ge = np.swapaxes(_suffixes(e), -1, -2) @ gm @ np.swapaxes(pre[:-1], -1, -2)
         ga = _frechet_exp(np.swapaxes(a, -1, -2), ge)
         g = ga.reshape(self.K, -1) @ self.dirs_flat.T
         # length term; 0 on a zero segment, where the norm has a kink
@@ -283,7 +277,7 @@ class _Problem:
                     break
         return x
 
-    def restore(self, x, tol=1e-9, max_iter=20):
+    def restore(self, x):
         """Levenberg-Marquardt descent on the constraint residual alone.
 
         The penalty stages leave a bias of order lambda / w off the
@@ -292,14 +286,15 @@ class _Problem:
         while guaranteeing the reported length belongs to a genuine
         near-feasible path.  Damping handles the rank deficiency of the
         endpoint Jacobian (the endpoint cannot leave the orbit of the
-        reference complex structure).
+        reference complex structure).  Returns the restored x and the
+        norm of its residual vector.
         """
         fwd = self._forward(x)
         r = self._resid_vec(fwd[2][-1])
         r2 = float(r @ r)
         lam = 1e-4
-        for _ in range(max_iter):
-            if r2 < tol * tol:
+        for _ in range(RESTORE_ITERATIONS):
+            if r2 < RESTORE_TOL * RESTORE_TOL:
                 break
             u, s, vt = np.linalg.svd(self._jacobian(fwd), full_matrices=False)
             if s[0] == 0.0:
@@ -322,29 +317,7 @@ class _Problem:
                     lam *= 8.0
             if not accepted:
                 break
-        return x
-
-    def project_displacement(self, x):
-        """Exact least-norm correction of u onto the z-endpoint constraint.
-
-        z_K depends linearly on the displacement increments,
-        z_K = sum_k S_k phi_1(V_k) u_k with S_k the suffix product of
-        segment exponentials, so the penalty solution can be snapped
-        onto the constraint without touching the matrix part.
-        """
-        if not self.displaced:
-            return x
-        xv, xu = self._split(x)
-        blk = np.zeros((self.K, 2 * self.d, 2 * self.d))
-        blk[:, : self.d, : self.d] = np.einsum("kd,dij->kij", xv, self.basis)
-        blk[:, : self.d, self.d :] = np.eye(self.d)
-        # exp([[V, 1], [0, 0]]) = [[e^V, phi_1(V)], [0, 1]]
-        ephi = matrix_exp_batch(blk)[:, : self.d]
-        a = _suffixes(ephi[:, :, : self.d]) @ ephi[:, :, self.d :]
-        z_now = np.einsum("kij,kj->i", a, xu)
-        amat = a.transpose(1, 0, 2).reshape(self.d, self.K * self.d)
-        du = np.linalg.lstsq(amat, self.z_t - z_now, rcond=None)[0]
-        return np.concatenate([xv, xu + du.reshape(self.K, self.d)], axis=1)
+        return x, float(np.linalg.norm(r))
 
     def warm_start(self):
         """The closed-form geodesic: log(Delta) / 2K per segment, whitened."""
@@ -358,14 +331,12 @@ class _Problem:
         u = np.tile(self.z_rate / self.K, (self.K, 1))
         return np.concatenate([x, u], axis=1)
 
-    def to_path(self, x):
-        xv, xu = self._split(x)
-        v = np.einsum("kd,dij->kij", xv, self.basis)
-        resid = self.constraint_residual(x)
+    def to_path(self, x, resid):
+        v = np.einsum("kd,dij->kij", x[:, : self.D], self.basis)
         return GroupPath(
             v,
             self.kind,
-            displacement_increments=xu.copy() if self.displaced else None,
+            displacement_increments=x[:, self.D :] if self.displaced else None,
             converged=resid < CONSTRAINT_TOL,
             constraint_residual=resid,
         )
@@ -382,11 +353,12 @@ def minimize_to_target(
 
     Restart 0 starts from the closed-form geodesic increments
     log(Delta)/(2K); the remaining restarts start from small random
-    increments.  When no restart meets the constraint residual the best
-    attempt is returned with ``converged = False``.
+    increments.  Each restart runs the penalty stages and then one
+    Levenberg-Marquardt restore; there is no projection step.  Among the
+    attempts that meet the constraint residual the shortest wins; when
+    none does, the one with the smallest residual is returned with
+    ``converged = False``.  Ties keep the earlier restart.
     """
-    if reference.kind is not target.kind:
-        raise ValidationError("reference and target kinds differ")
     if reference.n_modes > 2:
         raise ValidationError("the oracle is capped at N <= 2")
     if segments < 4:
@@ -395,26 +367,18 @@ def minimize_to_target(
         raise ValidationError("restarts must be >= 1")
     prob = _Problem(reference, target, segments)
     rng = np.random.default_rng(seed)
-    best_x = None
-    best_len = np.inf
-    best_resid = np.inf
+    attempts = []
     for restart in range(restarts):
         if restart == 0:
             x0 = prob.warm_start()
         else:
             x0 = rng.normal(scale=0.05, size=(segments, prob.ncoord))
-        x = prob.project_displacement(prob.restore(prob.minimize(x0)))
-        length = prob.length(x)
-        resid = prob.constraint_residual(x)
-        ok = resid < CONSTRAINT_TOL
-        better = (
-            (ok and (best_resid >= CONSTRAINT_TOL or length < best_len))
-            or (not ok and best_resid >= CONSTRAINT_TOL and resid < best_resid)
-        )
-        if better:
-            best_x, best_len, best_resid = x, length, resid
-    path = prob.to_path(best_x)
-    return path, best_len
+        x, resid = prob.restore(prob.minimize(x0))
+        attempts.append((x, prob.length(x), resid))
+    x, length, resid = min(
+        attempts, key=lambda a: (0, a[1]) if a[2] < CONSTRAINT_TOL else (1, a[2])
+    )
+    return prob.to_path(x, resid), length
 
 
 @dataclass(frozen=True)

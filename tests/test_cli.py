@@ -439,6 +439,8 @@ def test_nonrev_validation(capsys):
         ["--start", "0.5,0", "--velocity", "nan,0"],
         ["--start", "0.5,0", "--velocity", "1,0", "--length", "nan"],
         ["--start", "0.5,0", "--velocity", "1,0", "--length", "inf"],
+        ["--start", "0.5,0", "--velocity", "1,0", "--potential", "const:nan"],
+        ["--start", "0.5,0", "--velocity", "1,0", "--potential", "const:inf"],
     ],
 )
 def test_nonrev_rejects_non_finite_input(capsys, extra):

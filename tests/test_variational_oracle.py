@@ -3,11 +3,15 @@ import pytest
 import scipy.linalg
 
 from gcomplexity import (
+    DisplacementPresent,
+    GaussianState,
+    GaussianTransformation,
     GroupPath,
     LieAlgebra,
     LieAlgebraElement,
     StateKind,
     ValidationError,
+    apply_transformation,
     check_stabilizer_geodesic,
     coherent_complexity,
     coherent_geodesic,
@@ -118,6 +122,41 @@ def test_oracle_validation():
         minimize_to_target(bref, bref, segments=3)
     with pytest.raises(ValidationError):
         minimize_to_target(bref, bref, restarts=0)
+    # a displaced reference is rejected, not solved as if undisplaced
+    shifted = GaussianState(bref.j, np.array([1.0, 0.5]))
+    squeeze = GaussianTransformation(None, np.diag([np.exp(0.5), np.exp(-0.5)]), StateKind.BOSON)
+    with pytest.raises(DisplacementPresent):
+        minimize_to_target(shifted, apply_transformation(bref, squeeze), segments=4, restarts=1)
+
+
+@pytest.mark.parametrize(
+    "kind,n,displaced",
+    [
+        (StateKind.BOSON, 1, True),
+        (StateKind.BOSON, 2, True),
+        (StateKind.FERMION, 2, False),
+        (StateKind.BOSON, 2, False),
+    ],
+)
+def test_constraint_residual_matches_replayed_path(kind, n, displaced):
+    rng = np.random.default_rng(55 + n)
+    ref = reference_state(kind, n)
+    target = displaced_target(n, rng) if displaced else random_target(kind, n, rng)
+    path, _ = minimize_to_target(ref, target, segments=8, restarts=2)
+    d = 2 * n
+    u = path.displacement_increments
+    m = np.eye(d + 1)
+    for k, v in enumerate(path.increments):
+        gen = np.zeros((d + 1, d + 1))
+        gen[:d, :d] = v
+        if u is not None:
+            gen[:d, d] = u[k]
+        m = scipy.linalg.expm(gen) @ m
+    mm = m[:d, :d]
+    r = mm @ ref.j.j @ np.linalg.inv(mm) - target.j.j
+    dz = m[:d, d] - target.z
+    assert (u is not None) == displaced
+    assert np.sqrt(np.sum(r * r) + dz @ dz) == pytest.approx(path.constraint_residual, abs=1e-12)
 
 
 def test_oracle_is_deterministic():
