@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity_core import RelativeComplexStructure, relative_complex_structure
-from .errors import DisplacementPresent, KindMismatch
+from .errors import DisplacementPresent, KindMismatch, NumericDomainError
 from .lie_numerics import matrix_exp
 from .phase_space import GaussianState, GaussianTransformation, StateKind
 
@@ -65,10 +65,17 @@ def coherent_geodesic(reference: GaussianState, target: GaussianState) -> Cohere
 
 
 def coherent_complexity(geo: CoherentGeodesic) -> float:
-    r"""C = 1/2 sqrt(Tr|log Delta|^2 / 2 + G(z_T, z_T))."""
+    r"""C = 1/2 sqrt(Tr|log Delta|^2 / 2 + G(z_T, z_T)).
+
+    Raises NumericDomainError when C overflows (a huge but finite z_T).
+    """
     s = geo.delta.radial_exponents
-    quad = float(geo.z_target @ geo.g_form @ geo.z_target)
-    return 0.5 * float(np.sqrt(np.sum(s * s) + max(quad, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(geo.z_target @ geo.g_form @ geo.z_target)
+        c = 0.5 * float(np.sqrt(np.sum(s * s) + max(quad, 0.0)))
+    if not np.isfinite(c):
+        raise NumericDomainError("coherent complexity overflows: displacement too large")
+    return c
 
 
 def coherent_geodesic_point(geo: CoherentGeodesic, tau: float) -> GaussianTransformation:

@@ -29,7 +29,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BranchCut,
@@ -224,6 +223,8 @@ def log_special_orthogonal(delta: np.ndarray):
     angles padded with zeros to length N, sorted descending.  Raises
     BranchCut when a rotation angle is within BRANCH_CUT_MARGIN of pi.
     """
+    import scipy.linalg  # here, not at module level: only fermion targets need it
+
     d = delta.shape[0]
     t, q = scipy.linalg.schur(delta, output="real")
     lschur = np.zeros_like(delta)

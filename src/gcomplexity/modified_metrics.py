@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ChartBoundary,
@@ -78,6 +77,8 @@ class WeylFactor:
             raise ValidationError("tabulated r values must be strictly increasing")
         if not (np.all(np.isfinite(r_values)) and np.all(np.isfinite(omega_values))):
             raise ValidationError("tabulated factor contains non-finite values")
+        from scipy.interpolate import PchipInterpolator  # only --omega table: needs it
+
         interp = PchipInterpolator(r_values, omega_values, extrapolate=True)
         return WeylFactor(interp)
 

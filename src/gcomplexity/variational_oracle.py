@@ -365,6 +365,8 @@ def minimize_to_target(
         raise ValidationError("segments must be >= 4")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     prob = _Problem(reference, target, segments)
     rng = np.random.default_rng(seed)
     attempts = []

@@ -1,5 +1,13 @@
 import re
 
+from hypothesis import settings
+
+# Every run draws the same examples (seeded from each test's own code), so a
+# failure replays on a clean checkout; per-test @settings keep their
+# max_examples and deadline.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
+
 _CRITERIA = {
     1: "squeezing anchor",
     2: "multimode additivity",

@@ -477,6 +477,34 @@ def test_oracle_verify_squeezed(tmp_path, capsys):
     assert data["constraint_residual"] < 1e-6
 
 
+def test_oracle_verify_rejects_a_negative_seed(tmp_path):
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.7)
+    proc = run_module(
+        "oracle-verify", "--reference", ref, "--target", target,
+        "--segments", "4", "--restarts", "1", "--seed", "-1",
+    )
+    assert proc.returncode == 3
+    assert proc.stdout.startswith('{"error": "ValidationError:')
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("coherent", []), ("oracle-verify", ["--segments", "4", "--restarts", "1"])],
+)
+def test_huge_displacement_is_a_numeric_error(tmp_path, command, extra):
+    # finite input whose complexity overflows: one JSON error line, not "inf"
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.0, z=[1e308, 1e308])
+    proc = run_module(command, "--reference", ref, "--target", target, *extra)
+    assert proc.returncode == 2
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith("NumericDomainError:")
+    assert proc.stderr == ""
+
+
 def test_csv_format_quotes_compound_values(tmp_path, capsys):
     ref = boson_ref(tmp_path)
     target = squeezed(tmp_path, 0.5)

@@ -122,6 +122,8 @@ def test_oracle_validation():
         minimize_to_target(bref, bref, segments=3)
     with pytest.raises(ValidationError):
         minimize_to_target(bref, bref, restarts=0)
+    with pytest.raises(ValidationError):
+        minimize_to_target(bref, bref, seed=-1)
     # a displaced reference is rejected, not solved as if undisplaced
     shifted = GaussianState(bref.j, np.array([1.0, 0.5]))
     squeeze = GaussianTransformation(None, np.diag([np.exp(0.5), np.exp(-0.5)]), StateKind.BOSON)
