@@ -1,5 +1,8 @@
 """Shared construction helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from gcomplexity import (
@@ -50,3 +53,11 @@ def passive(rng, n_modes: int) -> np.ndarray:
     block = np.block([[u.real, -u.imag], [u.imag, u.real]])
     perm = np.stack([np.arange(n_modes), n_modes + np.arange(n_modes)], axis=1).ravel()
     return block[np.ix_(perm, perm)]
+
+
+def src_first_env() -> dict:
+    """os.environ with the absolute src first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from gcomplexity.cli import main
+from helpers import src_first_env
 
 
 def write_state(tmp_path, name, payload):
@@ -36,16 +36,11 @@ def squeezed(tmp_path, r, z=None, name="sq.json"):
     return write_state(tmp_path, name, payload)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def run_module(*argv, cwd=None):
     """Run `python -m gcomplexity` as a subprocess, the absolute src first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "gcomplexity", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd,
+        capture_output=True, text=True, env=src_first_env(), cwd=cwd,
     )
 
 

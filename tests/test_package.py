@@ -1,16 +1,13 @@
 import inspect
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gcomplexity
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from helpers import src_first_env
 
 # Runs cli.main in a fresh interpreter and reports, as its last stdout line,
 # the exit code and every scipy module loaded by then.  The suite itself
@@ -48,10 +45,9 @@ def test_only_the_pencil_takes_a_metric():
 
 
 def _fresh_main(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True, text=True, env=src_first_env(),
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
