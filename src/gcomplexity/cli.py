@@ -2,9 +2,17 @@
 
 Commands: complexity | coherent | weyl | nonrev | oracle-verify.
 States are loaded from JSON files in the schema documented in
-phase_space.state_from_dict.  All floats are rendered with 17
+phase_space.parse_state_dict.  All floats are rendered with 17
 significant digits so results round-trip exactly, and identical inputs
 with the same seed produce byte-identical output.
+
+`complexity` runs one array program per group of targets of one kind
+and N: the schema is checked file by file, then the group's matrices are
+stacked and validated together (phase_space.state_stack), and bosons are
+decomposed by one stacked eigh (complexity_core.relative_stack).  A
+single --target is the one-file case of the same program, and --batch
+reports each file's first error in-band, as the single-file run would
+raise it.
 
 Exit codes: 0 success, 2 numeric-domain error, 3 validation error,
 4 oracle non-convergence.
@@ -24,6 +32,7 @@ from .coherent import coherent_complexity, coherent_geodesic
 from .complexity_core import (
     complexity_from_relative,
     relative_complex_structure,
+    relative_stack,
     state_complexity,
 )
 from .errors import DisplacementPresent, NumericDomainError, SchemaError, ValidationError
@@ -36,7 +45,7 @@ from .modified_metrics import (
     path_length,
     weyl_complexity,
 )
-from .phase_space import state_from_dict
+from .phase_space import parse_state_dict, state_from_dict, state_stack
 from .variational_oracle import minimize_to_target
 
 EXIT_OK = 0
@@ -45,24 +54,42 @@ EXIT_VALIDATION = 3
 EXIT_NO_CONVERGENCE = 4
 
 
+# json.dumps of a str, without the encoder set-up; keys are strings
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _render(obj) -> str:
-    """Compact JSON with floats at 17 significant digits."""
+    """Compact JSON with floats at 17 significant digits.
+
+    Containers nest; a row of floats (the last axis of a float array, or
+    a list of Python floats) is formatted in one join.
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim and obj.size:
+            rows = obj.reshape(-1, obj.shape[-1]).tolist()
+            text = ["[" + ", ".join(["%.17g" % x for x in row]) + "]" for row in rows]
+            for size in reversed(obj.shape[:-1]):
+                text = [
+                    "[" + ", ".join(text[i : i + size]) + "]" for i in range(0, len(text), size)
+                ]
+            return text[0]
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{_quote(k)}: {_render(v)}" for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        if all(type(x) is float for x in obj):
+            return "[" + ", ".join(["%.17g" % x for x in obj]) + "]"
+        return "[" + ", ".join([_render(x) for x in obj]) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.17g}"
+        return "%.17g" % float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(x) for x in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in obj.items()) + "}"
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
@@ -82,16 +109,19 @@ def _fail(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _load_state(path: str, tol: float):
+def _read_state_file(path: str):
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read state file {path}: {exc}")
     try:
-        data = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"state file {path} is not valid JSON: {exc}")
-    return state_from_dict(data, tol=tol)
+
+
+def _load_state(path: str, tol: float):
+    return state_from_dict(_read_state_file(path), tol=tol)
 
 
 def _parse_pair(text: str, what: str):
@@ -193,72 +223,110 @@ def _parse_potential(spec: str) -> VectorPotential:
     )
 
 
-def _delta_eigenvalues(rel) -> list:
-    """Eigenvalues of Delta as [re, im] pairs, by descending re, then im.
+def _delta_eigenvalues(rel) -> np.ndarray:
+    """Eigenvalues of Delta as [re, im] rows, by descending re, then im.
 
-    Bosons: e^s from the pencil log-spectrum.  Fermions: e^{+-i theta}
-    from the Schur angles.  An angle within 1e-12 of the one below it is
-    set equal to it, so a repeated angle lists all its +sin pairs before
-    its -sin pairs instead of an order set by rounding noise.
+    Shape (..., 2N, 2), with the leading axis of a stacked rel.  Bosons:
+    e^s from the pencil log-spectrum.  Fermions: e^{+-i theta} from the
+    Schur angles.  An angle within 1e-12 of the one below it is set equal
+    to it, so a repeated angle lists all its +sin pairs before its -sin
+    pairs instead of an order set by rounding noise.
     """
     if rel.pencil is not None:
-        pairs = [(float(w), 0.0) for w in np.exp(rel.pencil.logs)]
+        re = np.sort(np.exp(rel.pencil.logs), axis=-1)[..., ::-1]
+        im = np.zeros_like(re)
     else:
-        angles = np.sort(rel.radial_exponents)
-        for i in range(1, len(angles)):
-            if angles[i] - angles[i - 1] <= 1e-12:
-                angles[i] = angles[i - 1]
-        pairs = []
-        for theta in angles:
-            c, s = float(np.cos(theta)), float(np.sin(theta))
-            pairs += [(c, s), (c, 0.0 - s)]  # 0.0 - s: no -0 at theta = 0
-    return [list(p) for p in sorted(pairs, key=lambda p: (-p[0], -p[1]))]
+        angles = np.sort(rel.radial_exponents, axis=-1)
+        for i in range(1, angles.shape[-1]):
+            tie = angles[..., i] - angles[..., i - 1] <= 1e-12
+            angles[..., i] = np.where(tie, angles[..., i - 1], angles[..., i])
+        c, s = np.cos(angles), np.sin(angles)
+        re = np.repeat(c, 2, axis=-1)
+        im = np.stack([s, 0.0 - s], axis=-1).reshape(re.shape)  # 0.0 - s: no -0 at theta = 0
+        order = np.lexsort((-im, -re), axis=-1)
+        re, im = np.take_along_axis(re, order, -1), np.take_along_axis(im, order, -1)
+    return np.stack([re, im], axis=-1)
 
 
-def _complexity_payload(reference, target) -> dict:
-    if np.any(reference.z != 0.0) or np.any(target.z != 0.0):
-        raise DisplacementPresent(
+def _group_results(reference, kind, sigmas, zs, tol) -> list:
+    """Payload or error for each target of one kind and N, the same as one run each."""
+    states = state_stack(kind, sigmas, zs, tol)
+    results = list(states.errors)
+    displaced = np.any(states.z != 0.0, axis=1) | bool(np.any(reference.z != 0.0))
+    for i in states.index[displaced]:
+        results[i] = DisplacementPresent(
             "complexity requires zero displacements; use the coherent command "
             "for displaced targets"
         )
-    rel = relative_complex_structure(reference, target)
-    return {
-        "complexity": complexity_from_relative(rel),
-        "generator": (0.5 * rel.log_delta).tolist(),
-        "delta_eigenvalues": _delta_eigenvalues(rel),
-    }
+    live = states.index[~displaced]
+    if not len(live):
+        return results
+    try:
+        rel, errors = relative_stack(reference, kind, states.j[~displaced])
+    except (ValidationError, NumericDomainError) as exc:  # the whole group: kind, N or sigma_R
+        for i in live:
+            results[i] = exc
+        return results
+    complexity = complexity_from_relative(rel).tolist()
+    generator = 0.5 * rel.log_delta
+    eigenvalues = _delta_eigenvalues(rel)
+    for k, i in enumerate(live):
+        results[i] = errors[k] if errors[k] is not None else {
+            "complexity": complexity[k],
+            "generator": generator[k],
+            "delta_eigenvalues": eigenvalues[k],
+        }
+    return results
+
+
+def _complexity_results(reference, paths, tol) -> list:
+    """Payload or error for each target file.
+
+    Files are read and schema-checked one by one; then each group of one
+    kind and N runs as one stack (_group_results).
+    """
+    results = [None] * len(paths)
+    groups = {}
+    for i, path in enumerate(paths):
+        try:
+            kind, sigma, z = parse_state_dict(_read_state_file(path))
+        except ValidationError as exc:
+            results[i] = exc
+        else:
+            groups.setdefault((kind, sigma.shape), []).append((i, sigma, z))
+    for (kind, _), members in groups.items():
+        index, sigmas, zs = zip(*members)
+        for i, result in zip(index, _group_results(reference, kind, np.stack(sigmas), zs, tol)):
+            results[i] = result
+    return results
 
 
 def cmd_complexity(args) -> int:
     reference = _load_state(args.reference, args.tol)
-    if args.batch:
-        directory = Path(args.batch)
-        if not directory.is_dir():
-            raise ValidationError(f"batch path {args.batch} is not a directory")
-        files = sorted(directory.glob("*.json"))
-        if not files:
-            raise ValidationError(f"no .json files in {args.batch}")
-        results = []
-        worst = EXIT_OK
-        for f in files:
-            entry = {"file": f.name}
-            try:
-                target = _load_state(str(f), args.tol)
-                entry.update(_complexity_payload(reference, target))
-            except ValidationError as exc:
-                entry.update(_fail(exc))
-                worst = worst or EXIT_VALIDATION
-            except NumericDomainError as exc:
-                entry.update(_fail(exc))
-                worst = worst or EXIT_NUMERIC
-            results.append(entry)
-        _emit({"results": results}, args.format)
-        return worst
-    if not args.target:
-        raise ValidationError("either --target or --batch is required")
-    target = _load_state(args.target, args.tol)
-    _emit(_complexity_payload(reference, target), args.format)
-    return EXIT_OK
+    if not args.batch:
+        if not args.target:
+            raise ValidationError("either --target or --batch is required")
+        (result,) = _complexity_results(reference, [args.target], args.tol)
+        if isinstance(result, Exception):
+            raise result
+        _emit(result, args.format)
+        return EXIT_OK
+    directory = Path(args.batch)
+    if not directory.is_dir():
+        raise ValidationError(f"batch path {args.batch} is not a directory")
+    files = sorted(directory.glob("*.json"))
+    if not files:
+        raise ValidationError(f"no .json files in {args.batch}")
+    entries = []
+    worst = EXIT_OK
+    for f, result in zip(files, _complexity_results(reference, [str(f) for f in files], args.tol)):
+        if isinstance(result, Exception):
+            code = EXIT_NUMERIC if isinstance(result, NumericDomainError) else EXIT_VALIDATION
+            worst = worst or code
+            result = _fail(result)
+        entries.append({"file": f.name, **result})
+    _emit({"results": entries}, args.format)
+    return worst
 
 
 def cmd_coherent(args) -> int:
@@ -267,10 +335,10 @@ def cmd_coherent(args) -> int:
     geo = coherent_geodesic(reference, target)
     payload = {
         "complexity": coherent_complexity(geo),
-        "generator": (0.5 * geo.delta.log_delta).tolist(),
+        "generator": 0.5 * geo.delta.log_delta,
         "delta_eigenvalues": _delta_eigenvalues(geo.delta),
-        "z_target": geo.z_target.tolist(),
-        "N_matrix": geo.n_matrix.tolist(),
+        "z_target": geo.z_target,
+        "N_matrix": geo.n_matrix,
     }
     _emit(payload, args.format)
     return EXIT_OK
@@ -338,7 +406,7 @@ def cmd_oracle_verify(args) -> int:
         geo = coherent_geodesic(reference, target)
         closed = coherent_complexity(geo)
     else:
-        closed = state_complexity(reference, target)
+        closed = complexity_from_relative(relative_complex_structure(reference, target))
     path, oracle_len = minimize_to_target(
         reference,
         target,

@@ -69,18 +69,18 @@ class LieAlgebraElement:
             raise DimensionMismatch(f"algebra element must be 2N x 2N, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NonFinite("algebra element contains non-finite entries")
-        scale = 1.0 + np.linalg.norm(m)
-        if self.algebra is LieAlgebra.SP:
-            om = standard_symplectic_form(m.shape[0] // 2)
-            resid = np.linalg.norm(m @ om + om @ m.T) / scale
-            if resid > DEFAULT_TOL:
-                raise GroupViolation(
-                    f"not in sp(2N, R): V Omega + Omega V^T residual {resid:.3e}"
-                )
-        else:
-            resid = np.linalg.norm(m + m.T) / scale
-            if resid > DEFAULT_TOL:
-                raise GroupViolation(f"not in so(2N): V + V^T residual {resid:.3e}")
+        # an overflowing residual is inf or nan, and fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = 1.0 + np.linalg.norm(m)
+            if self.algebra is LieAlgebra.SP:
+                om = standard_symplectic_form(m.shape[0] // 2)
+                resid = np.linalg.norm(m @ om + om @ m.T) / scale
+                what = "not in sp(2N, R): V Omega + Omega V^T"
+            else:
+                resid = np.linalg.norm(m + m.T) / scale
+                what = "not in so(2N): V + V^T"
+        if not resid <= DEFAULT_TOL:
+            raise GroupViolation(f"{what} residual {resid:.3e}")
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
         object.__setattr__(self, "v", m)
@@ -158,12 +158,14 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdPencil:
-    r"""One eigen-decomposition of Delta = sigma_T sigma_R^{-1}.
+    r"""One eigen-decomposition of Delta = sigma_T sigma_R^{-1}, or of each of a stack.
 
     Delta = H U diag(e^s) U^T H^{-1} with H = sigma_R^{1/2} (left out when
     sigma_R is the identity) and U, e^s the eigenpairs of the whitened
     target covariance H^{-1} sigma_T H^{-1}.  Every function of Delta that
-    is analytic on the positive axis is read off this one solve.
+    is analytic on the positive axis is read off this one solve.  For a
+    stack, ``logs`` (B, 2N) and ``u`` (B, 2N, 2N) carry a leading axis and
+    H is shared.
     """
 
     logs: np.ndarray
@@ -173,7 +175,7 @@ class SpdPencil:
 
     def apply(self, f) -> np.ndarray:
         """f(Delta) for a scalar f acting elementwise on the log-spectrum s."""
-        m = (self.u * f(self.logs)) @ self.u.T
+        m = (self.u * f(self.logs)[..., None, :]) @ self.u.mT
         return m if self.half is None else self.half @ m @ self.inv_half
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
@@ -183,37 +185,59 @@ class SpdPencil:
     @property
     def radial_exponents(self) -> np.ndarray:
         """The N nonnegative members of the reciprocal-paired log-spectrum, descending."""
-        return np.sort(self.logs)[::-1][: self.logs.shape[0] // 2].copy()
+        n = self.logs.shape[-1] // 2
+        return np.sort(self.logs, axis=-1)[..., ::-1][..., :n].copy()
+
+    def __getitem__(self, i: int) -> "SpdPencil":
+        """The pencil of target i of a stack."""
+        return SpdPencil(self.logs[i], self.u[i], self.half, self.inv_half)
 
 
-def spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None) -> SpdPencil:
-    """Decompose Delta = sigma_T sigma_R^{-1} through the symmetric pencil.
+NOT_A_PURE_PAIR = (
+    "relative covariance is not positive-definite; states are not a valid pure pair"
+)
+
+
+def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray = None):
+    """Decompose Delta = sigma_T sigma_R^{-1} for a stack (B, d, d) of sigma_T.
+
+    Returns (pencil, positive): the stacked SpdPencil, and for each target
+    whether its whitened covariance came out positive-definite; where it
+    did not, the target's rows of the pencil are not meaningful.  sigma_R
+    is decomposed once for the stack; within 1e-13 of the identity it is
+    taken as the identity, and no whitening is done.  Raises
+    NumericDomainError when sigma_R itself is not positive-definite.
 
     The large eigenvalues of a symmetric matrix carry full relative
     precision, so this route stays accurate at strong squeezing where a
-    dense logarithm does not.  sigma_R within 1e-13 of the identity is
-    taken as the identity, and no whitening is done.
+    dense logarithm does not.
     """
-    sigma_T = 0.5 * (sigma_T + sigma_T.T)
-    d = sigma_T.shape[0]
+    sigma_T = 0.5 * (sigma_T + sigma_T.mT)
+    d = sigma_T.shape[-1]
     if sigma_R is None or np.allclose(sigma_R, np.eye(d), rtol=0.0, atol=1e-13):
         half = inv_half = None
         w_mid = sigma_T
     else:
         wr, ur = np.linalg.eigh(0.5 * (sigma_R + sigma_R.T))
-        if wr.min() <= 0.0:
+        if not wr.min() > 0.0:
             raise NumericDomainError("sigma_R is not positive-definite")
         half = (ur * np.sqrt(wr)) @ ur.T
         inv_half = (ur / np.sqrt(wr)) @ ur.T
         w_mid = inv_half @ sigma_T @ inv_half
-        w_mid = 0.5 * (w_mid + w_mid.T)
+        w_mid = 0.5 * (w_mid + w_mid.mT)
     w, u = np.linalg.eigh(w_mid)
-    if w.min() <= 0.0:
-        raise NumericDomainError(
-            "relative covariance is not positive-definite; states are not a "
-            "valid pure pair"
-        )
-    return SpdPencil(np.log(w), u, half, inv_half)
+    positive = w.min(axis=-1) > 0.0
+    # a target that fails gets logs 0 (Delta = 1), so arithmetic on the stack stays finite
+    logs = np.log(np.where(positive[..., None], w, 1.0))
+    return SpdPencil(logs, u, half, inv_half), positive
+
+
+def spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None) -> SpdPencil:
+    """spd_pencil_stack for one sigma_T; raises NumericDomainError where it is not positive."""
+    pencil, positive = spd_pencil_stack(np.asarray(sigma_T, dtype=float)[None], sigma_R)
+    if not positive[0]:
+        raise NumericDomainError(NOT_A_PURE_PAIR)
+    return pencil[0]
 
 
 def log_special_orthogonal(delta: np.ndarray):

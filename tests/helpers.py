@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import json
 import os
 from pathlib import Path
 
@@ -61,3 +62,25 @@ def src_first_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def reference_render(obj) -> str:
+    """The CLI's JSON renderer as it was before float rows were joined at once:
+    one recursive call per element.  Kept as the byte-for-byte reference."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, np.ndarray):
+        return reference_render(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_render(x) for x in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {reference_render(v)}" for k, v in obj.items()) + "}"
+    raise TypeError(f"cannot render {type(obj)!r}")

@@ -2,14 +2,16 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gcomplexity.cli import main
-from helpers import src_first_env
+from gcomplexity import StateKind, reference_state, state_to_dict
+from gcomplexity.cli import _emit, _render, main
+from helpers import random_target, reference_render, src_first_env
 
 
 def write_state(tmp_path, name, payload):
@@ -171,6 +173,137 @@ def test_complexity_rejects_displaced_target(tmp_path, capsys):
     results = json.loads(out)["results"]
     assert results[0]["error"].startswith("DisplacementPresent:")
     assert results[1]["complexity"] == pytest.approx(0.8, abs=1e-12)
+
+
+# A strongly squeezed off-axis boson (r = 10, axis at 0.5 rad): it passes
+# validation, but the pencil eigh rounds its small eigenvalue to <= 0.
+OFF_AXIS_R10 = [
+    [373650534.60833335, 204126217.3879959],
+    [204126217.3879959, 111514660.801457],
+]
+BATCH_ERRORS = {
+    # file name: (state file text, error of a run against the N = 1 boson reference)
+    "a_pair_not_pd.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": OFF_AXIS_R10},
+        "NumericDomainError: relative covariance is not positive-definite",
+    ),
+    "e_unreadable.json": (
+        b'{"kind": "boson", "n_modes": 1, "sigma": [[1, 0], [0, 1]]}\xff',
+        "SchemaError: cannot read state file",
+    ),
+    "e_bad_json.json": ("{not json", "SchemaError: state file"),
+    "e_missing_key.json": ({"kind": "boson", "n_modes": 1}, "SchemaError: missing required key"),
+    "e_string_entry.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [["1.0", 0], [0, 1]]},
+        "SchemaError: sigma must be a numeric matrix",
+    ),
+    "e_bool_z.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [[1, 0], [0, 1]], "z": [True, 0]},
+        "SchemaError: z must be a numeric vector",
+    ),
+    "e_non_finite.json": (
+        '{"kind": "boson", "n_modes": 1, "sigma": [[Infinity, 0], [0, 1]]}',
+        "NonFinite: sigma contains non-finite entries",
+    ),
+    "e_non_finite_z.json": (
+        '{"kind": "boson", "n_modes": 1, "sigma": [[1, 0], [0, 1]], "z": [NaN, 0]}',
+        "NonFinite: z contains non-finite entries",
+    ),
+    "e_asymmetric.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [[1, 0.5], [0, 1]]},
+        "GroupViolation: sigma is not symmetric",
+    ),
+    "e_overflow.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [[1e200, 1e199], [0, 1e-200]]},
+        "GroupViolation: sigma is not symmetric",
+    ),
+    "e_not_positive_definite.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [[1, 0], [0, -1]]},
+        "SingularInput: sigma is not positive-definite",
+    ),
+    "e_mixed.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [[2, 0], [0, 2]]},
+        "NotPure: J^2 != -1",
+    ),
+    "e_wrong_n.json": (
+        {"kind": "boson", "n_modes": 2, "sigma": [[1, 0], [0, 1]]},
+        "SchemaError: sigma must be 4 x 4",
+    ),
+    "e_wrong_kind.json": (
+        {"kind": "anyon", "n_modes": 1, "sigma": [[1, 0], [0, 1]]},
+        "SchemaError: kind must be",
+    ),
+    "e_displaced.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [[4, 0], [0, 0.25]], "z": [0.3, 0]},
+        "DisplacementPresent: complexity requires zero displacements",
+    ),
+    "e_fermion_z.json": (
+        {"kind": "fermion", "n_modes": 1, "sigma": [[0, 1], [-1, 0]], "z": [0, 0]},
+        "DisplacementPresent: fermion state files must not contain 'z'",
+    ),
+    "e_fermion_branch_cut.json": (
+        {"kind": "fermion", "n_modes": 1, "sigma": [[0, -1], [1, 0]]},
+        "KindMismatch:",
+    ),
+    "e_fermion_branch_cut_n2.json": (
+        {"kind": "fermion", "n_modes": 2, "sigma": np.kron(np.eye(2), [[0, -1], [1, 0]]).tolist()},
+        "KindMismatch:",
+    ),
+    "a_pair_not_pd_n2.json": (
+        {"kind": "boson", "n_modes": 2, "sigma": np.block(
+            [[np.array(OFF_AXIS_R10), np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]
+        ).tolist()},
+        "DimensionMismatch: reference has 1 modes, target 2",
+    ),
+    "e_fermion_bad_det.json": (
+        {"kind": "fermion", "n_modes": 1, "sigma": [[0, 2], [-2, 0]]},
+        "GroupViolation: omega must have |det| = 1",
+    ),
+}
+
+
+def write_batch(directory):
+    """Bosons and fermions at N = 1, 2, and one file for each in-band error."""
+    directory.mkdir()
+    rng = np.random.default_rng(11)
+    for n in (1, 2):
+        for i in range(3):
+            for kind in StateKind:
+                data = state_to_dict(random_target(kind, n, rng))
+                write_state(directory, f"{kind.value}_n{n}_{i}.json", data)
+    for name, (text, _) in BATCH_ERRORS.items():
+        if isinstance(text, dict):
+            text = json.dumps(text)
+        if isinstance(text, str):
+            text = text.encode()
+        (directory / name).write_bytes(text)
+
+
+@pytest.mark.parametrize("kind,n", [("boson", 1), ("boson", 2), ("fermion", 1), ("fermion", 2)])
+def test_batch_equals_one_target_run_per_file(tmp_path, capsys, kind, n):
+    batch = tmp_path / "batch"
+    write_batch(batch)
+    ref = write_state(tmp_path, "ref.json", state_to_dict(reference_state(StateKind(kind), n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a failing target must not warn either
+        code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", str(batch))
+    entries, singles = [], {}
+    for f in sorted(batch.glob("*.json")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single, text = run_cli(capsys, "complexity", "--reference", ref, "--target", str(f))
+        assert text.endswith("}\n") and text.count("\n") == 1
+        entries.append('{"file": ' + json.dumps(f.name) + ", " + text[1:-1])
+        singles[f.name] = single, text
+    assert out == '{"results": [' + ", ".join(entries) + "]}\n"
+    assert code == next(c for c, _ in singles.values() if c)
+    assert {c for c, _ in singles.values()} == {0, 2, 3}
+    if (kind, n) == ("boson", 1):
+        for name, (_, error) in BATCH_ERRORS.items():
+            assert json.loads(singles[name][1])["error"].startswith(error)
+    if kind == "fermion":
+        code, text = singles["e_fermion_branch_cut.json" if n == 1 else "e_fermion_branch_cut_n2.json"]
+        assert code == 2 and json.loads(text)["error"].startswith("BranchCut:")
 
 
 def fermion_states(tmp_path, alpha):
@@ -558,3 +691,94 @@ def test_gcx_script_matches_module(tmp_path):
     module = run_module(*argv)
     assert script.returncode == module.returncode == 0
     assert script.stdout == module.stdout
+
+
+@pytest.mark.parametrize(
+    "kind,sigma,error",
+    [
+        ("fermion", [[1e200, 1.0], [-1.0, 0.0]], "GroupViolation: omega is not antisymmetric"),
+        ("boson", [[1e200, 0.0], [0.0, 1.0]], "NotPure: J^2 != -1 (relative residual nan)"),
+        ("boson", [[1e200, 1e199], [0.0, 1e-200]], "GroupViolation: sigma is not symmetric"),
+    ],
+)
+def test_an_overflowing_residual_fails_its_check(tmp_path, kind, sigma, error):
+    # the residuals overflow to inf or nan, which must fail, not pass, and quietly
+    ref = write_state(
+        tmp_path, "ref.json", state_to_dict(reference_state(StateKind(kind), 1))
+    )
+    target = write_state(tmp_path, "t.json", {"kind": kind, "n_modes": 1, "sigma": sigma})
+    proc = run_module("complexity", "--reference", ref, "--target", target)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"].startswith(error)
+    assert proc.stderr == ""
+
+
+def test_a_huge_pure_state_still_computes(tmp_path):
+    # ||sigma|| overflows, but the residuals are exactly 0 and C = ln(1e160) / 2
+    ref = boson_ref(tmp_path)
+    target = write_state(
+        tmp_path, "t.json", {"kind": "boson", "n_modes": 1, "sigma": [[1e160, 0.0], [0.0, 1e-160]]}
+    )
+    proc = run_module("complexity", "--reference", ref, "--target", target)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["complexity"] == 184.20680743952366
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "sigma,z,error",
+    [
+        ([["4.0", "0"], [0.0, 0.25]], ["1", False], "SchemaError: sigma must be a numeric matrix"),
+        ([[4.0, False], [0.0, 0.25]], None, "SchemaError: sigma must be a numeric matrix"),
+        ([[4.0, None], [0.0, 0.25]], None, "SchemaError: sigma must be a numeric matrix"),
+        ([[4.0, 0], [0.0, 0.25]], ["1", 0], "SchemaError: z must be a numeric vector"),
+        ([[4.0, 0], [0.0, 0.25]], [True, 0.0], "SchemaError: z must be a numeric vector"),
+    ],
+)
+def test_schema_entries_must_be_numbers(tmp_path, capsys, sigma, z, error):
+    # np.asarray(..., dtype=float) alone turns "4.0" into 4 and false into 0
+    ref = boson_ref(tmp_path)
+    payload = {"kind": "boson", "n_modes": 1, "sigma": sigma}
+    if z is not None:
+        payload["z"] = z
+    target = write_state(tmp_path, "t.json", payload)
+    code, out = run_cli(capsys, "coherent", "--reference", ref, "--target", target)
+    assert code == 3
+    assert json.loads(out)["error"] == error
+
+
+RENDER_PAYLOADS = [
+    {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "-0": -0.0},
+    {"tiny": 5e-324, "huge": 1e308, "third": 1.0 / 3.0, "ten": 10.0},
+    {"int": 3, "big": 10**20, "neg": -7, "true": True, "false": False, "none": None},
+    {"str": 'q"uo,te\\ and é', "tuple": (0.5, "a", 1)},
+    {"np": [np.float64(0.1), np.float32(0.1), np.int64(-5), np.uint8(7)], "np0": np.float64(-0.0)},
+    {"nested": [[1.0, 2], [[-0.0, float("nan")], []], [], [[]]], "floats": [0.1, -0.0, 1e308]},
+    {
+        "matrix": np.array([[1.5, -0.0], [np.inf, np.nan]]),
+        "stack": np.arange(24.0).reshape(2, 3, 4) / 7.0,
+        "row": np.array([1e308, 5e-324, -1e-300]),
+        "f32": np.array([[0.1, 2.5]], dtype=np.float32),
+        "ints": np.arange(3),
+        "bools": np.array([True, False]),
+        "empty": np.zeros((0,)),
+        "empty2": np.zeros((2, 0)),
+        "scalar": np.array(2.5),
+    },
+    {"results": [{"file": "a.json", "complexity": 0.3, "generator": np.eye(2)}, {"error": "X: y"}]},
+]
+
+
+@pytest.mark.parametrize("payload", RENDER_PAYLOADS)
+def test_renderer_matches_the_recursive_reference(capsys, payload):
+    assert _render(payload) == reference_render(payload)
+    _emit(payload, "json")
+    assert capsys.readouterr().out == reference_render(payload) + "\n"
+    _emit(payload, "csv")
+    want = ["key,value"]
+    for k, v in payload.items():
+        text = reference_render(v)
+        if "," in text or '"' in text:
+            text = '"' + text.replace('"', '""') + '"'
+        want.append(f"{k},{text}")
+    assert capsys.readouterr().out == "\n".join(want) + "\n"

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from gcomplexity import (
-    CovarianceMatrix,
     DisplacementPresent,
     GaussianState,
     GaussianTransformation,
@@ -14,10 +13,10 @@ from gcomplexity import (
     coherent_complexity,
     coherent_geodesic,
     coherent_geodesic_point,
-    complex_structure_from_covariance,
     reference_state,
     single_mode_squeezing,
     state_complexity,
+    state_from_dict,
 )
 from helpers import displaced_target, passive, random_target
 
@@ -147,7 +146,7 @@ def _constructed_target(p, radii, z):
     n = len(radii)
     x = np.repeat(radii, 2) * np.tile([1.0, -1.0], n)
     sigma = (p * np.exp(2.0 * x)) @ p.T
-    j = complex_structure_from_covariance(CovarianceMatrix(0.5 * (sigma + sigma.T)))
+    j = state_from_dict({"kind": "boson", "n_modes": n, "sigma": 0.5 * (sigma + sigma.T)}).j
     f = n_of_exponents(x)
     y = f * (p.T @ z)
     return GaussianState(j, z), (p * f) @ p.T, 0.5 * np.sqrt(4.0 * radii @ radii + y @ y)

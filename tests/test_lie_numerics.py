@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,6 +42,13 @@ def test_algebra_membership_checks():
         LieAlgebraElement(np.diag([1.0, -1.0]), LieAlgebra.SO)
     with pytest.raises(GroupViolation):
         LieAlgebraElement(np.eye(2), LieAlgebra.SP)
+    # residuals that overflow to inf or nan fail, without numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GroupViolation):
+            LieAlgebraElement(np.diag([1e200, 1e200]), LieAlgebra.SP)
+        with pytest.raises(GroupViolation):
+            LieAlgebraElement(np.array([[1e200, 1e200], [-1e200, 0.0]]), LieAlgebra.SO)
 
 
 def test_algebra_of_kind():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from gcomplexity import (
     StateKind,
     SymplecticForm,
     apply_transformation,
-    complex_structure_from_covariance,
     covariance_of,
     reference_state,
     single_mode_squeezing,
@@ -94,7 +95,7 @@ def test_covariance_rejects_non_positive():
 
 def test_purity_rejects_thermal():
     with pytest.raises(NotPure):
-        complex_structure_from_covariance(CovarianceMatrix(2.0 * np.eye(2)))
+        ComplexStructure(2.0 * standard_symplectic_form(1), StateKind.BOSON)
     with pytest.raises(NotPure):
         state_from_dict({"kind": "boson", "n_modes": 1, "sigma": 2.0 * np.eye(2)})
 
@@ -138,6 +139,24 @@ def test_transformation_group_checks():
         GaussianTransformation(None, np.diag([1.0, -1.0]), StateKind.FERMION)
     with pytest.raises(DisplacementPresent):
         GaussianTransformation(np.array([1.0, 0.0]), np.eye(2), StateKind.FERMION)
+
+
+def test_overflowing_residuals_fail_quietly():
+    # ||m|| overflows, so each relative residual is inf / inf = nan: a failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GroupViolation):
+            SymplecticForm(np.array([[1e200, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(GroupViolation):
+            CovarianceMatrix(np.array([[1e200, 1e199], [0.0, 1e-200]]))
+        with pytest.raises(NotPure):
+            ComplexStructure(np.array([[0.0, 1e200], [-1.0, 0.0]]), StateKind.BOSON)
+        for kind in StateKind:
+            with pytest.raises(GroupViolation):
+                GaussianTransformation(None, np.diag([1e200, 1e200]), kind)
+        # a huge pure state has exact zero residuals and passes
+        CovarianceMatrix(np.diag([1e160, 1e-160]))
+        ComplexStructure(np.array([[0.0, 1e160], [-1e-160, 0.0]]), StateKind.BOSON)
 
 
 def test_kind_mismatch_on_apply():
@@ -219,7 +238,7 @@ def test_covariance_roundtrip_boson():
     rng = np.random.default_rng(4)
     state = random_target(StateKind.BOSON, 2, rng)
     sigma = covariance_of(state)
-    j = complex_structure_from_covariance(CovarianceMatrix(sigma))
+    j = state_from_dict({"kind": "boson", "n_modes": 2, "sigma": sigma}).j
     assert np.allclose(j.j, state.j.j, atol=1e-10)
 
 
