@@ -21,7 +21,9 @@ Exit codes: 0 success, 2 numeric-domain error, 3 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -62,12 +64,12 @@ def _render(obj) -> str:
     """Compact JSON with floats at 17 significant digits.
 
     Containers nest; a row of floats (the last axis of a float array, or
-    a list of Python floats) is formatted in one join.
+    a list of Python floats) is formatted by one %.
     """
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim and obj.size:
-            rows = obj.reshape(-1, obj.shape[-1]).tolist()
-            text = ["[" + ", ".join(["%.17g" % x for x in row]) + "]" for row in rows]
+            fmt = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"
+            text = [fmt % tuple(row) for row in obj.reshape(-1, obj.shape[-1]).tolist()]
             for size in reversed(obj.shape[:-1]):
                 text = [
                     "[" + ", ".join(text[i : i + size]) + "]" for i in range(0, len(text), size)
@@ -111,7 +113,8 @@ def _fail(exc: Exception) -> dict:
 
 def _read_state_file(path: str):
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read state file {path}: {exc}")
     try:
@@ -311,20 +314,24 @@ def cmd_complexity(args) -> int:
             raise result
         _emit(result, args.format)
         return EXIT_OK
-    directory = Path(args.batch)
-    if not directory.is_dir():
+    base = str(Path(args.batch))
+    if not os.path.isdir(base):
         raise ValidationError(f"batch path {args.batch} is not a directory")
-    files = sorted(directory.glob("*.json"))
-    if not files:
+    try:
+        names = sorted(n for n in os.listdir(base) if n.endswith(".json"))
+    except OSError as exc:
+        raise ValidationError(f"cannot list batch directory {args.batch}: {exc}")
+    if not names:
         raise ValidationError(f"no .json files in {args.batch}")
+    paths = [n if base == "." else os.path.join(base, n) for n in names]  # as Path.glob
     entries = []
     worst = EXIT_OK
-    for f, result in zip(files, _complexity_results(reference, [str(f) for f in files], args.tol)):
+    for name, result in zip(names, _complexity_results(reference, paths, args.tol)):
         if isinstance(result, Exception):
             code = EXIT_NUMERIC if isinstance(result, NumericDomainError) else EXIT_VALIDATION
             worst = worst or code
             result = _fail(result)
-        entries.append({"file": f.name, **result})
+        entries.append({"file": name, **result})
     _emit({"results": entries}, args.format)
     return worst
 
@@ -432,6 +439,7 @@ def cmd_oracle_verify(args) -> int:
     return EXIT_OK if path.converged else EXIT_NO_CONVERGENCE
 
 
+@functools.cache  # built by the first main call, reused by the rest
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-10, help="validation tolerance")

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -139,6 +140,47 @@ def test_complexity_batch_keeps_going(tmp_path, capsys):
     assert results[0]["complexity"] == pytest.approx(0.8, abs=1e-12)
     assert results[1]["error"].startswith("NotPure:")
     assert results[2]["error"].startswith("SchemaError:")
+
+
+def test_batch_lists_every_json_name_in_byte_order(tmp_path, capsys, monkeypatch):
+    # every name ending in .json, hidden ones and a directory included, sorted by code point
+    ref = boson_ref(tmp_path)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name in ("B.json", "a.json", "10.json", "9.json", "notes.txt", "x.JSON"):
+        squeezed(batch, 0.25, name=name)
+    write_state(batch, ".hidden.json", {"kind": "boson", "n_modes": 1, "sigma": OFF_AXIS_R10})
+    write_state(batch, ".json", {"kind": "boson", "n_modes": 1, "sigma": [[2, 0], [0, 2]]})
+    (batch / "sub.json").mkdir()
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", str(batch))
+    results = json.loads(out)["results"]
+    assert [r["file"] for r in results] == [
+        ".hidden.json", ".json", "10.json", "9.json", "B.json", "a.json", "sub.json"
+    ]
+    assert code == 2  # the first failing file's, not the largest
+    assert results[0]["error"].startswith("NumericDomainError:")
+    assert results[1]["error"].startswith("NotPure:")
+    assert [r["complexity"] for r in results[2:6]] == [pytest.approx(0.25, abs=1e-12)] * 4
+    unreadable = "SchemaError: cannot read state file {}: "
+    assert results[6]["error"].startswith(unreadable.format(batch / "sub.json"))
+    monkeypatch.chdir(batch)  # "." names each file bare, not "./name"
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", ".")
+    assert json.loads(out)["results"][6]["error"].startswith(unreadable.format("sub.json"))
+
+
+def test_an_unlistable_batch_directory_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    ref = boson_ref(tmp_path)
+
+    def denied(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "listdir", denied)
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", str(tmp_path))
+    assert code == 3
+    assert json.loads(out) == {
+        "error": f"ValidationError: cannot list batch directory {tmp_path}: "
+        f"[Errno 13] Permission denied: '{tmp_path}'"
+    }
 
 
 def test_tol_reaches_the_purity_check(tmp_path, capsys):
@@ -684,6 +726,42 @@ def test_module_propagates_exit_code(tmp_path):
     assert json.loads(lines[0])["error"].startswith("SchemaError:")
 
 
+def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # one process, two orders: each call matches a fresh interpreter's run of it
+    monkeypatch.setenv("COLUMNS", "80")
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.4)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    squeezed(batch, 0.3, name="a.json")
+    write_state(batch, "b.json", {"kind": "boson", "n_modes": 1, "sigma": [[2, 0], [0, 2]]})
+    calls = [
+        ["complexity", "--reference", ref, "--target", target],
+        ["complexity", "--reference", ref, "--batch", str(batch), "--format", "csv"],
+        ["weyl", "--reference", ref, "--target", target, "--omega", "linear:0.5"],
+        ["nonrev", "--start", "0.5,0", "--velocity", "1,0"],
+        ["complexity", "--reference", ref, "--format", "xml"],
+        ["complexity", "--reference", ref, "--target", target, "--tol", "nan"],
+        ["--help"],
+        ["complexity", "--help"],
+    ]
+    fresh = []
+    for argv in calls:
+        proc = run_module(*argv, cwd=tmp_path)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert fresh[4][0] == 2 and "invalid choice: 'xml'" in fresh[4][2]
+    for order in (range(len(calls)), reversed(range(len(calls)))):
+        for i in order:
+            try:
+                code = main(list(calls[i]))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out) == fresh[i][:2], calls[i]
+            if code == 2:
+                assert err == fresh[i][2]
+
+
 @pytest.mark.skipif(shutil.which("gcx") is None, reason="gcx console script not installed")
 def test_gcx_script_matches_module(tmp_path):
     argv = oracle_argv(tmp_path)
@@ -766,6 +844,11 @@ RENDER_PAYLOADS = [
         "scalar": np.array(2.5),
     },
     {"results": [{"file": "a.json", "complexity": 0.3, "generator": np.eye(2)}, {"error": "X: y"}]},
+    # the per-row format string: rows of one, a delta_eigenvalues-like stack, a wide matrix
+    {"column": np.array([[0.1], [-0.0], [np.nan]]), "columns": np.arange(6.0).reshape(2, 3, 1) / 3},
+    {"delta_eigenvalues": np.random.default_rng(1).normal(size=(40, 4, 2))},
+    {"wide": np.random.default_rng(2).normal(size=(64, 64)) * 10.0 ** np.arange(-32, 32)},
+    {"f32": np.array([np.nan, np.inf, -np.inf, -0.0, 0.1], dtype=np.float32)},
 ]
 
 
