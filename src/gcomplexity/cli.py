@@ -63,8 +63,8 @@ _quote = json.encoder.encode_basestring_ascii
 def _render(obj) -> str:
     """Compact JSON with floats at 17 significant digits.
 
-    Containers nest; a row of floats (the last axis of a float array, or
-    a list of Python floats) is formatted by one %.
+    Containers nest; each row of a float array (its last axis) is
+    formatted by one %, and a list of Python floats in one join.
     """
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim and obj.size:
@@ -323,7 +323,8 @@ def cmd_complexity(args) -> int:
         raise ValidationError(f"cannot list batch directory {args.batch}: {exc}")
     if not names:
         raise ValidationError(f"no .json files in {args.batch}")
-    paths = [n if base == "." else os.path.join(base, n) for n in names]  # as Path.glob
+    # the paths Path.glob gave, which error messages quote: bare names under "."
+    paths = [n if base == "." else os.path.join(base, n) for n in names]
     entries = []
     worst = EXIT_OK
     for name, result in zip(names, _complexity_results(reference, paths, args.tol)):
