@@ -55,10 +55,6 @@ class BranchCut(NumericDomainError):
     """An eigenvalue lies too close to the negative real axis."""
 
 
-class Singular(NumericDomainError):
-    """A matrix that must be inverted is numerically singular."""
-
-
 class PotentialTooLarge(NumericDomainError):
     """The vector potential exceeds unit norm somewhere on the path."""
 

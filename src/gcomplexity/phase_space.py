@@ -5,7 +5,7 @@ structure J, a real 2N x 2N matrix with J^2 = -1.  For bosons
 J = -sigma . Omega_N^{-1} = sigma . Omega_N, from the covariance sigma and
 the standard form Omega_N, a read-only constant built once per N.  A
 fermion state has sigma = 1, so J = Omega . sigma^{-1} is its own form
-Omega, the only form that goes through the SymplecticForm checks.
+Omega, the only form that state_stack checks (antisymmetric, |det| = 1).
 
 States carry an additional displacement vector z (identically zero for
 fermions).  Gaussian transformations are pairs (v, M) acting as
@@ -61,6 +61,16 @@ def _as_matrix(a, name):
     if not np.all(np.isfinite(m)):
         raise NonFinite(f"{name} contains non-finite entries")
     return m
+
+
+def _as_vector(a, d, name):
+    """a as a float vector of length d, zeros for None."""
+    v = np.zeros(d) if a is None else np.asarray(a, dtype=float)
+    if v.shape != (d,):
+        raise DimensionMismatch(f"{name} must have shape ({d},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NonFinite(f"{name} contains non-finite entries")
+    return v
 
 
 def _freeze(a):
@@ -165,35 +175,6 @@ def _check_pure(c: _Checked, tol: float):
 
 
 @dataclass(frozen=True)
-class SymplecticForm:
-    """Antisymmetric form Omega with |det Omega| = 1, checked on outside input."""
-
-    omega: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        m = _as_matrix(self.omega, "omega")
-        _check_one(m, _check_form, self.tol)
-        object.__setattr__(self, "omega", _freeze(m))
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Symmetric positive-definite covariance sigma (hbar = 1)."""
-
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        m = _as_matrix(self.sigma, "sigma")
-        _check_one(m, _check_covariance)
-        object.__setattr__(self, "sigma", _freeze(m))
-
-    @property
-    def n_modes(self) -> int:
-        return self.sigma.shape[0] // 2
-
-
-@dataclass(frozen=True)
 class ComplexStructure:
     """Complex structure J with the purity invariant J^2 = -1."""
 
@@ -219,12 +200,7 @@ class GaussianState:
     z: np.ndarray = None
 
     def __post_init__(self):
-        d = self.j.j.shape[0]
-        z = np.zeros(d) if self.z is None else np.asarray(self.z, dtype=float)
-        if z.shape != (d,):
-            raise DimensionMismatch(f"z must have shape ({d},), got {z.shape}")
-        if not np.all(np.isfinite(z)):
-            raise NonFinite("z contains non-finite entries")
+        z = _as_vector(self.z, self.j.j.shape[0], "z")
         if self.kind is StateKind.FERMION and np.any(z != 0.0):
             raise DisplacementPresent("fermion states carry no displacement")
         object.__setattr__(self, "z", _freeze(z))
@@ -249,11 +225,7 @@ class GaussianTransformation:
     def __post_init__(self):
         m = _as_matrix(self.m, "m")
         d = m.shape[0]
-        v = np.zeros(d) if self.v is None else np.asarray(self.v, dtype=float)
-        if v.shape != (d,):
-            raise DimensionMismatch(f"v must have shape ({d},), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise NonFinite("v contains non-finite entries")
+        v = _as_vector(self.v, d, "v")
         with np.errstate(**_QUIET):
             scale = _frobenius(m[None]) ** 2
             if self.kind is StateKind.BOSON:

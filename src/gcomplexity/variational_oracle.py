@@ -20,7 +20,10 @@ forward-mode Jacobian; there is no projection step.  Both derivatives
 come from the block-triangular identity
 exp([[X, Y], [0, X]]) = [[e^X, L_exp(X, Y)], [0, e^X]] (Najfeld and
 Havel 1995; Al-Mohy and Higham 2009) and read the same prefix and
-suffix products.  Everything is seeded and deterministic.
+suffix products.  The stationarity check of one-parameter subgroups
+differentiates its discretized length exactly through the same
+identity; the module takes no matrix logarithm.  Everything is seeded
+and deterministic.
 """
 
 from __future__ import annotations
@@ -31,15 +34,8 @@ import numpy as np
 
 from .coherent import coherent_geodesic
 from .complexity_core import relative_complex_structure
-from .errors import BranchCut, NumericDomainError, Singular, ValidationError
-from .lie_numerics import (
-    BRANCH_CUT_MARGIN,
-    LieAlgebraElement,
-    algebra_basis,
-    algebra_of_kind,
-    inner_product_identity,
-    matrix_exp_batch,
-)
+from .errors import ValidationError
+from .lie_numerics import LieAlgebraElement, algebra_basis, algebra_of_kind, matrix_exp_batch
 from .phase_space import GaussianState, StateKind, group_inverse, standard_symplectic_form
 
 CONSTRAINT_TOL = 1e-6
@@ -48,9 +44,8 @@ STAGE_ITERATIONS = (60, 60, 80, 80, 120)
 # Levenberg-Marquardt restore: residual norm it stops at, iteration cap
 RESTORE_TOL = 1e-9
 RESTORE_ITERATIONS = 20
-# check_stabilizer_geodesic: path segments, central-difference step, pass bound
+# check_stabilizer_geodesic: path segments, pass bound
 STATIONARITY_SEGMENTS = 8
-STATIONARITY_EPSILON = 3e-5
 STATIONARITY_THRESHOLD = 1e-6
 
 
@@ -399,74 +394,43 @@ class StationarityReport:
         return self.max_abs < self.threshold
 
 
-def _log_principal(m: np.ndarray) -> np.ndarray:
-    """Real principal logarithm via complex eigendecomposition.
-
-    Raises BranchCut when an eigenvalue lies within BRANCH_CUT_MARGIN of
-    the negative real axis, Singular for non-invertible input, and a
-    NumericDomainError when the residual ||e^L - m|| shows the
-    eigenvector basis was too ill-conditioned.
-    """
-    w, vecs = np.linalg.eig(m)
-    scale = np.abs(w).max() if w.size else 0.0
-    if scale == 0.0 or np.abs(w).min() < 1e-14 * scale:
-        raise Singular("matrix log: input is numerically singular")
-    bad = np.abs(np.angle(w)) > np.pi - BRANCH_CUT_MARGIN
-    if np.any(bad):
-        raise BranchCut(
-            f"matrix log: eigenvalue {w[bad][0]:.6g} within the "
-            "branch-cut margin of the negative real axis"
-        )
-    log_m = ((vecs * np.log(w)) @ np.linalg.inv(vecs)).real
-    resid = np.linalg.norm(matrix_exp_batch(log_m[None])[0] - m) / (1.0 + np.linalg.norm(m))
-    if resid > 1e-9:
-        raise NumericDomainError(
-            f"matrix log: residual {resid:.3e} exceeds tolerance; "
-            "input is too ill-conditioned"
-        )
-    return log_m
-
-
 def check_stabilizer_geodesic(
     v: LieAlgebraElement, perturbation_count: int = 50, seed: int = 0
 ) -> StationarityReport:
     """First-order stationarity of the curve t -> e^{tV} at fixed endpoints.
 
+    The curve is K = STATIONARITY_SEGMENTS equal increments X = V/K.
     Each perturbation displaces the first K-1 increments by random
-    algebra elements of unit total g_1 norm; the last increment is
-    recomputed through the matrix logarithm so the endpoint is exact.
-    The reported numbers are central-difference directional derivatives
-    of the discretized length under the vacuum g_1; for a squeezed
-    reference pass the whitened generator H^{-1} V H.
+    algebra elements Delta_k of unit total g_1 norm, and the last
+    increment follows so that the endpoint stays e^V.  The reported
+    numbers are the exact directional derivatives of the discretized
+    length under the vacuum g_1; for a squeezed reference pass the
+    whitened generator H^{-1} V H.
+
+    With E = e^X, the last increment moves by L' with
+    L_exp(X, L') = R = -sum_k E^{K-1-k} L_exp(X, Delta_k) E^{k+1-K},
+    and its length by g_1(X, L') / |X| = 1/2 Tr(W R^T) / |X|, where
+    L_exp(X^T, W) = X (L_exp(X^T, .) is the Frobenius adjoint of
+    L_exp(X, .)).  No logarithm is taken, so the last increment stays on
+    the branch through X however large V is.
     """
-    vm = v.v
     k_seg = STATIONARITY_SEGMENTS
-    base = vm / k_seg
-    target = matrix_exp_batch(vm[None])[0]
-    basis = algebra_basis(v.algebra, v.n_modes)
-    mats = np.stack([b.v for b in basis])
-    rng = np.random.default_rng(seed)
-
-    def length_at(deltas, eps):
-        incs = base[None] + eps * deltas
-        exps = matrix_exp_batch(incs)
-        m = np.eye(vm.shape[0])
-        for k in range(k_seg - 1):
-            m = exps[k] @ m
-        last = _log_principal(target @ np.linalg.inv(m))
-        total = 0.0
-        for k in range(k_seg - 1):
-            total += np.sqrt(inner_product_identity(incs[k], incs[k]))
-        total += np.sqrt(inner_product_identity(last, last))
-        return total
-
-    derivs = np.empty(perturbation_count)
-    for p in range(perturbation_count):
-        coeff = rng.normal(size=(k_seg - 1, len(basis)))
-        deltas = np.einsum("kd,dij->kij", coeff, mats)
-        scale = np.sqrt(sum(inner_product_identity(d, d) for d in deltas))
-        deltas /= scale
-        derivs[p] = (
-            length_at(deltas, STATIONARITY_EPSILON) - length_at(deltas, -STATIONARITY_EPSILON)
-        ) / (2.0 * STATIONARITY_EPSILON)
+    x = v.v / k_seg
+    d = x.shape[0]
+    norm = np.sqrt(0.5 * np.vdot(x, x))
+    if norm == 0.0:
+        return StationarityReport(np.zeros(perturbation_count), STATIONARITY_THRESHOLD)
+    mats = np.stack([b.v for b in algebra_basis(v.algebra, v.n_modes)])
+    coeff = np.random.default_rng(seed).normal(size=(perturbation_count, k_seg - 1, len(mats)))
+    deltas = np.einsum("pkd,dij->pkij", coeff, mats)
+    deltas /= np.sqrt(0.5 * np.einsum("pkij,pkij->p", deltas, deltas))[:, None, None, None]
+    # pw[j + K - 1] = E^j for j = -(K-1), ..., K-1
+    pw = matrix_exp_batch(np.arange(1 - k_seg, k_seg)[:, None, None] * x)
+    # E^{K-1-k} and E^{k+1-K} for k = 0, ..., K-2
+    left, right = pw[2 * k_seg - 2 : k_seg - 1 : -1], pw[: k_seg - 1]
+    r = -(left @ _frechet_exp(x, deltas) @ right).sum(axis=1)
+    # row c of the stack is L_exp(X^T, U_c) for the unit matrix U_c
+    units = _frechet_exp(x.T, np.eye(d * d).reshape(d * d, d, d)).reshape(d * d, d * d)
+    w = np.linalg.solve(units.T, x.ravel())
+    derivs = 0.5 * (np.einsum("pkij,ij->p", deltas, x) + r.reshape(-1, d * d) @ w) / norm
     return StationarityReport(derivs, STATIONARITY_THRESHOLD)

@@ -11,7 +11,6 @@ from gcomplexity import (
     LieAlgebra,
     LieAlgebraElement,
     NumericDomainError,
-    Singular,
     StateKind,
     algebra_basis,
     algebra_of_kind,
@@ -24,8 +23,7 @@ from gcomplexity import (
     stabilizer_basis,
     standard_symplectic_form,
 )
-from gcomplexity.variational_oracle import _log_principal
-from helpers import random_algebra_matrix, random_with_norm1
+from helpers import random_with_norm1
 
 
 def rotation(theta):
@@ -54,34 +52,6 @@ def test_algebra_membership_checks():
 def test_algebra_of_kind():
     assert algebra_of_kind(StateKind.BOSON) is LieAlgebra.SP
     assert algebra_of_kind(StateKind.FERMION) is LieAlgebra.SO
-
-
-def test_log_exp_roundtrip_norm_two():
-    rng = np.random.default_rng(10)
-    for algebra in LieAlgebra:
-        kind = StateKind.BOSON if algebra is LieAlgebra.SP else StateKind.FERMION
-        for n in (1, 2):
-            for _ in range(25):
-                v = random_algebra_matrix(kind, n, rng, scale=0.8)
-                nrm = np.linalg.norm(v)
-                if nrm > 2.0:
-                    v = v * (2.0 / nrm)
-                back = _log_principal(matrix_exp(v))
-                assert np.linalg.norm(back - v) <= 1e-8
-
-
-def test_log_principal_known_value():
-    assert np.allclose(
-        _log_principal(np.diag([np.e, 1.0 / np.e])), np.diag([1.0, -1.0]),
-        atol=1e-13,
-    )
-
-
-def test_log_principal_branch_cut_and_singular():
-    with pytest.raises(BranchCut):
-        _log_principal(-np.eye(2))
-    with pytest.raises(Singular):
-        _log_principal(np.diag([1.0, 0.0]))
 
 
 # d spans the oracle's shapes: 2N and 2N + 1 generators, and 4N and

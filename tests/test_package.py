@@ -1,7 +1,9 @@
+import ast
 import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,28 @@ def test_only_the_pencil_takes_a_metric():
         except (TypeError, ValueError):
             continue
         assert not {"sigma_R", "metric"} & set(params), name
+
+
+def _unused_imports(path):
+    """Names a module imports (``__future__`` aside) and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(gcomplexity.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_module_imports_are_used(path):
+    # __init__ imports only to re-export, so it is left out
+    assert _unused_imports(path) == []
 
 
 def _fresh_main(*argv):

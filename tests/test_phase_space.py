@@ -5,18 +5,17 @@ import pytest
 
 from gcomplexity import (
     ComplexStructure,
-    CovarianceMatrix,
     DimensionMismatch,
     DisplacementPresent,
     GaussianState,
     GaussianTransformation,
     GroupViolation,
     KindMismatch,
+    NonFinite,
     NotPure,
     SchemaError,
     SingularInput,
     StateKind,
-    SymplecticForm,
     apply_transformation,
     covariance_of,
     reference_state,
@@ -76,21 +75,25 @@ def test_state_from_dict_j_matches_inv_and_solve_formulas(n):
     assert np.array_equal(state_from_dict(data).j.j, np.linalg.solve(np.eye(2 * n), om.T).T)
 
 
+def _state(kind, sigma):
+    return {"kind": kind, "n_modes": len(sigma) // 2, "sigma": sigma}
+
+
 def test_symplectic_form_rejects_symmetric():
-    with pytest.raises(GroupViolation):
-        SymplecticForm(np.eye(2))
+    with pytest.raises(GroupViolation, match="not antisymmetric"):
+        state_from_dict(_state("fermion", [[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_symplectic_form_rejects_wrong_det():
-    with pytest.raises(GroupViolation):
-        SymplecticForm(np.array([[0.0, 2.0], [-2.0, 0.0]]))
+    with pytest.raises(GroupViolation, match=r"\|det\| = 1"):
+        state_from_dict(_state("fermion", [[0.0, 2.0], [-2.0, 0.0]]))
 
 
 def test_covariance_rejects_non_positive():
-    with pytest.raises(SingularInput):
-        CovarianceMatrix(np.diag([1.0, -1.0]))
-    with pytest.raises(GroupViolation):
-        CovarianceMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(SingularInput, match="not positive-definite"):
+        state_from_dict(_state("boson", [[1.0, 0.0], [0.0, -1.0]]))
+    with pytest.raises(GroupViolation, match="not symmetric"):
+        state_from_dict(_state("boson", [[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_purity_rejects_thermal():
@@ -145,17 +148,17 @@ def test_overflowing_residuals_fail_quietly():
     # ||m|| overflows, so each relative residual is inf / inf = nan: a failure
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(GroupViolation):
-            SymplecticForm(np.array([[1e200, 1.0], [-1.0, 0.0]]))
-        with pytest.raises(GroupViolation):
-            CovarianceMatrix(np.array([[1e200, 1e199], [0.0, 1e-200]]))
+        with pytest.raises(GroupViolation, match="not antisymmetric"):
+            state_from_dict(_state("fermion", [[1e200, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(GroupViolation, match="not symmetric"):
+            state_from_dict(_state("boson", [[1e200, 1e199], [0.0, 1e-200]]))
         with pytest.raises(NotPure):
             ComplexStructure(np.array([[0.0, 1e200], [-1.0, 0.0]]), StateKind.BOSON)
         for kind in StateKind:
             with pytest.raises(GroupViolation):
                 GaussianTransformation(None, np.diag([1e200, 1e200]), kind)
         # a huge pure state has exact zero residuals and passes
-        CovarianceMatrix(np.diag([1e160, 1e-160]))
+        state_from_dict(_state("boson", [[1e160, 0.0], [0.0, 1e-160]]))
         ComplexStructure(np.array([[0.0, 1e160], [-1e-160, 0.0]]), StateKind.BOSON)
 
 
@@ -255,3 +258,18 @@ def test_dimension_mismatch():
     t = GaussianTransformation(None, np.eye(4), StateKind.BOSON)
     with pytest.raises(DimensionMismatch):
         apply_transformation(ref, t)
+
+
+def test_displacement_vector_checks():
+    # z of a state and v of a transformation: None is zeros, shape before finiteness
+    ref = reference_state(StateKind.BOSON, 1)
+    make = {
+        "z": lambda a: GaussianState(ref.j, a),
+        "v": lambda a: GaussianTransformation(a, np.eye(2), StateKind.BOSON),
+    }
+    for name, build in make.items():
+        assert np.array_equal(getattr(build(None), name), np.zeros(2))
+        with pytest.raises(DimensionMismatch, match=rf"^{name} must have shape \(2,\), got \(3,\)$"):
+            build([np.nan, 0.0, 0.0])
+        with pytest.raises(NonFinite, match=f"^{name} contains non-finite entries$"):
+            build([np.inf, 0.0])

@@ -11,6 +11,8 @@ from gcomplexity import (
     LieAlgebraElement,
     StateKind,
     ValidationError,
+    algebra_basis,
+    algebra_of_kind,
     apply_transformation,
     check_stabilizer_geodesic,
     coherent_complexity,
@@ -19,10 +21,11 @@ from gcomplexity import (
     minimize_to_target,
     reference_state,
     stabilizer_basis,
+    standard_symplectic_form,
     state_complexity,
 )
-from gcomplexity.variational_oracle import _Problem, _frechet_exp
-from helpers import displaced_target, random_target, random_with_norm1
+from gcomplexity.variational_oracle import STATIONARITY_SEGMENTS, _Problem, _frechet_exp
+from helpers import displaced_target, random_algebra_matrix, random_target, random_with_norm1
 
 DERIVATIVE_CASES = [
     (StateKind.BOSON, 1, False),
@@ -186,7 +189,7 @@ def test_stationarity_of_normal_directions():
     report = check_stabilizer_geodesic(v, perturbation_count=20, seed=1)
     assert report.passed
     assert report.derivatives.shape == (20,)
-    assert report.max_abs < 1e-6
+    assert report.max_abs < 1e-12
 
 
 def test_stationarity_of_fermion_complement():
@@ -202,6 +205,68 @@ def test_stationarity_negative_control():
     report = check_stabilizer_geodesic(v, perturbation_count=20, seed=3)
     assert not report.passed
     assert report.max_abs > 0.1
+
+
+def _stationarity_cases():
+    """(generator, seed): the criterion-9 generators, the cases above, one random sp element per N."""
+    cases = []
+    for kind in StateKind:
+        for n in (1, 2):
+            for elem in stabilizer_basis(reference_state(kind, n).j).elements:
+                cases.append((LieAlgebraElement(0.9 * elem.v, algebra_of_kind(kind)), 0))
+    complement = stabilizer_basis(reference_state(StateKind.FERMION, 2).j).complement[0]
+    cases += [
+        (LieAlgebraElement(np.diag([0.6, -0.6]), LieAlgebra.SP), 1),
+        (LieAlgebraElement(0.8 * complement.v, LieAlgebra.SO), 2),
+        (LieAlgebraElement(0.5 * np.array([[1.0, 1.0], [-1.0, -1.0]]), LieAlgebra.SP), 3),
+    ]
+    rng = np.random.default_rng(57)
+    for n in (1, 2):
+        cases.append((LieAlgebraElement(random_algebra_matrix(StateKind.BOSON, n, rng), LieAlgebra.SP), 4))
+    return cases
+
+
+def _central_difference(v, count, seed, eps=3e-5):
+    """Central differences of the discretized length; the last increment is a principal log."""
+    k_seg = STATIONARITY_SEGMENTS
+    x = v.v / k_seg
+    target = scipy.linalg.expm(v.v)
+    mats = np.stack([b.v for b in algebra_basis(v.algebra, v.n_modes)])
+    rng = np.random.default_rng(seed)
+
+    def length(incs):
+        m = np.eye(len(x))
+        for a in incs:
+            m = scipy.linalg.expm(a) @ m
+        last = scipy.linalg.logm(target @ np.linalg.inv(m)).real
+        return sum(np.sqrt(0.5 * np.sum(a * a)) for a in [*incs, last])
+
+    out = []
+    for _ in range(count):
+        deltas = np.einsum("kd,dij->kij", rng.normal(size=(k_seg - 1, len(mats))), mats)
+        deltas /= np.sqrt(0.5 * np.sum(deltas * deltas))
+        out.append((length(x + eps * deltas) - length(x - eps * deltas)) / (2.0 * eps))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("v,seed", _stationarity_cases())
+def test_stationarity_derivatives_match_central_difference(v, seed):
+    got = check_stabilizer_geodesic(v, perturbation_count=10, seed=seed).derivatives
+    assert np.abs(got - _central_difference(v, 10, seed)).max() <= 2e-6
+
+
+def test_stationarity_holds_past_the_log_branch():
+    # |V / K| > pi: a principal log of the last increment leaves the curve's branch
+    rotation = LieAlgebraElement(30.0 * standard_symplectic_form(1), LieAlgebra.SO)
+    sp_rotation = LieAlgebraElement(40.0 * standard_symplectic_form(1), LieAlgebra.SP)
+    for v in (rotation, sp_rotation):
+        assert check_stabilizer_geodesic(v).max_abs < 1e-12
+
+
+def test_stationarity_of_zero_generator():
+    report = check_stabilizer_geodesic(LieAlgebraElement(np.zeros((4, 4)), LieAlgebra.SP), 7)
+    assert np.array_equal(report.derivatives, np.zeros(7))
+    assert report.passed
 
 
 @pytest.mark.parametrize("kind,n,displaced", DERIVATIVE_CASES)
