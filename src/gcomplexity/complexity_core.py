@@ -100,7 +100,7 @@ def relative_stack(reference: GaussianState, kind: StateKind, j_targets: np.ndar
     """
     b, d = j_targets.shape[:2]
     _check_pair(reference, kind, d // 2)
-    delta = j_targets @ (-reference.j.j)
+    delta = j_targets @ (-reference.j)
     errors = [None] * b
     if kind is StateKind.FERMION:
         log_delta = np.zeros_like(delta)
@@ -124,7 +124,7 @@ def relative_complex_structure(
     reference: GaussianState, target: GaussianState
 ) -> RelativeComplexStructure:
     """Build Delta = J_T J_R^{-1} with its principal log: relative_stack for one target."""
-    rel, errors = relative_stack(reference, target.kind, target.j.j[None])
+    rel, errors = relative_stack(reference, target.kind, target.j[None])
     if errors[0] is not None:
         raise errors[0]
     return rel[0]

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .phase_space import (
     DEFAULT_TOL,
-    ComplexStructure,
+    GaussianState,
     StateKind,
     standard_symplectic_form,
 )
@@ -328,7 +328,7 @@ def _gram_schmidt(mats, against=(), tol=1e-9):
     return ortho
 
 
-def stabilizer_basis(j_R: ComplexStructure) -> StabilizerBasis:
+def stabilizer_basis(reference: GaussianState) -> StabilizerBasis:
     """Split the algebra into sta = {V : [V, J_R] = 0} and its complement.
 
     The splitting solves the commutator condition as a dense linear
@@ -337,12 +337,10 @@ def stabilizer_basis(j_R: ComplexStructure) -> StabilizerBasis:
     under the vacuum g_1, 1/2 Tr(V W^T): for a squeezed reference, split
     at the whitened H^{-1} J_R H (the standard J) and map back.
     """
-    kind = j_R.kind
-    algebra = algebra_of_kind(kind)
-    n = j_R.n_modes
-    basis = algebra_basis(algebra, n)
+    algebra = algebra_of_kind(reference.kind)
+    basis = algebra_basis(algebra, reference.n_modes)
     mats = [b.v for b in basis]
-    jr = j_R.j
+    jr = reference.j
     comm = np.stack([(m @ jr - jr @ m).ravel() for m in mats], axis=1)
     _, svals, vt = np.linalg.svd(comm)
     cutoff = max(comm.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)

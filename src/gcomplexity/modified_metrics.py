@@ -9,8 +9,8 @@ evaluated with composite Simpson quadrature.
 
 The non-reversible machinery lives on the explicit single-mode chart
 with line element ds^2 = dr^2 + cosh(2r) sinh^2(r) dphi^2.  A vector
-potential A = a_r dr + a_phi dphi (with a_r = -f(r, phi), f >= 0)
-shifts the length functional to
+potential A = a_r dr (with a_r = -f(r, phi), f >= 0) shifts the length
+functional to
 
     C_gamma = Integral (||gamma'|| + A_i gamma'^i) dt,
 
@@ -110,22 +110,23 @@ def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -
     return r * _simpson(vals, 1.0 / quad_steps)
 
 
+def _zero(r, phi):
+    return np.zeros_like(np.asarray(r, dtype=float))
+
+
 @dataclass(frozen=True)
 class VectorPotential:
-    """Background 1-form A = a_r dr + a_phi dphi on the chart.
+    """Background 1-form A = a_r dr on the chart.
 
-    ``f_rphi`` is the analytic field strength F_rphi = d_r a_phi -
-    d_phi a_r.
+    ``f_rphi`` is the analytic field strength F_rphi = -d_phi a_r.
     """
 
     a_r: object
-    a_phi: object
     f_rphi: object
 
     @staticmethod
     def none() -> "VectorPotential":
-        zero = lambda r, phi: np.zeros_like(np.asarray(r, dtype=float))
-        return VectorPotential(zero, zero, zero)
+        return VectorPotential(_zero, _zero)
 
     @staticmethod
     def constant(f0: float) -> "VectorPotential":
@@ -134,9 +135,8 @@ class VectorPotential:
             raise ValidationError(f"constant potential must be finite, got {f0}")
         if f0 < 0.0:
             raise ValidationError("f must be nonnegative")
-        zero = lambda r, phi: np.zeros_like(np.asarray(r, dtype=float))
         a_r = lambda r, phi: np.full_like(np.asarray(r, dtype=float), -f0)
-        return VectorPotential(a_r, zero, zero)
+        return VectorPotential(a_r, _zero)
 
     @staticmethod
     def gradient(h_coeffs) -> "VectorPotential":
@@ -145,39 +145,30 @@ class VectorPotential:
         if c.ndim != 1 or not np.all(np.isfinite(c)):
             raise ValidationError("polynomial coefficients must be finite reals")
         dc = c[1:] * np.arange(1, len(c))
-        zero = lambda r, phi: np.zeros_like(np.asarray(r, dtype=float))
 
         def a_r(r, phi):
             r = np.asarray(r, dtype=float)
             return -np.polyval(dc[::-1], r) if len(dc) else np.zeros_like(r)
 
-        return VectorPotential(a_r, zero, zero)
+        return VectorPotential(a_r, _zero)
 
     @staticmethod
     def ripple(f0: float, eps: float) -> "VectorPotential":
         """f(r, phi) = f0 (1 + eps cos phi), a genuinely magnetic example."""
         f0 = float(f0)
         eps = float(eps)
-        zero = lambda r, phi: np.zeros_like(np.asarray(r, dtype=float))
         a_r = lambda r, phi: -f0 * (1.0 + eps * np.cos(phi)) * np.ones_like(
             np.asarray(r, dtype=float)
         )
         f_rphi = lambda r, phi: -f0 * eps * np.sin(phi) * np.ones_like(
             np.asarray(r, dtype=float)
         )
-        return VectorPotential(a_r, zero, f_rphi)
+        return VectorPotential(a_r, f_rphi)
 
     def norm_sq(self, r, phi):
-        """Squared metric norm g^{ij} A_i A_j, with g_rr = 1."""
-        r = np.asarray(r, dtype=float)
-        ar = self.a_r(r, phi)
-        ap = self.a_phi(r, phi)
-        gpp = metric_phiphi(r)
-        out = ar * ar
-        nz = np.asarray(ap != 0.0)
-        if np.any(nz):
-            out = out + np.where(gpp > 0.0, ap * ap / np.where(gpp > 0.0, gpp, 1.0), np.inf)
-        return out
+        """Squared metric norm g^{ij} A_i A_j = a_r^2, with g_rr = 1."""
+        ar = self.a_r(np.asarray(r, dtype=float), phi)
+        return ar * ar
 
 
 @dataclass(frozen=True)
@@ -226,7 +217,6 @@ def _cost_terms(path: DiscretizedPath, a: VectorPotential):
     phi = path.samples[:, 1]
     gpp = metric_phiphi(r)
     ar = np.asarray(a.a_r(r, phi), dtype=float)
-    ap = np.asarray(a.a_phi(r, phi), dtype=float)
     norm_sq = np.asarray(a.norm_sq(r, phi), dtype=float)
     if np.any(norm_sq > 1.0 + 1e-12):
         i = int(np.argmax(norm_sq))
@@ -238,9 +228,8 @@ def _cost_terms(path: DiscretizedPath, a: VectorPotential):
     dphi = np.diff(phi)
     gpp_m = 0.5 * (gpp[1:] + gpp[:-1])
     ar_m = 0.5 * (ar[1:] + ar[:-1])
-    ap_m = 0.5 * (ap[1:] + ap[:-1])
     seg_len = np.sqrt(dr * dr + gpp_m * dphi * dphi)
-    seg_pot = ar_m * dr + ap_m * dphi
+    seg_pot = ar_m * dr
     return seg_len, seg_pot
 
 
@@ -342,7 +331,7 @@ def lorentz_geodesic(
         if state[0] < CHART_EPS:
             partial = DiscretizedPath(
                 traj[: i + 1, :2].copy(),
-                np.linspace(0.0, i * h / length, i + 1) if i > 0 else None,
+                np.linspace(0.0, i * h / length, i + 1),
                 traj[: i + 1, 2:].copy(),
             ) if i > 0 else None
             raise ChartBoundary(

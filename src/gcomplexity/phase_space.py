@@ -15,9 +15,9 @@ orthogonal for fermions.  All matrices use the quadrature ordering
 block-diagonal with 2x2 blocks [[0, 1], [-1, 0]].
 
 The invariant checks run on stacks (B, 2N, 2N): state_stack validates
-many states of one kind and N at once, and each class validates its one
-matrix through the same checks.  A residual that overflows to inf or nan
-fails its check.
+many states of one kind and N at once, and GaussianState runs the same
+checks on its one J, all but the covariance Cholesky.  A residual that
+overflows to inf or nan fails its check.
 """
 
 from __future__ import annotations
@@ -128,14 +128,13 @@ def _check_finite(c: _Checked, name: str):
     )
 
 
-def _check_covariance(c: _Checked):
-    """sigma symmetric (at DEFAULT_TOL) and positive-definite."""
+def _check_symmetric(c: _Checked):
+    """sigma symmetric at DEFAULT_TOL."""
     m = c.m
     c.require(
         _rel(m - m.mT, _frobenius(m)) <= DEFAULT_TOL,
         lambda k: GroupViolation("sigma is not symmetric"),
     )
-    c.require(_cholesky_succeeds(c.m), lambda k: SingularInput("sigma is not positive-definite"))
 
 
 def _cholesky_succeeds(m) -> np.ndarray:
@@ -175,43 +174,35 @@ def _check_pure(c: _Checked, tol: float):
 
 
 @dataclass(frozen=True)
-class ComplexStructure:
-    """Complex structure J with the purity invariant J^2 = -1."""
+class GaussianState:
+    """Pure Gaussian state (J, z) of one kind; z is zero for fermions.
+
+    The constructor runs state_stack's checks on its one J, in the same
+    order and with the same errors: finiteness, symmetry of
+    sigma = -J Omega_N (bosons) or the form checks (fermions), purity,
+    then z.  Only state_stack's covariance Cholesky is left out.
+    """
 
     j: np.ndarray
     kind: StateKind
-    tol: float = DEFAULT_TOL
+    z: np.ndarray = None
 
     def __post_init__(self):
         m = _as_matrix(self.j, "j")
-        _check_one(m, _check_pure, self.tol)
+        if self.kind is StateKind.BOSON:
+            _check_one(-m @ standard_symplectic_form(m.shape[0] // 2), _check_symmetric)
+        else:
+            _check_one(m, _check_form, DEFAULT_TOL)
+        _check_one(m, _check_pure, DEFAULT_TOL)
+        z = _as_vector(self.z, m.shape[0], "z")
+        if self.kind is StateKind.FERMION and np.any(z != 0.0):
+            raise DisplacementPresent("fermion states carry no displacement")
         object.__setattr__(self, "j", _freeze(m))
+        object.__setattr__(self, "z", _freeze(z))
 
     @property
     def n_modes(self) -> int:
         return self.j.shape[0] // 2
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """Pure Gaussian state (J, z); z is forced to zero for fermions."""
-
-    j: ComplexStructure
-    z: np.ndarray = None
-
-    def __post_init__(self):
-        z = _as_vector(self.z, self.j.j.shape[0], "z")
-        if self.kind is StateKind.FERMION and np.any(z != 0.0):
-            raise DisplacementPresent("fermion states carry no displacement")
-        object.__setattr__(self, "z", _freeze(z))
-
-    @property
-    def kind(self) -> StateKind:
-        return self.j.kind
-
-    @property
-    def n_modes(self) -> int:
-        return self.j.n_modes
 
 
 @dataclass(frozen=True)
@@ -283,7 +274,7 @@ def reference_state(kind: StateKind, n_modes: int) -> GaussianState:
     Its complex structure is the standard block-diagonal J_R = Omega_N,
     the same matrix for bosons and fermions in the standard basis.
     """
-    return GaussianState(ComplexStructure(standard_symplectic_form(n_modes), kind))
+    return GaussianState(standard_symplectic_form(n_modes), kind)
 
 
 def apply_transformation(
@@ -296,9 +287,9 @@ def apply_transformation(
         raise DimensionMismatch(
             f"state has {state.n_modes} modes, transformation {t.n_modes}"
         )
-    j = t.m @ state.j.j @ t.inverse_m
+    j = t.m @ state.j @ t.inverse_m
     z = t.m @ state.z + t.v
-    return GaussianState(ComplexStructure(j, state.kind), z)
+    return GaussianState(j, state.kind, z)
 
 
 def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:
@@ -420,7 +411,10 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, zs, tol: float = DEFAULT_TO
     with np.errstate(**_QUIET):
         if kind is StateKind.BOSON:
             _check_finite(c, "sigma")
-            _check_covariance(c)
+            _check_symmetric(c)
+            c.require(
+                _cholesky_succeeds(c.m), lambda k: SingularInput("sigma is not positive-definite")
+            )
             c.m = c.m @ standard_symplectic_form(d // 2)  # J = sigma Omega_N
         else:
             # sigma = 1, so J = Omega sigma^{-1} is the state's own form
@@ -439,21 +433,26 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
 
     The one-state case of state_stack: ``tol`` bounds the purity residual
     ||J^2 + 1|| and, for fermions, the antisymmetry residual of "sigma".
+    The row state_stack returns is already checked, so the state is built
+    from it without running the constructor's checks again.
     """
     kind, sig, z = parse_state_dict(data)
     states = state_stack(kind, sig[None], [z], tol)
     if states.errors[0] is not None:
         raise states.errors[0]
-    return GaussianState(ComplexStructure(states.j[0], kind, tol), states.z[0])
+    state = object.__new__(GaussianState)
+    for name, value in (("j", _freeze(states.j[0])), ("kind", kind), ("z", _freeze(states.z[0]))):
+        object.__setattr__(state, name, value)
+    return state
 
 
 def state_to_dict(state: GaussianState) -> dict:
     """Inverse of state_from_dict."""
     n = state.n_modes
     if state.kind is StateKind.FERMION:
-        sig = state.j.j
+        sig = state.j
         return {"kind": "fermion", "n_modes": n, "sigma": sig.tolist()}
-    sig = -state.j.j @ standard_symplectic_form(n)
+    sig = -state.j @ standard_symplectic_form(n)
     out = {"kind": "boson", "n_modes": n, "sigma": sig.tolist()}
     if np.any(state.z != 0.0):
         out["z"] = state.z.tolist()
@@ -470,4 +469,4 @@ def covariance_of(state: GaussianState) -> np.ndarray:
     """Covariance matrix of a state: -J Omega for bosons, identity for fermions."""
     if state.kind is StateKind.FERMION:
         return np.eye(2 * state.n_modes)
-    return boson_covariance(state.j.j)
+    return boson_covariance(state.j)

@@ -150,12 +150,12 @@ class _Problem:
         rel = relative_complex_structure(reference, target) if geo is None else geo.delta
         pencil = rel.pencil
         if pencil is None:
-            self.jr, self.jt, self.log_delta = reference.j.j, target.j.j, rel.log_delta
+            self.jr, self.jt, self.log_delta = reference.j, target.j, rel.log_delta
         else:
             hinv = pencil.whiten(np.eye(self.d))
             self.jr = standard_symplectic_form(reference.n_modes)
             # H^{-1} J_T H: H^{-1} is symplectic, and its group inverse is H
-            self.jt = hinv @ target.j.j @ group_inverse(hinv, self.kind)
+            self.jt = hinv @ target.j @ group_inverse(hinv, self.kind)
             self.log_delta = (pencil.u * pencil.logs) @ pencil.u.T
         if geo is not None:
             self.z_t = pencil.whiten(target.z)

@@ -43,7 +43,7 @@ def random_target(kind: StateKind, n_modes: int, rng, scale: float = 0.5):
 
 def displaced_target(n_modes: int, rng, scale: float = 0.5):
     t = random_target(StateKind.BOSON, n_modes, rng, scale)
-    return GaussianState(t.j, rng.normal(scale=1.0, size=2 * n_modes))
+    return GaussianState(t.j, t.kind, rng.normal(scale=1.0, size=2 * n_modes))
 
 
 def passive(rng, n_modes: int) -> np.ndarray:

@@ -74,7 +74,7 @@ def test_criterion_03_coherent_reduction_and_anchor():
             target = apply_transformation(ref, single_mode_squeezing(r, phi))
             geo = coherent_geodesic(ref, target)
             assert abs(coherent_complexity(geo) - r) <= 1e-10
-    displaced = GaussianState(ref.j, np.array([3.0, 4.0]))
+    displaced = GaussianState(ref.j, ref.kind, np.array([3.0, 4.0]))
     geo = coherent_geodesic(ref, displaced)
     assert abs(coherent_complexity(geo) - 5.0) <= 1e-12
     assert time.monotonic() - t0 < 1.0
@@ -85,7 +85,7 @@ def test_criterion_04_stabilizer_orthogonality():
     rng = np.random.default_rng(101)
     cases = [(kind, n) for kind in StateKind for n in (1, 2)]
     bases = {
-        (kind, n): stabilizer_basis(reference_state(kind, n).j) for kind, n in cases
+        (kind, n): stabilizer_basis(reference_state(kind, n)) for kind, n in cases
     }
     for i in range(50):
         kind, n = cases[i % len(cases)]
@@ -179,7 +179,7 @@ def test_criterion_09_condition_one_stationarity():
     t0 = time.monotonic()
     for kind in StateKind:
         for n in (1, 2):
-            basis = stabilizer_basis(reference_state(kind, n).j)
+            basis = stabilizer_basis(reference_state(kind, n))
             algebra = algebra_of_kind(kind)
             for elem in basis.elements:
                 v = LieAlgebraElement(0.9 * elem.v, algebra)

@@ -193,7 +193,7 @@ def test_algebra_basis_dimensions():
 )
 def test_stabilizer_dimensions(kind, n, dim_sta, dim_comp):
     # sta(N) = u(N) inside either algebra, so dim sta = N^2 for both kinds
-    basis = stabilizer_basis(reference_state(kind, n).j)
+    basis = stabilizer_basis(reference_state(kind, n))
     assert len(basis.elements) == dim_sta == n * n
     assert len(basis.complement) == dim_comp
 
@@ -201,9 +201,9 @@ def test_stabilizer_dimensions(kind, n, dim_sta, dim_comp):
 @pytest.mark.parametrize("kind", list(StateKind))
 @pytest.mark.parametrize("n", [1, 2])
 def test_stabilizer_basis_properties(kind, n):
-    j_R = reference_state(kind, n).j
-    basis = stabilizer_basis(j_R)
-    jr = j_R.j
+    ref = reference_state(kind, n)
+    basis = stabilizer_basis(ref)
+    jr = ref.j
     all_elems = list(basis.elements) + list(basis.complement)
     for b in basis.elements:
         assert np.linalg.norm(b.v @ jr - jr @ b.v) <= 1e-10

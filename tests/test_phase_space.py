@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gcomplexity import (
-    ComplexStructure,
     DimensionMismatch,
     DisplacementPresent,
     GaussianState,
@@ -16,6 +15,7 @@ from gcomplexity import (
     SchemaError,
     SingularInput,
     StateKind,
+    ValidationError,
     apply_transformation,
     covariance_of,
     reference_state,
@@ -24,6 +24,7 @@ from gcomplexity import (
     state_from_dict,
     state_to_dict,
 )
+from gcomplexity import phase_space
 from helpers import displaced_target, random_target, random_transformation
 
 
@@ -64,15 +65,15 @@ def test_state_from_dict_j_matches_inv_and_solve_formulas(n):
     bosons = [state_to_dict(random_target(StateKind.BOSON, n, rng)) for _ in range(5)]
     for data in [squeezed, *bosons]:
         want = -np.asarray(data["sigma"]) @ np.linalg.inv(om)
-        assert state_from_dict(data).j.j.tobytes() == want.tobytes()
+        assert state_from_dict(data).j.tobytes() == want.tobytes()
     for _ in range(5):
         data = state_to_dict(random_target(StateKind.FERMION, n, rng))
         form = np.asarray(data["sigma"])
         want = np.ascontiguousarray(np.linalg.solve(np.eye(2 * n), form.T).T)
-        assert state_from_dict(data).j.j.tobytes() == want.tobytes()
+        assert state_from_dict(data).j.tobytes() == want.tobytes()
     # an exact zero of the form may come back from solve with the other sign
     data = state_to_dict(reference_state(StateKind.FERMION, n))
-    assert np.array_equal(state_from_dict(data).j.j, np.linalg.solve(np.eye(2 * n), om.T).T)
+    assert np.array_equal(state_from_dict(data).j, np.linalg.solve(np.eye(2 * n), om.T).T)
 
 
 def _state(kind, sigma):
@@ -98,16 +99,62 @@ def test_covariance_rejects_non_positive():
 
 def test_purity_rejects_thermal():
     with pytest.raises(NotPure):
-        ComplexStructure(2.0 * standard_symplectic_form(1), StateKind.BOSON)
+        GaussianState(2.0 * standard_symplectic_form(1), StateKind.BOSON)
     with pytest.raises(NotPure):
         state_from_dict({"kind": "boson", "n_modes": 1, "sigma": 2.0 * np.eye(2)})
+
+
+def _conjugated_standard_form(n, entries):
+    """M Omega_N M^{-1} for M = 1 + the given off-diagonal entries, so J^2 = -1."""
+    m = np.eye(2 * n)
+    for (i, k), x in entries.items():
+        m[i, k] = x
+    return m @ standard_symplectic_form(n) @ np.linalg.inv(m)
+
+
+_PARITY = {
+    "fermion N=1 J not antisymmetric": (StateKind.FERMION, np.array([[1.0, 2.0], [-1.0, -1.0]])),
+    "fermion N=2 J not antisymmetric": (
+        StateKind.FERMION,
+        _conjugated_standard_form(2, {(0, 1): 0.5, (1, 3): 0.7, (2, 0): 0.3}),
+    ),
+    "boson N=2 -J Omega asymmetric": (StateKind.BOSON, _conjugated_standard_form(2, {(0, 2): 0.8})),
+    "boson thermal 2 Omega": (StateKind.BOSON, 2.0 * standard_symplectic_form(1)),
+    "fermion thermal 2 Omega": (StateKind.FERMION, 2.0 * standard_symplectic_form(1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARITY))
+def test_constructor_rejects_what_the_loader_rejects(case):
+    """GaussianState(J, kind) raises the loader's error for the same matrix."""
+    kind, j = _PARITY[case]
+    n = len(j) // 2
+    sigma = j if kind is StateKind.FERMION else -j @ standard_symplectic_form(n)
+    with pytest.raises(ValidationError) as loaded:
+        state_from_dict({"kind": kind.value, "n_modes": n, "sigma": sigma.tolist()})
+    with pytest.raises(ValidationError) as built:
+        GaussianState(j, kind)
+    assert type(built.value) is type(loaded.value)
+    assert str(built.value) == str(loaded.value)
+
+
+def test_state_from_dict_checks_each_state_once(monkeypatch):
+    data = [state_to_dict(displaced_target(2, np.random.default_rng(7)))]
+    data.append(state_to_dict(random_target(StateKind.FERMION, 2, np.random.default_rng(8))))
+    check = phase_space._check_pure
+    calls = []
+    monkeypatch.setattr(phase_space, "_check_pure", lambda c, tol: calls.append(1) or check(c, tol))
+    for d in data:
+        calls.clear()
+        state_from_dict(d)
+        assert len(calls) == 1
 
 
 def test_reference_state_is_pure_and_standard():
     for kind in StateKind:
         ref = reference_state(kind, 2)
         assert ref.kind is kind
-        assert np.allclose(ref.j.j @ ref.j.j, -np.eye(4))
+        assert np.allclose(ref.j @ ref.j, -np.eye(4))
         assert np.array_equal(ref.z, np.zeros(4))
 
 
@@ -117,14 +164,14 @@ def test_squeezed_complex_structure_matches_closed_form():
     ref = reference_state(StateKind.BOSON, 1)
     t = apply_transformation(ref, single_mode_squeezing(r, 0.0))
     expect = np.array([[0.0, np.exp(2 * r)], [-np.exp(-2 * r), 0.0]])
-    assert np.allclose(t.j.j, expect, atol=1e-12)
+    assert np.allclose(t.j, expect, atol=1e-12)
 
 
 def test_pure_displacement_keeps_j():
     ref = reference_state(StateKind.BOSON, 1)
     t = GaussianTransformation(np.array([1.0, 0.0]), np.eye(2), StateKind.BOSON)
     out = apply_transformation(ref, t)
-    assert np.array_equal(out.j.j, ref.j.j)
+    assert np.array_equal(out.j, ref.j)
     assert np.array_equal(out.z, np.array([1.0, 0.0]))
 
 
@@ -132,7 +179,7 @@ def test_identity_transformation_is_identity():
     ref = reference_state(StateKind.FERMION, 2)
     t = GaussianTransformation(None, np.eye(4), StateKind.FERMION)
     out = apply_transformation(ref, t)
-    assert np.array_equal(out.j.j, ref.j.j)
+    assert np.array_equal(out.j, ref.j)
 
 
 def test_transformation_group_checks():
@@ -153,13 +200,13 @@ def test_overflowing_residuals_fail_quietly():
         with pytest.raises(GroupViolation, match="not symmetric"):
             state_from_dict(_state("boson", [[1e200, 1e199], [0.0, 1e-200]]))
         with pytest.raises(NotPure):
-            ComplexStructure(np.array([[0.0, 1e200], [-1.0, 0.0]]), StateKind.BOSON)
+            GaussianState(np.array([[0.0, 1e200], [-1.0, 0.0]]), StateKind.BOSON)
         for kind in StateKind:
             with pytest.raises(GroupViolation):
                 GaussianTransformation(None, np.diag([1e200, 1e200]), kind)
         # a huge pure state has exact zero residuals and passes
         state_from_dict(_state("boson", [[1e160, 0.0], [0.0, 1e-160]]))
-        ComplexStructure(np.array([[0.0, 1e160], [-1e-160, 0.0]]), StateKind.BOSON)
+        GaussianState(np.array([[0.0, 1e160], [-1e-160, 0.0]]), StateKind.BOSON)
 
 
 def test_kind_mismatch_on_apply():
@@ -172,7 +219,7 @@ def test_kind_mismatch_on_apply():
 def test_fermion_state_rejects_displacement():
     j = reference_state(StateKind.FERMION, 1).j
     with pytest.raises(DisplacementPresent):
-        GaussianState(j, np.array([0.1, 0.0]))
+        GaussianState(j, StateKind.FERMION, np.array([0.1, 0.0]))
 
 
 def test_inverse_m_is_group_inverse():
@@ -198,7 +245,7 @@ def test_state_dict_roundtrip_boson():
     rng = np.random.default_rng(2)
     state = displaced_target(2, rng)
     back = state_from_dict(state_to_dict(state))
-    assert np.allclose(back.j.j, state.j.j, atol=1e-12)
+    assert np.allclose(back.j, state.j, atol=1e-12)
     assert np.allclose(back.z, state.z, atol=1e-12)
 
 
@@ -206,7 +253,7 @@ def test_state_dict_roundtrip_fermion():
     rng = np.random.default_rng(3)
     state = random_target(StateKind.FERMION, 2, rng)
     back = state_from_dict(state_to_dict(state))
-    assert np.allclose(back.j.j, state.j.j, atol=1e-12)
+    assert np.allclose(back.j, state.j, atol=1e-12)
 
 
 def test_state_from_dict_schema_errors():
@@ -242,7 +289,7 @@ def test_covariance_roundtrip_boson():
     state = random_target(StateKind.BOSON, 2, rng)
     sigma = covariance_of(state)
     j = state_from_dict({"kind": "boson", "n_modes": 2, "sigma": sigma}).j
-    assert np.allclose(j.j, state.j.j, atol=1e-10)
+    assert np.allclose(j, state.j, atol=1e-10)
 
 
 def test_random_transformations_preserve_purity():
@@ -250,7 +297,7 @@ def test_random_transformations_preserve_purity():
     for kind in StateKind:
         for _ in range(20):
             state = random_target(kind, 2, rng)
-            assert np.allclose(state.j.j @ state.j.j, -np.eye(4), atol=1e-9)
+            assert np.allclose(state.j @ state.j, -np.eye(4), atol=1e-9)
 
 
 def test_dimension_mismatch():
@@ -264,7 +311,7 @@ def test_displacement_vector_checks():
     # z of a state and v of a transformation: None is zeros, shape before finiteness
     ref = reference_state(StateKind.BOSON, 1)
     make = {
-        "z": lambda a: GaussianState(ref.j, a),
+        "z": lambda a: GaussianState(ref.j, ref.kind, a),
         "v": lambda a: GaussianTransformation(a, np.eye(2), StateKind.BOSON),
     }
     for name, build in make.items():

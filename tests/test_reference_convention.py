@@ -66,7 +66,7 @@ def test_a_common_symplectic_frame_change_leaves_complexity_unchanged(n, s_scale
     vac = reference_state(StateKind.BOSON, n)
     s = random_transformation(StateKind.BOSON, n, rng, scale=s_scale)
     target = random_target(StateKind.BOSON, n, rng)
-    displaced = GaussianState(target.j, rng.normal(size=2 * n))
+    displaced = GaussianState(target.j, target.kind, rng.normal(size=2 * n))
     ref_s = apply_transformation(vac, s)
     target_s = apply_transformation(target, s)
     displaced_s = apply_transformation(displaced, s)

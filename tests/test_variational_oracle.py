@@ -128,7 +128,7 @@ def test_oracle_validation():
     with pytest.raises(ValidationError):
         minimize_to_target(bref, bref, seed=-1)
     # a displaced reference is rejected, not solved as if undisplaced
-    shifted = GaussianState(bref.j, np.array([1.0, 0.5]))
+    shifted = GaussianState(bref.j, bref.kind, np.array([1.0, 0.5]))
     squeeze = GaussianTransformation(None, np.diag([np.exp(0.5), np.exp(-0.5)]), StateKind.BOSON)
     with pytest.raises(DisplacementPresent):
         minimize_to_target(shifted, apply_transformation(bref, squeeze), segments=4, restarts=1)
@@ -158,7 +158,7 @@ def test_constraint_residual_matches_replayed_path(kind, n, displaced):
             gen[:d, d] = u[k]
         m = scipy.linalg.expm(gen) @ m
     mm = m[:d, :d]
-    r = mm @ ref.j.j @ np.linalg.inv(mm) - target.j.j
+    r = mm @ ref.j @ np.linalg.inv(mm) - target.j
     dz = m[:d, d] - target.z
     assert (u is not None) == displaced
     assert np.sqrt(np.sum(r * r) + dz @ dz) == pytest.approx(path.constraint_residual, abs=1e-12)
@@ -193,7 +193,7 @@ def test_stationarity_of_normal_directions():
 
 
 def test_stationarity_of_fermion_complement():
-    basis = stabilizer_basis(reference_state(StateKind.FERMION, 2).j)
+    basis = stabilizer_basis(reference_state(StateKind.FERMION, 2))
     v = LieAlgebraElement(0.8 * basis.complement[0].v, LieAlgebra.SO)
     report = check_stabilizer_geodesic(v, perturbation_count=20, seed=2)
     assert report.passed
@@ -212,9 +212,9 @@ def _stationarity_cases():
     cases = []
     for kind in StateKind:
         for n in (1, 2):
-            for elem in stabilizer_basis(reference_state(kind, n).j).elements:
+            for elem in stabilizer_basis(reference_state(kind, n)).elements:
                 cases.append((LieAlgebraElement(0.9 * elem.v, algebra_of_kind(kind)), 0))
-    complement = stabilizer_basis(reference_state(StateKind.FERMION, 2).j).complement[0]
+    complement = stabilizer_basis(reference_state(StateKind.FERMION, 2)).complement[0]
     cases += [
         (LieAlgebraElement(np.diag([0.6, -0.6]), LieAlgebra.SP), 1),
         (LieAlgebraElement(0.8 * complement.v, LieAlgebra.SO), 2),
