@@ -178,9 +178,12 @@ class GaussianState:
     """Pure Gaussian state (J, z) of one kind; z is zero for fermions.
 
     The constructor runs state_stack's checks on its one J, in the same
-    order and with the same errors: finiteness, symmetry of
-    sigma = -J Omega_N (bosons) or the form checks (fermions), purity,
-    then z.  Only state_stack's covariance Cholesky is left out.
+    order: shape and finiteness, symmetry of sigma = -J Omega_N (bosons)
+    or the form checks (fermions), purity, then z.  The symmetry, form
+    and purity checks raise state_stack's errors; shape, finiteness and
+    z raise errors that name j and z, where the loader names the file's
+    "sigma" or "omega" and reports a bad shape as a SchemaError.  Only
+    state_stack's covariance Cholesky is left out.
     """
 
     j: np.ndarray

@@ -1,4 +1,4 @@
-"""Smoke test of tools/cli_bytes.py: record one workload, compare records."""
+"""Smoke test of tools/cli_bytes.py: record every workload at one seed, compare records."""
 
 import json
 import subprocess
@@ -13,27 +13,37 @@ def _tool(*argv):
     return subprocess.run([sys.executable, str(TOOL), *map(str, argv)], capture_output=True, text=True)
 
 
-def test_record_batch_small_and_compare(tmp_path):
+def test_record_one_seed_and_compare(tmp_path, monkeypatch):
     out = tmp_path / "a.json"
-    proc = _tool("record", ROOT, out, "--seeds", "1", "--workloads", "batch_small")
+    proc = _tool("record", ROOT, out, "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(out.read_text())
-    assert len(calls) == 6
-    assert {c["workload"] for c in calls} == {"batch_small"}
-    for call in calls:
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        expected = workloads.build(name, 1, tmp_path / name).calls
+        recorded = [c for c in calls if c["workload"] == name]
+        assert recorded and len(recorded) == len(expected)
+        assert [c["index"] for c in recorded] == list(range(len(expected)))
+        for call, spec in zip(recorded, expected):
+            assert call["seed"] == 1 and call["argv"][0] == spec.argv[0]
+    small = [c for c in calls if c["workload"] == "batch_small"]
+    for call in small:
         assert call["argv"][0] == "complexity"
         assert all(str(tmp_path) not in a and "<root>/" in a for a in call["argv"][2::2])
         assert call["exit"] in (0, 2, 3)
         assert "results" in json.loads(call["stdout"])
     assert _tool("compare", out, out).returncode == 0
 
-    calls[2]["stdout"] = calls[2]["stdout"].replace("1", "2", 1)
+    first, last = small[0], small[-1]
+    first["stdout"] = first["stdout"].replace("1", "2", 1)
     changed = tmp_path / "b.json"
-    changed.write_text(json.dumps(calls[:5] + calls[2:3]))
+    changed.write_text(json.dumps([c for c in calls if c is not last]))
     proc = _tool("compare", out, changed)
     assert proc.returncode == 1
     assert proc.stdout.splitlines() == [
-        "batch_small seed=1 call=2 " + " ".join(calls[2]["argv"]) + ": stdout differs",
-        "batch_small seed=1 call=5: only in a",
-        "2 of 6 calls differ",
+        "batch_small seed=1 call=0 " + " ".join(first["argv"]) + ": stdout differs",
+        f"batch_small seed=1 call={last['index']}: only in a",
+        f"2 of {len(calls)} calls differ",
     ]

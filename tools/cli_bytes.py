@@ -1,13 +1,15 @@
 """Record gcx stdout and exit codes on the benchmark's inputs; compare two records.
 
-    python3 tools/cli_bytes.py record <tree> <out.json> [--seeds 1 2 3] [--workloads ...]
+    python3 tools/cli_bytes.py record <tree> <out.json> [--seeds 1 2 3]
     python3 tools/cli_bytes.py compare <a.json> <b.json>
 
 ``record`` builds every workload of <tree>/bench/workloads.py at each seed
 in a temporary directory and runs each call through <tree>'s own
-``gcomplexity.cli.main``, in this process.  The temporary directory is
-written as ``<root>`` in the argv and stdout it keeps, so the records of
-two trees are equal exactly when their output is.  ``compare`` lists the
+``gcomplexity.cli.main``, in this process, with the benchmark's own
+invoker (``Runner.invoke`` of <tree>/bench/run.py), so a call is made
+exactly as the benchmark makes it.  The temporary directory is written
+as ``<root>`` in the argv and stdout it keeps, so the records of two
+trees are equal exactly when their output is.  ``compare`` lists the
 calls whose exit code or stdout differ, or that only one record has, and
 exits 1 if there are any.  Nothing is written under bench/.
 """
@@ -15,8 +17,6 @@ exits 1 if there are any.  Nothing is written under bench/.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import sys
 import tempfile
@@ -25,34 +25,23 @@ from pathlib import Path
 ROOT = "<root>"
 
 
-def _run(cli, argv):
-    """(exit code, stdout) of one cli.main call, the way bench/run.py makes it."""
-    buf = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse rejected the arguments
-        code = exc.code
-    except Exception as exc:
-        code = f"crash: {type(exc).__name__}: {exc}"
-    return code, buf.getvalue()
-
-
-def record(tree: Path, seeds, workload_names) -> list:
+def record(tree: Path, seeds) -> list:
     tree = tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
+    import run
     import workloads
     from gcomplexity import cli
 
     if not Path(cli.__file__).resolve().is_relative_to(tree):
         raise SystemExit(f"gcomplexity was imported from {cli.__file__}, not from {tree}")
     calls = []
-    for name in workload_names or workloads.WORKLOADS:
+    for name in workloads.WORKLOADS:
         for seed in seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 inputs = workloads.build(name, seed, Path(tmp))
+                runner = run.Runner(cli, inputs)
                 for index, call in enumerate(inputs.calls):
-                    code, out = _run(cli, call.argv)
+                    _, code, out = runner.invoke(call.argv)
                     calls.append({
                         "workload": name,
                         "seed": seed,
@@ -90,13 +79,12 @@ def main(argv=None) -> int:
     rec.add_argument("tree", type=Path)
     rec.add_argument("out", type=Path)
     rec.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    rec.add_argument("--workloads", nargs="+", default=None)
     cmp = sub.add_parser("compare", help="list the calls where two records differ")
     cmp.add_argument("a", type=Path)
     cmp.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "record":
-        calls = record(args.tree, args.seeds, args.workloads)
+        calls = record(args.tree, args.seeds)
         args.out.write_text(json.dumps(calls, indent=1) + "\n")
         print(f"{len(calls)} calls recorded to {args.out}")
         return 0
