@@ -165,11 +165,6 @@ class VectorPotential:
         )
         return VectorPotential(a_r, f_rphi)
 
-    def norm_sq(self, r, phi):
-        """Squared metric norm g^{ij} A_i A_j = a_r^2, with g_rr = 1."""
-        ar = self.a_r(np.asarray(r, dtype=float), phi)
-        return ar * ar
-
 
 @dataclass(frozen=True)
 class DiscretizedPath:
@@ -217,7 +212,7 @@ def _cost_terms(path: DiscretizedPath, a: VectorPotential):
     phi = path.samples[:, 1]
     gpp = metric_phiphi(r)
     ar = np.asarray(a.a_r(r, phi), dtype=float)
-    norm_sq = np.asarray(a.norm_sq(r, phi), dtype=float)
+    norm_sq = ar * ar  # g^{ij} A_i A_j, with g_rr = 1
     if np.any(norm_sq > 1.0 + 1e-12):
         i = int(np.argmax(norm_sq))
         raise PotentialTooLarge(

@@ -16,7 +16,12 @@ frame.  The length is minimized subject to the endpoint
 constraint by penalty stages with an increasing weight schedule (plain
 gradient descent with backtracking line search on the exact
 reverse-mode gradient), then one Levenberg-Marquardt restore on the
-forward-mode Jacobian; there is no projection step.  Both derivatives
+forward-mode Jacobian; there is no projection step.  All restarts run
+the penalty stages as one stack of paths, and each stacked evaluation
+of the line search tries LINE_SEARCH_CANDIDATES step sizes of every
+restart still searching; each restart takes exactly the steps it would
+take alone.  At most MAX_RESTARTS restarts are taken, which bounds the
+stack's memory.  Both derivatives
 come from the block-triangular identity
 exp([[X, Y], [0, X]]) = [[e^X, L_exp(X, Y)], [0, e^X]] (Najfeld and
 Havel 1995; Al-Mohy and Higham 2009) and read the same prefix and
@@ -29,6 +34,7 @@ and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +50,14 @@ STAGE_ITERATIONS = (60, 60, 80, 80, 120)
 # Levenberg-Marquardt restore: residual norm it stops at, iteration cap
 RESTORE_TOL = 1e-9
 RESTORE_ITERATIONS = 20
+# line search: step sizes tried per iteration (each half the one before),
+# and how many of them one stacked evaluation tries
+LINE_SEARCH_TRIES = 40
+LINE_SEARCH_CANDIDATES = 3
+_HALVINGS = 0.5 ** np.arange(LINE_SEARCH_CANDIDATES)
+# restarts per call: they run as one stack, whose arrays peak near 43 MB
+# at this cap with K = 16 and N = 2 displaced (~170 kB per restart)
+MAX_RESTARTS = 256
 # check_stabilizer_geodesic: path segments, pass bound
 STATIONARITY_SEGMENTS = 8
 STATIONARITY_THRESHOLD = 1e-6
@@ -93,15 +107,6 @@ def path_length(path: GroupPath) -> float:
     return float(np.sum(np.sqrt(np.maximum(sq, 0.0))))
 
 
-def _suffixes(e):
-    """S_k = E_{K-1} ... E_{k+1} for a stack E_0, ..., E_{K-1}."""
-    suf = np.empty_like(e)
-    suf[-1] = np.eye(e.shape[-1])
-    for k in range(len(e) - 1, 0, -1):
-        suf[k - 1] = suf[k] @ e[k]
-    return suf
-
-
 def _norm_exponent(m):
     """e with ||m||_1 < 2^e, per matrix of a stack (0 for a zero matrix)."""
     return np.frexp(np.abs(m).sum(axis=-2).max(axis=-1))[1][..., None, None]
@@ -124,6 +129,29 @@ def _frechet_exp(x, y):
     return np.ldexp(matrix_exp_batch(blk)[..., :n, n:], -shift)
 
 
+class _Forward(NamedTuple):
+    """A stack of paths evaluated forward, each field with the stack's leading axes.
+
+    Generators A_k, E_k = e^{A_k}, prefixes P_k = E_{k-1} ... E_0 (K + 1
+    of them; P_K is the endpoint M = S_k E_k P_k), the group inverse of
+    M's linear block, and the residual vector: R = M J_R M^{-1} - J_T
+    raveled, then z - z_T for a displaced target.
+    """
+
+    a: np.ndarray
+    e: np.ndarray
+    pre: np.ndarray
+    ginv: np.ndarray
+    resid: np.ndarray
+
+    def take(self, index):
+        return _Forward(*(f[index] for f in self))
+
+    def put(self, index, src):
+        for f, s in zip(self, src):
+            f[index] = s
+
+
 class _Problem:
     """Penalty objective for one (reference, target) pair, in the vacuum frame.
 
@@ -135,7 +163,10 @@ class _Problem:
     columns of the affine generator [[V, u], [0, 0]].  Derivatives are
     exact: the gradient pulls the penalty back through the adjoint
     Frechet derivative of exp, the restore Jacobian pushes every
-    coordinate forward through the Frechet derivative.
+    coordinate forward through the Frechet derivative.  A path is x of
+    shape (K, ncoord); ``_forward``, ``total``, ``length`` and
+    ``gradient`` take a stack of them, shape (..., K, ncoord), and treat
+    each path as they would alone, bit for bit.
     """
 
     def __init__(self, reference, target, segments):
@@ -162,10 +193,11 @@ class _Problem:
             self.z_rate = pencil.whiten(0.5 * geo.n_matrix @ target.z)
         self.ncoord = self.D + (self.d if self.displaced else 0)
         da = self.d + 1 if self.displaced else self.d
+        self.eye = np.eye(da)
         self.dirs = np.zeros((self.ncoord, da, da))
         self.dirs[: self.D, : self.d, : self.d] = self.basis
         if self.displaced:
-            self.dirs[self.D :, : self.d, self.d] = np.eye(self.d)
+            self.dirs[self.D :, : self.d, self.d] = self.eye[: self.d, : self.d]
         self.dirs_flat = self.dirs.reshape(self.ncoord, -1)
         # g_1 on the coordinates; the displacement part is Euclidean
         flat = self.basis.reshape(self.D, -1)
@@ -173,72 +205,68 @@ class _Problem:
         self.gram[: self.D, : self.D] = 0.5 * (flat @ flat.T)
 
     def _forward(self, x):
-        """Generators A_k, E_k = e^{A_k} and prefixes P_k = E_{k-1} ... E_0.
-
-        P has K + 1 entries; P_K is the endpoint M = S_k E_k P_k.
-        """
-        a = (x @ self.dirs_flat).reshape(self.K, *self.dirs.shape[1:])
+        lead = x.shape[:-2]
+        a = (x @ self.dirs_flat).reshape(*x.shape[:-1], *self.eye.shape)
         e = matrix_exp_batch(a)
-        pre = np.empty((self.K + 1,) + e.shape[1:])
-        pre[0] = np.eye(e.shape[-1])
+        pre = np.empty(lead + (self.K + 1,) + self.eye.shape)
+        pre[..., 0, :, :] = self.eye
         for k in range(self.K):
-            pre[k + 1] = e[k] @ pre[k]
-        return a, e, pre
+            np.matmul(e[..., k, :, :], pre[..., k, :, :], out=pre[..., k + 1, :, :])
+        mm = pre[..., -1, : self.d, : self.d]
+        ginv = group_inverse(mm, self.kind)
+        resid = (mm @ self.jr @ ginv - self.jt).reshape(*lead, -1)
+        if self.displaced:
+            resid = np.concatenate([resid, pre[..., -1, : self.d, self.d] - self.z_t], axis=-1)
+        return _Forward(a, e, pre, ginv, resid)
 
-    def _residual(self, m):
-        """R = M J_R M^{-1} - J_T at the endpoint, and z - z_T (or None)."""
-        mm = m[: self.d, : self.d]
-        r = mm @ self.jr @ group_inverse(mm, self.kind) - self.jt
-        return r, (m[: self.d, self.d] - self.z_t if self.displaced else None)
-
-    def _resid_vec(self, m):
-        r, dz = self._residual(m)
-        return r.ravel() if dz is None else np.concatenate([r.ravel(), dz])
-
-    def seg_norm_sq(self, x):
-        return ((x @ self.gram) * x).sum(axis=1)
+    def _suffixes(self, e):
+        """S_k = E_{K-1} ... E_{k+1} for a stack E_0, ..., E_{K-1} (axis -3)."""
+        suf = np.empty_like(e)
+        suf[..., -1, :, :] = self.eye
+        for k in range(self.K - 1, 0, -1):
+            np.matmul(suf[..., k, :, :], e[..., k, :, :], out=suf[..., k - 1, :, :])
+        return suf
 
     def length(self, x):
-        return float(np.sum(np.sqrt(np.maximum(self.seg_norm_sq(x), 0.0))))
+        return np.sum(np.sqrt(np.maximum(((x @ self.gram) * x).sum(axis=-1), 0.0)), axis=-1)
 
     def total(self, x, w, fwd=None):
-        r = self._resid_vec((self._forward(x) if fwd is None else fwd)[2][-1])
-        return self.length(x) + w * float(r @ r)
+        r = (self._forward(x) if fwd is None else fwd).resid
+        return self.length(x) + w * np.vecdot(r, r)
 
     def gradient(self, x, w, fwd=None):
         """Exact gradient of length + w * residual^2, by reverse mode.
 
-        ``fwd`` is ``_forward(x)`` when the caller already has it.
+        ``fwd`` is ``_forward(x)`` when the caller already has it; its
+        endpoint residual and group inverse are used as they are.
         """
-        a, e, pre = self._forward(x) if fwd is None else fwd
-        m = pre[-1]
-        mm = m[: self.d, : self.d]
-        r, dz = self._residual(m)
+        a, e, pre, ginv, resid = self._forward(x) if fwd is None else fwd
+        d = self.d
+        mm = pre[..., -1, :d, :d]
+        r = resid[..., : d * d].reshape(mm.shape)
         # d/dM of w ||M J_R G(M) - J_T||^2; G is self-adjoint in tr(X^T Y)
-        gm = np.zeros_like(m)
-        gm[: self.d, : self.d] = (2.0 * w) * (
-            r @ group_inverse(mm, self.kind).T @ self.jr.T
-            + group_inverse(self.jr.T @ mm.T @ r, self.kind)
+        gm = np.zeros(pre.shape[:-3] + self.eye.shape)
+        gm[..., :d, :d] = (2.0 * w) * (
+            r @ ginv.mT @ self.jr.T + group_inverse(self.jr.T @ mm.mT @ r, self.kind)
         )
-        if dz is not None:
-            gm[: self.d, self.d] = (2.0 * w) * dz
+        if self.displaced:
+            gm[..., :d, d] = (2.0 * w) * resid[..., d * d :]
         # G_{E_k} = S_k^T G_M P_k^T
-        ge = np.swapaxes(_suffixes(e), -1, -2) @ gm @ np.swapaxes(pre[:-1], -1, -2)
-        ga = _frechet_exp(np.swapaxes(a, -1, -2), ge)
-        g = ga.reshape(self.K, -1) @ self.dirs_flat.T
+        ge = self._suffixes(e).mT @ gm[..., None, :, :] @ pre[..., :-1, :, :].mT
+        ga = _frechet_exp(a.mT, ge)
+        g = ga.reshape(*x.shape[:-1], -1) @ self.dirs_flat.T
         # length term; 0 on a zero segment, where the norm has a kink
-        root = np.sqrt(np.maximum(self.seg_norm_sq(x), 0.0))[:, None]
         gx = x @ self.gram
+        root = np.sqrt(np.maximum((gx * x).sum(axis=-1), 0.0))[..., None]
         return g + np.divide(gx, root, out=np.zeros_like(gx), where=root > 0.0)
 
     def _jacobian(self, fwd):
-        """Jacobian of the residual vector in x, by forward mode."""
-        a, e, pre = fwd
+        """Jacobian of the residual vector of one path in x, by forward mode."""
+        a, e, pre, ginv, _ = fwd
         de = _frechet_exp(a[:, None], self.dirs[None])
-        dm = _suffixes(e)[:, None] @ de @ pre[:-1, None]
+        dm = self._suffixes(e)[:, None] @ de @ pre[:-1, None]
         mm = pre[-1][: self.d, : self.d]
         dmm = dm[..., : self.d, : self.d]
-        ginv = group_inverse(mm, self.kind)
         dr = dmm @ (self.jr @ ginv) + (mm @ self.jr) @ group_inverse(dmm, self.kind)
         cols = dr.reshape(self.K, self.ncoord, -1)
         if self.displaced:
@@ -246,31 +274,68 @@ class _Problem:
         return cols.reshape(self.K * self.ncoord, -1).T
 
     def minimize(self, x0):
+        """Penalty stages on a stack of starts x0 (R, K, ncoord), all at once.
+
+        Each stage is plain gradient descent with a backtracking line
+        search.  A path leaves the stack for the rest of a stage when its
+        gradient vanishes or no step is accepted, and rejoins at the next
+        stage; every path takes the steps it would take alone.
+        """
         x = x0.copy()
         fwd = self._forward(x)
-        step = 0.1
+        step = np.full(len(x), 0.1)
         for w, max_iter in zip(PENALTY_SCHEDULE, STAGE_ITERATIONS):
-            f = self.total(x, w, fwd)
+            # the paths still descending: rows of the stack and their state
+            rows, xs, fw, ss, f = np.arange(len(x)), x, fwd, step, self.total(x, w, fwd)
             for _ in range(max_iter):
-                g = self.gradient(x, w, fwd)
-                gn2 = float(np.sum(g * g))
-                if gn2 < 1e-20:
-                    break
-                trial = min(step * 2.0, 10.0 / np.sqrt(gn2)) if gn2 > 100.0 else step * 2.0
-                accepted = False
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for _ in range(40):
-                        xn = x - trial * g
-                        fwd_n = self._forward(xn)
-                        fn = self.total(xn, w, fwd_n)
-                        if fn < f - 1e-4 * trial * gn2:
-                            x, f, fwd, step = xn, fn, fwd_n, trial
-                            accepted = True
-                            break
-                        trial *= 0.5
-                if not accepted:
-                    break
+                moved = self._line_search(xs, fw, f, ss, self.gradient(xs, w, fw), w)
+                if not moved.all():
+                    x[rows], step[rows] = xs, ss
+                    fwd.put(rows, fw)
+                    rows, xs, ss, f = rows[moved], xs[moved], ss[moved], f[moved]
+                    fw = fw.take(moved)
+                    if not len(rows):
+                        break
+            x[rows], step[rows] = xs, ss
+            fwd.put(rows, fw)
         return x
+
+    def _line_search(self, x, fwd, f, step, g, w):
+        """One backtracking descent step for each path of the stack, in place.
+
+        A path whose gradient vanishes (g.g < 1e-20) stays.  The others
+        try trial * 2^-j for j = 0, 1, ..., LINE_SEARCH_TRIES - 1,
+        LINE_SEARCH_CANDIDATES values of j per stacked evaluation, and
+        take the first step that lowers the objective by at least
+        1e-4 * step * g.g, which is the step halving one at a time would
+        take.  x, fwd, f and step are overwritten on the paths that take
+        a step; returns their mask.
+        """
+        gn2 = (g * g).reshape(len(g), -1).sum(axis=1)
+        trial = step * 2.0
+        steep = gn2 > 100.0
+        trial[steep] = np.minimum(trial[steep], 10.0 / np.sqrt(gn2[steep]))
+        moved = np.zeros(len(x), dtype=bool)
+        idx = np.flatnonzero(gn2 >= 1e-20)  # the paths still trying
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(0, LINE_SEARCH_TRIES, LINE_SEARCH_CANDIDATES):
+                if not len(idx):
+                    break
+                cand = trial[idx, None] * _HALVINGS[: LINE_SEARCH_TRIES - j]
+                xn = x[idx, None] - cand[..., None, None] * g[idx, None]
+                fwd_n = self._forward(xn)
+                fn = self.total(xn, w, fwd_n)
+                ok = fn < f[idx, None] - 1e-4 * cand * gn2[idx, None]
+                first = ok.argmax(axis=1)
+                hit = ok.any(axis=1)
+                pick = np.flatnonzero(hit), first[hit]
+                rows = idx[hit]
+                x[rows], f[rows], step[rows] = xn[pick], fn[pick], cand[pick]
+                fwd.put(rows, fwd_n.take(pick))
+                moved[rows] = True
+                idx = idx[~hit]
+                trial *= 0.5**LINE_SEARCH_CANDIDATES
+        return moved
 
     def restore(self, x):
         """Levenberg-Marquardt descent on the constraint residual alone.
@@ -281,38 +346,45 @@ class _Problem:
         while guaranteeing the reported length belongs to a genuine
         near-feasible path.  Damping handles the rank deficiency of the
         endpoint Jacobian (the endpoint cannot leave the orbit of the
-        reference complex structure).  Returns the restored x and the
-        norm of its residual vector.
+        reference complex structure).  Each path of the stack x
+        (R, K, ncoord) is restored on its own: it takes 2-3 iterations,
+        and a stacked Jacobian would hold R K ncoord Frechet blocks at
+        once.  Returns the restored stack and the norm of each path's
+        residual vector.
         """
-        fwd = self._forward(x)
-        r = self._resid_vec(fwd[2][-1])
-        r2 = float(r @ r)
-        lam = 1e-4
-        for _ in range(RESTORE_ITERATIONS):
-            if r2 < RESTORE_TOL * RESTORE_TOL:
-                break
-            u, s, vt = np.linalg.svd(self._jacobian(fwd), full_matrices=False)
-            if s[0] == 0.0:
-                break
-            utr = u.T @ r
-            accepted = False
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(12):
-                    coef = s / (s * s + lam * s[0] * s[0])
-                    delta = (vt.T * coef) @ utr
-                    xn = x - delta.reshape(self.K, self.ncoord)
-                    fwd_n = self._forward(xn)
-                    rn = self._resid_vec(fwd_n[2][-1])
-                    r2n = float(rn @ rn)
-                    if r2n < r2:
-                        x, r, r2, fwd = xn, rn, r2n, fwd_n
-                        lam = max(lam * 0.3, 1e-12)
-                        accepted = True
-                        break
-                    lam *= 8.0
-            if not accepted:
-                break
-        return x, float(np.linalg.norm(r))
+        out = np.empty_like(x)
+        norms = np.empty(len(x))
+        for p, xp in enumerate(x):
+            fwd = self._forward(xp)
+            r = fwd.resid
+            r2 = float(r @ r)
+            lam = 1e-4
+            for _ in range(RESTORE_ITERATIONS):
+                if r2 < RESTORE_TOL * RESTORE_TOL:
+                    break
+                u, s, vt = np.linalg.svd(self._jacobian(fwd), full_matrices=False)
+                if s[0] == 0.0:
+                    break
+                utr = u.T @ r
+                accepted = False
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for _ in range(12):
+                        coef = s / (s * s + lam * s[0] * s[0])
+                        delta = (vt.T * coef) @ utr
+                        xn = xp - delta.reshape(self.K, self.ncoord)
+                        fwd_n = self._forward(xn)
+                        rn = fwd_n.resid
+                        r2n = float(rn @ rn)
+                        if r2n < r2:
+                            xp, r, r2, fwd = xn, rn, r2n, fwd_n
+                            lam = max(lam * 0.3, 1e-12)
+                            accepted = True
+                            break
+                        lam *= 8.0
+                if not accepted:
+                    break
+            out[p], norms[p] = xp, np.linalg.norm(r)
+        return out, norms
 
     def warm_start(self):
         """The closed-form geodesic: log(Delta) / 2K per segment, whitened."""
@@ -348,10 +420,13 @@ def minimize_to_target(
 
     Restart 0 starts from the closed-form geodesic increments
     log(Delta)/(2K); the remaining restarts start from small random
-    increments.  Each restart runs the penalty stages and then one
-    Levenberg-Marquardt restore; there is no projection step.  Among the
-    attempts that meet the constraint residual the shortest wins; when
-    none does, the one with the smallest residual is returned with
+    increments.  The restarts run the penalty stages as one stack, each
+    line-search call trying LINE_SEARCH_CANDIDATES step sizes of every
+    restart still descending, and then one Levenberg-Marquardt restore
+    each; there is no projection step.  At most MAX_RESTARTS restarts
+    are taken, which bounds the stack's memory.  Among the attempts
+    that meet the constraint residual the shortest wins; when none
+    does, the one with the smallest residual is returned with
     ``converged = False``.  Ties keep the earlier restart.
     """
     if reference.n_modes > 2:
@@ -360,22 +435,23 @@ def minimize_to_target(
         raise ValidationError("segments must be >= 4")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
+    if restarts > MAX_RESTARTS:
+        raise ValidationError(f"restarts must be <= {MAX_RESTARTS}")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
     prob = _Problem(reference, target, segments)
     rng = np.random.default_rng(seed)
-    attempts = []
-    for restart in range(restarts):
-        if restart == 0:
-            x0 = prob.warm_start()
-        else:
-            x0 = rng.normal(scale=0.05, size=(segments, prob.ncoord))
-        x, resid = prob.restore(prob.minimize(x0))
-        attempts.append((x, prob.length(x), resid))
-    x, length, resid = min(
-        attempts, key=lambda a: (0, a[1]) if a[2] < CONSTRAINT_TOL else (1, a[2])
+    x0 = np.concatenate([
+        prob.warm_start()[None],
+        rng.normal(scale=0.05, size=(restarts - 1, segments, prob.ncoord)),
+    ])
+    x, resid = prob.restore(prob.minimize(x0))
+    length = prob.length(x)
+    best = min(
+        range(restarts),
+        key=lambda i: (0, length[i]) if resid[i] < CONSTRAINT_TOL else (1, resid[i]),
     )
-    return prob.to_path(x, resid), length
+    return prob.to_path(x[best], float(resid[best])), float(length[best])
 
 
 @dataclass(frozen=True)

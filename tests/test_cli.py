@@ -659,6 +659,18 @@ def test_oracle_verify_rejects_a_negative_seed(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_oracle_verify_caps_the_restarts(tmp_path, capsys):
+    # the restarts run as one stack; the cap is checked before any of it is allocated
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.7)
+    code, out = run_cli(
+        capsys, "oracle-verify", "--reference", ref, "--target", target,
+        "--restarts", "1000000000",
+    )
+    assert code == 3
+    assert json.loads(out) == {"error": "ValidationError: restarts must be <= 256"}
+
+
 @pytest.mark.parametrize(
     "command,extra",
     [("coherent", []), ("oracle-verify", ["--segments", "4", "--restarts", "1"])],

@@ -20,7 +20,7 @@ from gcomplexity import (
     weyl_complexity,
 )
 from gcomplexity.cli import main
-from gcomplexity.modified_metrics import metric_phiphi_dr
+from gcomplexity.modified_metrics import _cost_terms, metric_phiphi_dr
 
 
 def radial_path(r0, r1, n=200):
@@ -196,9 +196,18 @@ def test_field_strength_fallback_matches_analytic():
             assert pot.f_rphi(r, phi) == pytest.approx(-dar, abs=1e-8)
 
 
-def test_norm_sq():
-    pot = VectorPotential.constant(0.4)
-    assert pot.norm_sq(0.7, 0.0) == pytest.approx(0.16)
+def test_cost_terms_checks_the_potential_norm_at_each_sample():
+    # ||A||_g^2 = a_r^2 (g_rr = 1); h = c r^2 has a_r = -2 c r, so 0.16 at r = 0.7 for c = 2/7
+    path = DiscretizedPath(np.array([[0.35, 0.0], [0.7, 0.0]]), np.array([0.0, 1.0]))
+    _, seg_pot = _cost_terms(path, VectorPotential.gradient([0.0, 0.0, 2.0 / 7.0]))
+    assert seg_pot == pytest.approx([-0.3 * 0.35])
+    # five times that potential has ||A||_g = 2, largest at r = 0.7
+    with pytest.raises(PotentialTooLarge, match=r"= 2 > 1 at \(r, phi\) = \(0\.7, 0\)"):
+        _cost_terms(path, VectorPotential.gradient([0.0, 0.0, 10.0 / 7.0]))
+    # the bound: ||A||_g = 1 passes, 1 + 1e-11 does not
+    _cost_terms(path, VectorPotential.constant(1.0))
+    with pytest.raises(PotentialTooLarge):
+        _cost_terms(path, VectorPotential.constant(1.0 + 1e-11))
 
 
 def test_discretized_path_validation():

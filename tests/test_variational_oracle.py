@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,7 +26,13 @@ from gcomplexity import (
     standard_symplectic_form,
     state_complexity,
 )
-from gcomplexity.variational_oracle import STATIONARITY_SEGMENTS, _Problem, _frechet_exp
+from gcomplexity.variational_oracle import (
+    PENALTY_SCHEDULE,
+    STAGE_ITERATIONS,
+    STATIONARITY_SEGMENTS,
+    _frechet_exp,
+    _Problem,
+)
 from helpers import displaced_target, random_algebra_matrix, random_target, random_with_norm1
 
 DERIVATIVE_CASES = [
@@ -263,6 +271,13 @@ def test_stationarity_holds_past_the_log_branch():
         assert check_stabilizer_geodesic(v).max_abs < 1e-12
 
 
+@pytest.mark.parametrize("algebra,n", [(LieAlgebra.SP, 1), (LieAlgebra.SP, 2), (LieAlgebra.SO, 2)])
+def test_stationarity_at_the_exp_resonance(algebra, n):
+    # V / K = pi Omega: e^{V/K} = -1, and L_exp(X^T, .) has condition number 3e16 to 1e17
+    v = LieAlgebraElement(8.0 * np.pi * standard_symplectic_form(n), algebra)
+    assert check_stabilizer_geodesic(v).max_abs <= 1e-12
+
+
 def test_stationarity_of_zero_generator():
     report = check_stabilizer_geodesic(LieAlgebraElement(np.zeros((4, 4)), LieAlgebra.SP), 7)
     assert np.array_equal(report.derivatives, np.zeros(7))
@@ -281,6 +296,54 @@ def test_gradient_matches_central_difference(kind, n, displaced, w):
         want[idx] = (prob.total(x + step, w) - prob.total(x - step, w)) / (2.0 * h)
     got = prob.gradient(x, w)
     assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+
+def _minimize_one_path(prob, x):
+    """The penalty stages on one path, halving each trial step one at a time."""
+    step = 0.1
+    for w, max_iter in zip(PENALTY_SCHEDULE, STAGE_ITERATIONS):
+        f = prob.total(x, w)
+        for _ in range(max_iter):
+            g = prob.gradient(x, w)
+            gn2 = float(np.sum(g * g))
+            if gn2 < 1e-20:
+                break
+            trial = min(step * 2.0, 10.0 / np.sqrt(gn2)) if gn2 > 100.0 else step * 2.0
+            for _ in range(40):
+                xn = x - trial * g
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fn = prob.total(xn, w)
+                if fn < f - 1e-4 * trial * gn2:
+                    x, f, step = xn, fn, trial
+                    break
+                trial *= 0.5
+            else:
+                break
+    return x
+
+
+@pytest.mark.parametrize("kind,n,displaced", DERIVATIVE_CASES)
+def test_stacked_restarts_take_the_steps_they_take_alone(kind, n, displaced):
+    prob, _ = _problem(kind, n, displaced, seed=90 + n)
+    rng = np.random.default_rng(91)
+    warm = prob.warm_start()
+    # the warm start, one a hair off it (it stops at another iteration), two random ones
+    x0 = np.stack([warm, warm * (1.0 + 1e-9), *rng.normal(scale=0.05, size=(2, 8, prob.ncoord))])
+    alone = [prob.minimize(start[None])[0] for start in x0[:-1]]
+    with mock.patch.object(prob, "_forward", wraps=prob._forward) as fwd, \
+            mock.patch.object(prob, "gradient", wraps=prob.gradient) as grad:
+        alone.append(prob.minimize(x0[-1:])[0])
+    # some iteration of the last start needed a second stacked evaluation (4+ halvings)
+    assert sum(c.args[0].ndim == 4 for c in fwd.call_args_list) > grad.call_count
+    with mock.patch.object(prob, "gradient", wraps=prob.gradient) as grad:
+        stacked = prob.minimize(x0)
+    if not displaced:
+        # the starts near the geodesic leave the stack, at different iterations
+        assert len({len(c.args[0]) for c in grad.call_args_list}) >= 3
+    for got, want in zip(stacked, alone):
+        assert np.array_equal(got, want)
+    # and the stacked line search takes the step that halving one at a time takes
+    assert np.array_equal(alone[-1], _minimize_one_path(prob, x0[-1]))
 
 
 @pytest.mark.parametrize("kind,n,displaced", DERIVATIVE_CASES)
