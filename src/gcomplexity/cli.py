@@ -8,8 +8,8 @@ with the same seed produce byte-identical output.
 
 `complexity` runs one array program per group of targets of one kind
 and N: the schema is checked file by file, then the group's matrices are
-stacked and validated together (phase_space.state_stack), and bosons are
-decomposed by one stacked eigh (complexity_core.relative_stack).  A
+stacked and validated together (phase_space.state_stack), and decomposed
+by one stacked eigh for either kind (complexity_core.relative_stack).  A
 single --target is the one-file case of the same program, and --batch
 reports each file's first error in-band, as the single-file run would
 raise it.
@@ -47,7 +47,7 @@ from .modified_metrics import (
     path_length,
     weyl_complexity,
 )
-from .phase_space import parse_state_dict, state_from_dict, state_stack
+from .phase_space import StateKind, parse_state_dict, state_from_dict, state_stack
 from .variational_oracle import minimize_to_target
 
 EXIT_OK = 0
@@ -231,11 +231,11 @@ def _delta_eigenvalues(rel) -> np.ndarray:
 
     Shape (..., 2N, 2), with the leading axis of a stacked rel.  Bosons:
     e^s from the pencil log-spectrum.  Fermions: e^{+-i theta} from the
-    Schur angles.  An angle within 1e-12 of the one below it is set equal
-    to it, so a repeated angle lists all its +sin pairs before its -sin
-    pairs instead of an order set by rounding noise.
+    rotation angles.  An angle within 1e-12 of the one below it is set
+    equal to it, so a repeated angle lists all its +sin pairs before its
+    -sin pairs instead of an order set by rounding noise.
     """
-    if rel.pencil is not None:
+    if rel.kind is StateKind.BOSON:
         re = np.sort(np.exp(rel.pencil.logs), axis=-1)[..., ::-1]
         im = np.zeros_like(re)
     else:

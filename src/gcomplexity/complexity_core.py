@@ -6,13 +6,16 @@ M(tau) = e^{tau log(Delta)/2} and the state complexity is
 
     C = (1 / (2 sqrt 2)) sqrt(Tr[(log Delta) sigma_R (log Delta)^T sigma_R^{-1}]),
 
-with sigma_R the covariance of the reference itself.  The SPD pencil
+with sigma_R the covariance of the reference itself.  Both kinds read
+log(Delta) and the spectrum off one pencil (lie_numerics): for bosons it
 whitens by H = sigma_R^{1/2}, where the weighted trace is the squared
-Frobenius norm of H^{-1} log(Delta) H; no other module handles sigma_R.
-The eigenvalues of Delta come in reciprocal pairs for pure-state pairs,
-so the trace equals twice the sum of squares over the nonnegative half
-of the log-spectrum; the complexity is evaluated from that half, which
-is numerically exact even at strong squeezing.
+Frobenius norm of H^{-1} log(Delta) H, and no other module handles
+sigma_R; for fermions sigma_R = 1 and it diagonalizes the Cayley
+transform of Delta.  The log-spectrum of a pure-state pair comes in
++- pairs (s, -s for bosons, i theta, -i theta for fermions), so the
+trace equals twice the sum of squares over its nonnegative half; the
+complexity is evaluated from that half, which is numerically exact even
+at strong squeezing and at tiny angles.
 """
 
 from __future__ import annotations
@@ -21,20 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BranchCut,
-    DimensionMismatch,
-    DisplacementPresent,
-    KindMismatch,
-    NumericDomainError,
-)
-from .lie_numerics import (
-    NOT_A_PURE_PAIR,
-    SpdPencil,
-    log_special_orthogonal,
-    matrix_exp,
-    spd_pencil_stack,
-)
+from .errors import DimensionMismatch, DisplacementPresent, KindMismatch
+from .lie_numerics import SpdPencil, matrix_exp, rotation_pencil_stack, spd_pencil_stack
 from .phase_space import (
     GaussianState,
     GaussianTransformation,
@@ -50,17 +41,17 @@ class RelativeComplexStructure:
 
     ``radial_exponents`` holds the nonnegative half of the log-spectrum
     (log-eigenvalues for bosons, rotation angles for fermions), length
-    N, sorted descending.  For bosons ``pencil`` keeps the one
-    eigen-decomposition every other function of Delta is read from; it
-    is None for fermions.  For a stack of targets every array carries a
-    leading axis, and ``rel[i]`` is target i.
+    N, sorted descending.  ``pencil`` keeps the one eigen-decomposition
+    every other function of Delta is read from, for either kind.  For a
+    stack of targets every array carries a leading axis, and ``rel[i]``
+    is target i.
     """
 
     delta: np.ndarray
     log_delta: np.ndarray
     radial_exponents: np.ndarray
     kind: StateKind
-    pencil: SpdPencil = None
+    pencil: SpdPencil
 
     @property
     def n_modes(self) -> int:
@@ -68,9 +59,8 @@ class RelativeComplexStructure:
 
     def __getitem__(self, i: int) -> "RelativeComplexStructure":
         """Target i of a stack."""
-        pencil = None if self.pencil is None else self.pencil[i]
         return RelativeComplexStructure(
-            self.delta[i], self.log_delta[i], self.radial_exponents[i], self.kind, pencil
+            self.delta[i], self.log_delta[i], self.radial_exponents[i], self.kind, self.pencil[i]
         )
 
 
@@ -88,32 +78,22 @@ def relative_stack(reference: GaussianState, kind: StateKind, j_targets: np.ndar
 
     Returns (rel, errors): rel is a RelativeComplexStructure over the
     stack, and errors[i] is the NumericDomainError of target i or None;
-    the rows of a failed target are not meaningful.  For bosons Delta
-    equals sigma_T sigma_R^{-1} and the whole stack is decomposed through
-    one SPD pencil (one whitening of sigma_R, one stacked eigh); a
+    the rows of a failed target are not meaningful.  The whole stack is
+    decomposed by one pencil, with one stacked eigh.  For bosons Delta
+    equals sigma_T sigma_R^{-1} and the pencil whitens sigma_R once; a
     target whose whitened covariance is not positive-definite fails.
-    For fermions Delta is special orthogonal and each log comes from its
-    real Schur form, which fails with BranchCut when a rotation angle
-    reaches pi.  Raises what holds for the whole stack: KindMismatch or
-    DimensionMismatch against the reference, or a sigma_R that is not
+    For fermions Delta is special orthogonal and the pencil diagonalizes
+    its Cayley transform; a target fails with BranchCut when a rotation
+    angle reaches pi.  Raises what holds for the whole stack: KindMismatch
+    or DimensionMismatch against the reference, or a sigma_R that is not
     positive-definite.
     """
-    b, d = j_targets.shape[:2]
-    _check_pair(reference, kind, d // 2)
+    _check_pair(reference, kind, j_targets.shape[-1] // 2)
     delta = j_targets @ (-reference.j)
-    errors = [None] * b
     if kind is StateKind.FERMION:
-        log_delta = np.zeros_like(delta)
-        angles = np.zeros((b, d // 2))
-        for i in range(b):
-            try:
-                log_delta[i], angles[i] = log_special_orthogonal(delta[i])
-            except BranchCut as exc:
-                errors[i] = exc
-        return RelativeComplexStructure(delta, log_delta, angles, kind), errors
-    pencil, positive = spd_pencil_stack(boson_covariance(j_targets), covariance_of(reference))
-    for i in np.flatnonzero(~positive):
-        errors[i] = NumericDomainError(NOT_A_PURE_PAIR)
+        pencil, errors = rotation_pencil_stack(delta)
+    else:
+        pencil, errors = spd_pencil_stack(boson_covariance(j_targets), covariance_of(reference))
     rel = RelativeComplexStructure(
         delta, pencil.apply(lambda s: s), pencil.radial_exponents, kind, pencil
     )

@@ -1,8 +1,9 @@
 r"""Matrix-function kernels and Lie-algebra machinery.
 
-Provides the matrix exponential, the bosonic pencil kernel that
-evaluates any function of Delta from one eigen-solve, the real Schur
-logarithm of a rotation, the inner product at the identity
+Provides the matrix exponential, the pencil kernels that evaluate any
+function of Delta from one stacked eigen-solve (of the whitened target
+covariances for bosons, of the Cayley transform of Delta for fermions),
+the inner product at the identity
 
     g_1(V, W) = 1/2 Tr(V sigma_R W^T sigma_R^{-1}),
 
@@ -16,11 +17,11 @@ at sigma_R to g_1 at the vacuum, 1/2 Tr(V W^T).  The inner product and
 the stabilizer splitting here are those of the vacuum reference; for
 another reference, whiten first (``SpdPencil.whiten``).
 
-Structured logarithm routes are used where the input is known to be
-similar to a symmetric positive-definite matrix (bosonic relative
-complex structures) or special orthogonal (fermionic ones); these keep
-full relative precision on strongly squeezed states where a generic
-dense logarithm loses digits.
+Both pencils diagonalize a Hermitian matrix similar to Delta (a
+symmetric positive-definite one for bosons, -i times the antisymmetric
+Cayley transform for fermions) instead of taking a dense logarithm; this
+keeps full relative precision on strongly squeezed states and at tiny
+rotation angles.
 """
 
 from __future__ import annotations
@@ -158,14 +159,16 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdPencil:
-    r"""One eigen-decomposition of Delta = sigma_T sigma_R^{-1}, or of each of a stack.
+    r"""One eigen-decomposition of Delta, or of each of a stack.
 
-    Delta = H U diag(e^s) U^T H^{-1} with H = sigma_R^{1/2} (left out when
-    sigma_R is the identity) and U, e^s the eigenpairs of the whitened
-    target covariance H^{-1} sigma_T H^{-1}.  Every function of Delta that
-    is analytic on the positive axis is read off this one solve.  For a
-    stack, ``logs`` (B, 2N) and ``u`` (B, 2N, 2N) carry a leading axis and
-    H is shared.
+    Bosons: Delta = sigma_T sigma_R^{-1} = H U diag(e^s) U^T H^{-1} with
+    H = sigma_R^{1/2} (left out when sigma_R is the identity) and U, e^s
+    the eigenpairs of the whitened target covariance H^{-1} sigma_T H^{-1}.
+    Fermions: Delta = V diag(e^{i theta}) V^H with V unitary, the
+    log-spectrum i theta is imaginary and H is the identity, as
+    sigma_R = 1.  Every function of Delta that is analytic on its spectrum
+    is read off this one solve.  For a stack, ``logs`` (B, 2N) and ``u``
+    (B, 2N, 2N) carry a leading axis and H is shared.
     """
 
     logs: np.ndarray
@@ -174,8 +177,8 @@ class SpdPencil:
     inv_half: np.ndarray = None
 
     def apply(self, f) -> np.ndarray:
-        """f(Delta) for a scalar f acting elementwise on the log-spectrum s."""
-        m = (self.u * f(self.logs)[..., None, :]) @ self.u.mT
+        """f(Delta) for a scalar f acting elementwise on the log-spectrum; its real part."""
+        m = ((self.u * f(self.logs)[..., None, :]) @ self.u.conj().mT).real
         return m if self.half is None else self.half @ m @ self.inv_half
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
@@ -184,8 +187,14 @@ class SpdPencil:
 
     @property
     def radial_exponents(self) -> np.ndarray:
-        """The N nonnegative members of the reciprocal-paired log-spectrum, descending."""
+        """The N nonnegative members of the +- paired log-spectrum, descending.
+
+        Log-eigenvalues s for bosons, rotation angles theta for fermions.
+        """
         n = self.logs.shape[-1] // 2
+        if np.iscomplexobj(self.logs):
+            # magnitudes of the lower half, so that theta = 0 reads +0.0
+            return np.abs(np.sort(self.logs.imag, axis=-1)[..., :n])
         return np.sort(self.logs, axis=-1)[..., ::-1][..., :n].copy()
 
     def __getitem__(self, i: int) -> "SpdPencil":
@@ -201,12 +210,12 @@ NOT_A_PURE_PAIR = (
 def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray = None):
     """Decompose Delta = sigma_T sigma_R^{-1} for a stack (B, d, d) of sigma_T.
 
-    Returns (pencil, positive): the stacked SpdPencil, and for each target
-    whether its whitened covariance came out positive-definite; where it
-    did not, the target's rows of the pencil are not meaningful.  sigma_R
-    is decomposed once for the stack; within 1e-13 of the identity it is
-    taken as the identity, and no whitening is done.  Raises
-    NumericDomainError when sigma_R itself is not positive-definite.
+    Returns (pencil, errors): the stacked SpdPencil, and for each target
+    None, or a NumericDomainError where its whitened covariance is not
+    positive-definite; the rows of such a target are not meaningful.
+    sigma_R is decomposed once for the stack; within 1e-13 of the
+    identity it is taken as the identity, and no whitening is done.
+    Raises NumericDomainError when sigma_R itself is not positive-definite.
 
     The large eigenvalues of a symmetric matrix carry full relative
     precision, so this route stays accurate at strong squeezing where a
@@ -227,54 +236,54 @@ def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray = None):
         w_mid = 0.5 * (w_mid + w_mid.mT)
     w, u = np.linalg.eigh(w_mid)
     positive = w.min(axis=-1) > 0.0
+    errors = [None] * len(w)
+    for i in np.flatnonzero(~positive):
+        errors[i] = NumericDomainError(NOT_A_PURE_PAIR)
     # a target that fails gets logs 0 (Delta = 1), so arithmetic on the stack stays finite
     logs = np.log(np.where(positive[..., None], w, 1.0))
-    return SpdPencil(logs, u, half, inv_half), positive
+    return SpdPencil(logs, u, half, inv_half), errors
 
 
 def spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None) -> SpdPencil:
     """spd_pencil_stack for one sigma_T; raises NumericDomainError where it is not positive."""
-    pencil, positive = spd_pencil_stack(np.asarray(sigma_T, dtype=float)[None], sigma_R)
-    if not positive[0]:
-        raise NumericDomainError(NOT_A_PURE_PAIR)
+    pencil, errors = spd_pencil_stack(np.asarray(sigma_T, dtype=float)[None], sigma_R)
+    if errors[0] is not None:
+        raise errors[0]
     return pencil[0]
 
 
-def log_special_orthogonal(delta: np.ndarray):
-    """Principal log of a rotation through its real Schur form.
+def rotation_pencil_stack(delta: np.ndarray):
+    """Decompose a stack (B, 2N, 2N) of rotations Delta in SO(2N) by one stacked eigh.
 
-    Returns (log_delta, angles) with angles the absolute block rotation
-    angles padded with zeros to length N, sorted descending.  Raises
-    BranchCut when a rotation angle is within BRANCH_CUT_MARGIN of pi.
+    The Cayley transform C = (Delta + 1)^{-1} (Delta - 1), which equals
+    (Delta - 1)(Delta + 1)^{-1}, is antisymmetric with eigenvalues
+    i tan(theta/2) for the rotation angles theta of Delta, so the Hermitian -i C = V diag(t) V^H
+    gives the principal log Delta = V diag(2i arctan t) V^H: the pencil's
+    log-spectrum is i theta = 2i arctan t.  Returns (pencil, errors), with
+    errors[i] None or the BranchCut of target i: a rotation angle within
+    BRANCH_CUT_MARGIN of pi, or an eigenvalue -1, has no principal log.
+    Such targets are found before the solve, from the eigenvalues
+    cos(theta) of (Delta + Delta^T)/2, and their rows are solved at
+    Delta = 1, so one singular Delta + 1 does not fail the stack.
     """
-    import scipy.linalg  # here, not at module level: only fermion targets need it
-
-    d = delta.shape[0]
-    t, q = scipy.linalg.schur(delta, output="real")
-    lschur = np.zeros_like(delta)
-    angles = []
-    i = 0
-    while i < d:
-        if i + 1 < d and abs(t[i + 1, i]) > 1e-12:
-            theta = np.arctan2(t[i + 1, i], t[i, i])
-            if abs(theta) > np.pi - BRANCH_CUT_MARGIN:
-                raise BranchCut(
-                    f"rotation angle {theta:.6g} within the branch-cut margin of pi"
-                )
-            lschur[i, i + 1] = -theta
-            lschur[i + 1, i] = theta
-            angles.append(abs(theta))
-            i += 2
+    eye = np.eye(delta.shape[-1])
+    cos_min = np.linalg.eigvalsh(0.5 * (delta + delta.mT))[..., 0]
+    cut = cos_min < -np.cos(BRANCH_CUT_MARGIN)
+    errors = [None] * len(delta)
+    for i in np.flatnonzero(cut):
+        if cos_min[i] > -1.0:
+            theta = np.arccos(cos_min[i])
+            errors[i] = BranchCut(
+                f"rotation angle {theta:.6g} within the branch-cut margin of pi"
+            )
         else:
-            if t[i, i] < 0.0:
-                raise BranchCut(
-                    "eigenvalue -1 encountered; target lies on the branch cut"
-                )
-            i += 1
-    angles += [0.0] * (d // 2 - len(angles))
-    log_delta = q @ lschur @ q.T
-    log_delta = 0.5 * (log_delta - log_delta.T)
-    return log_delta, np.sort(np.asarray(angles))[::-1]
+            errors[i] = BranchCut(
+                "eigenvalue -1 encountered; target lies on the branch cut"
+            )
+    delta = np.where(cut[:, None, None], eye, delta)
+    c = np.linalg.solve(delta + eye, delta - eye)
+    t, v = np.linalg.eigh(-0.5j * (c - c.mT))
+    return SpdPencil(2j * np.arctan(t), v), errors
 
 
 def inner_product_identity(v, w) -> float:

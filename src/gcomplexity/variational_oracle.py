@@ -20,8 +20,9 @@ forward-mode Jacobian; there is no projection step.  All restarts run
 the penalty stages as one stack of paths, and each stacked evaluation
 of the line search tries LINE_SEARCH_CANDIDATES step sizes of every
 restart still searching; each restart takes exactly the steps it would
-take alone.  At most MAX_RESTARTS restarts are taken, which bounds the
-stack's memory.  Both derivatives
+take alone.  At most MAX_RESTARTS restarts and MAX_STACK_SEGMENTS
+segments over all restarts are taken, which bounds the stack's memory.
+Both derivatives
 come from the block-triangular identity
 exp([[X, Y], [0, X]]) = [[e^X, L_exp(X, Y)], [0, e^X]] (Najfeld and
 Havel 1995; Al-Mohy and Higham 2009) and read the same prefix and
@@ -58,6 +59,8 @@ _HALVINGS = 0.5 ** np.arange(LINE_SEARCH_CANDIDATES)
 # restarts per call: they run as one stack, whose arrays peak near 43 MB
 # at this cap with K = 16 and N = 2 displaced (~170 kB per restart)
 MAX_RESTARTS = 256
+# memory follows the stack's R x K paths' segments, capped at that 43 MB stack
+MAX_STACK_SEGMENTS = MAX_RESTARTS * 16
 # check_stabilizer_geodesic: path segments, pass bound
 STATIONARITY_SEGMENTS = 8
 STATIONARITY_THRESHOLD = 1e-6
@@ -180,7 +183,7 @@ class _Problem:
         geo = coherent_geodesic(reference, target) if self.displaced else None
         rel = relative_complex_structure(reference, target) if geo is None else geo.delta
         pencil = rel.pencil
-        if pencil is None:
+        if self.kind is StateKind.FERMION:
             self.jr, self.jt, self.log_delta = reference.j, target.j, rel.log_delta
         else:
             hinv = pencil.whiten(np.eye(self.d))
@@ -423,8 +426,9 @@ def minimize_to_target(
     increments.  The restarts run the penalty stages as one stack, each
     line-search call trying LINE_SEARCH_CANDIDATES step sizes of every
     restart still descending, and then one Levenberg-Marquardt restore
-    each; there is no projection step.  At most MAX_RESTARTS restarts
-    are taken, which bounds the stack's memory.  Among the attempts
+    each; there is no projection step.  At most MAX_RESTARTS restarts,
+    and MAX_STACK_SEGMENTS segments over all restarts, are taken, which
+    bounds the stack's memory.  Among the attempts
     that meet the constraint residual the shortest wins; when none
     does, the one with the smallest residual is returned with
     ``converged = False``.  Ties keep the earlier restart.
@@ -437,6 +441,8 @@ def minimize_to_target(
         raise ValidationError("restarts must be >= 1")
     if restarts > MAX_RESTARTS:
         raise ValidationError(f"restarts must be <= {MAX_RESTARTS}")
+    if restarts * segments > MAX_STACK_SEGMENTS:
+        raise ValidationError(f"restarts * segments must be <= {MAX_STACK_SEGMENTS}")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
     prob = _Problem(reference, target, segments)

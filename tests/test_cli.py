@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -669,6 +670,24 @@ def test_oracle_verify_caps_the_restarts(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(out) == {"error": "ValidationError: restarts must be <= 256"}
+
+
+def test_oracle_verify_caps_the_segments(tmp_path, capsys):
+    # memory follows restarts x segments; the cap is checked before any path is allocated
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.7)
+    tracemalloc.start()
+    try:
+        code, out = run_cli(
+            capsys, "oracle-verify", "--reference", ref, "--target", target,
+            "--segments", "1000000000000",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1 << 20
+    assert json.loads(out) == {"error": "ValidationError: restarts * segments must be <= 4096"}
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from gcomplexity import (
     GaussianTransformation,
     KindMismatch,
     RelativeComplexStructure,
+    SpdPencil,
     StateKind,
     apply_transformation,
     complexity_from_relative,
@@ -150,7 +151,8 @@ def test_geodesic_point_matches_analytic_squeezing(r, phi):
     rot = np.array([[c, -s], [s, c]])
     delta = rot @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ rot.T
     log_delta = rot @ np.diag([2.0 * r, -2.0 * r]) @ rot.T
-    rel = RelativeComplexStructure(delta, log_delta, np.array([2.0 * r]), StateKind.BOSON)
+    pencil = SpdPencil(np.array([2.0 * r, -2.0 * r]), rot)
+    rel = RelativeComplexStructure(delta, log_delta, np.array([2.0 * r]), StateKind.BOSON, pencil)
     for tau in (0.25, 0.6, 1.0):
         want = rot @ np.diag([np.exp(tau * r), np.exp(-tau * r)]) @ rot.T
         got = geodesic_point(rel, tau).m

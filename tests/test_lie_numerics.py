@@ -15,7 +15,6 @@ from gcomplexity import (
     algebra_basis,
     algebra_of_kind,
     inner_product_identity,
-    log_special_orthogonal,
     matrix_exp,
     matrix_exp_batch,
     reference_state,
@@ -23,6 +22,7 @@ from gcomplexity import (
     stabilizer_basis,
     standard_symplectic_form,
 )
+from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN, rotation_pencil_stack
 from helpers import random_with_norm1
 
 
@@ -148,24 +148,96 @@ def test_sqrt_spd_pencil():
     assert np.linalg.norm(root @ root - delta) <= 1e-10 * np.linalg.norm(delta)
 
 
+def rotation_log(delta):
+    """Principal log and angles of one rotation from the stacked kernel; raises its BranchCut."""
+    pencil, errors = rotation_pencil_stack(np.asarray(delta, dtype=float)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return pencil.apply(lambda s: s)[0], pencil.radial_exponents[0]
+
+
 def test_log_special_orthogonal_single_block():
     theta = 1.1
-    log_delta, angles = log_special_orthogonal(rotation(theta))
+    log_delta, angles = rotation_log(rotation(theta))
     assert np.allclose(log_delta, np.array([[0.0, -theta], [theta, 0.0]]), atol=1e-12)
     assert np.allclose(angles, [theta])
 
 
 def test_log_special_orthogonal_padding_and_sorting():
     delta = scipy.linalg.block_diag(rotation(0.3), np.eye(2))
-    _, angles = log_special_orthogonal(delta)
+    _, angles = rotation_log(delta)
     assert np.allclose(angles, [0.3, 0.0], atol=1e-12)
 
 
 def test_log_special_orthogonal_branch_cut():
     with pytest.raises(BranchCut):
-        log_special_orthogonal(rotation(np.pi - 1e-9))
+        rotation_log(rotation(np.pi - 1e-9))
     with pytest.raises(BranchCut):
-        log_special_orthogonal(-np.eye(2))
+        rotation_log(-np.eye(2))
+
+
+def _so_generator(angles, seed):
+    """L = Q diag(theta_k [[0, -1], [1, 0]]) Q^T for a random orthogonal Q."""
+    n = len(angles)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(2 * n, 2 * n)))
+    blocks = scipy.linalg.block_diag(*(t * np.array([[0.0, -1.0], [1.0, 0.0]]) for t in angles))
+    return q @ blocks @ q.T
+
+
+_ANGLE = st.one_of(
+    st.floats(0.0, np.pi - 1e-2),
+    st.just(0.0),
+    st.floats(0.0, 1e-6),
+    st.sampled_from([0.3, 1.7]),  # drawn more than once, a repeated angle
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ANGLE, min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_rotation_log_returns_the_generator(angles, seed):
+    gen = _so_generator(angles, seed)
+    log_delta, radial = rotation_log(scipy.linalg.expm(gen))
+    scale = max(1.0, np.linalg.norm(gen))
+    assert np.linalg.norm(log_delta - gen) <= 1e-13 * scale
+    assert np.allclose(radial, sorted(angles, reverse=True), rtol=0.0, atol=1e-13 * scale)
+    assert np.all(radial >= 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.floats(0.0, np.pi - 1e-2), min_size=0, max_size=7),
+    st.floats(1e-5, 1e-2),
+    st.integers(0, 2**32 - 1),
+)
+def test_rotation_log_near_the_branch_cut(angles, gap, seed):
+    # input conditioning bounds this band: Delta + 1 has a singular value ~ gap, so
+    # the rounding of expm(gen) reaches log(Delta) magnified ~ 1/gap
+    gen = _so_generator([np.pi - gap, *angles], seed)
+    log_delta, _ = rotation_log(scipy.linalg.expm(gen))
+    assert np.linalg.norm(log_delta - gen) <= 1e-10 * max(1.0, np.linalg.norm(gen))
+
+
+def test_rotation_stack_reports_cut_targets_in_band():
+    good = [scipy.linalg.expm(_so_generator(a, i)) for i, a in enumerate(
+        [(0.4, 2.9), (0.0, 1e-8), (np.pi - 2e-6, 1.0), (3.0, 3.0)]
+    )]
+    near = scipy.linalg.expm(_so_generator((np.pi - 0.5 * BRANCH_CUT_MARGIN, 0.2), 7))
+    flipped = -np.eye(4)  # Delta of J_T = -J_R
+    stack = np.stack([good[0], near, good[1], flipped, good[2], good[3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pencil, errors = rotation_pencil_stack(stack)
+        logs = pencil.apply(lambda s: s)
+    cut = [1, 3]
+    assert [i for i, e in enumerate(errors) if e is not None] == cut
+    assert all(isinstance(errors[i], BranchCut) for i in cut)
+    assert "within the branch-cut margin of pi" in str(errors[1])
+    assert "eigenvalue -1" in str(errors[3])
+    assert np.all(np.isfinite(logs)) and np.all(np.isfinite(pencil.radial_exponents))
+    for i, delta in zip([0, 2, 4, 5], good):
+        log_one, radial_one = rotation_log(delta)
+        assert np.array_equal(logs[i], log_one)
+        assert np.array_equal(pencil.radial_exponents[i], radial_one)
 
 
 def test_inner_product_identity_canonical():

@@ -124,10 +124,12 @@ def test_import_leaves_scipy_out():
             "oracle-verify", "--reference", "vac", "--target", "sq",
             "--segments", "4", "--restarts", "1",
         ],
+        ["complexity", "--reference", "fref", "--target", "ft"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["complexity", "coherent", "weyl", "nonrev", "oracle-verify", "fermion"],
 )
 def test_boson_commands_leave_scipy_out(files, argv):
+    # fermion complexity too: the rotation pencil needs numpy only
     out, probe = _fresh_main(*(files.get(a, a) for a in argv))
     assert probe["exit"] == 0
     assert len(out) == 1 and "error" not in json.loads(out[0])
@@ -136,11 +138,8 @@ def test_boson_commands_leave_scipy_out(files, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["complexity", "--reference", "fref", "--target", "ft"],
-        ["weyl", "--reference", "vac", "--target", "sq", "--omega", "table:"],
-    ],
-    ids=["fermion", "weyl-table"],
+    [["weyl", "--reference", "vac", "--target", "sq", "--omega", "table:"]],
+    ids=["weyl-table"],
 )
 def test_scipy_routes_still_run_in_a_fresh_interpreter(files, argv):
     out, probe = _fresh_main(*(files.get(a, a) for a in argv))
