@@ -22,8 +22,7 @@ of the line search tries LINE_SEARCH_CANDIDATES step sizes of every
 restart still searching; each restart takes exactly the steps it would
 take alone.  At most MAX_RESTARTS restarts and MAX_STACK_SEGMENTS
 segments over all restarts are taken, which bounds the stack's memory.
-Both derivatives
-come from the block-triangular identity
+Both derivatives come from the block-triangular identity
 exp([[X, Y], [0, X]]) = [[e^X, L_exp(X, Y)], [0, e^X]] (Najfeld and
 Havel 1995; Al-Mohy and Higham 2009) and read the same prefix and
 suffix products.  The stationarity check of one-parameter subgroups
@@ -59,7 +58,8 @@ _HALVINGS = 0.5 ** np.arange(LINE_SEARCH_CANDIDATES)
 # restarts per call: they run as one stack, whose arrays peak near 43 MB
 # at this cap with K = 16 and N = 2 displaced (~170 kB per restart)
 MAX_RESTARTS = 256
-# memory follows the stack's R x K paths' segments, capped at that 43 MB stack
+# restarts * segments per call: memory grows with the stack's R x K
+# segments, so this holds it to the 43 MB of R = 256 at K = 16
 MAX_STACK_SEGMENTS = MAX_RESTARTS * 16
 # check_stabilizer_geodesic: path segments, pass bound
 STATIONARITY_SEGMENTS = 8
