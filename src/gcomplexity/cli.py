@@ -380,19 +380,20 @@ def cmd_nonrev(args) -> int:
     forward = nonreversible_cost(path, a=potential)
     reverse = nonreversible_cost(path.reversed(), a=potential)
     length = path_length(path)
-    profile = nonreversible_cost_profile(path, a=potential)
-    rows = ["tau,r,phi,cost_accumulated"]
-    for tau, (r, phi), cost in zip(path.params, path.samples, profile):
-        rows.append(f"{tau:.17g},{r:.17g},{phi:.17g},{cost:.17g}")
-    csv_text = "\n".join(rows) + "\n"
-    if args.csv_out:
-        try:
-            Path(args.csv_out).write_text(csv_text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write CSV file {args.csv_out}: {exc}")
-    if args.format == "csv":
-        sys.stdout.write(csv_text)
-        return EXIT_OK
+    if args.csv_out or args.format == "csv":  # one formatted row per sample: only on request
+        profile = nonreversible_cost_profile(path, a=potential)
+        rows = ["tau,r,phi,cost_accumulated"]
+        for tau, (r, phi), cost in zip(path.params, path.samples, profile):
+            rows.append(f"{tau:.17g},{r:.17g},{phi:.17g},{cost:.17g}")
+        csv_text = "\n".join(rows) + "\n"
+        if args.csv_out:
+            try:
+                Path(args.csv_out).write_text(csv_text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write CSV file {args.csv_out}: {exc}")
+        if args.format == "csv":
+            sys.stdout.write(csv_text)
+            return EXIT_OK
     payload = {
         "forward_cost": forward,
         "reverse_cost": reverse,

@@ -5,7 +5,8 @@ radial geodesic to a target at radius r the deformed complexity is
 
     C~ = r * Integral_0^1 e^{omega(tau r)} d tau,
 
-evaluated with composite Simpson quadrature.
+evaluated with composite Simpson quadrature over at most MAX_STEPS
+intervals.
 
 The non-reversible machinery lives on the explicit single-mode chart
 with line element ds^2 = dr^2 + cosh(2r) sinh^2(r) dphi^2.  A vector
@@ -16,6 +17,9 @@ functional to
 
 which stays nonnegative while ||A||_g <= 1 and produces Lorentz-force
 geodesics r'' + Gamma = F^i_j gamma'^j with F_ij = d_i A_j - d_j A_i.
+lorentz_geodesic integrates them by fixed-step RK4 whose state is four
+Python floats; its metric terms use numpy's sinh/cosh, so each step has
+the bits the vectorized metric_phiphi would give it.
 """
 
 from __future__ import annotations
@@ -33,18 +37,13 @@ from .errors import (
 )
 
 CHART_EPS = 1e-12
+MAX_STEPS = 1 << 20  # cap on rk_steps and quad_steps, checked before anything is allocated
 
 
 def metric_phiphi(r):
     """g_phiphi = cosh(2r) sinh^2(r) on the single-mode chart."""
     r = np.asarray(r, dtype=float)
     return np.cosh(2.0 * r) * np.sinh(r) ** 2
-
-
-def metric_phiphi_dr(r):
-    """Analytic d g_phiphi / dr = 2 sinh(2r) sinh^2(r) + cosh(2r) sinh(2r)."""
-    r = np.asarray(r, dtype=float)
-    return 2.0 * np.sinh(2.0 * r) * np.sinh(r) ** 2 + np.cosh(2.0 * r) * np.sinh(2.0 * r)
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,8 @@ def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -
     r"""Deformed complexity r * Integral_0^1 e^{omega(tau r)} d tau."""
     if not isinstance(quad_steps, (int, np.integer)) or quad_steps < 2:
         raise ValidationError("quad_steps must be an integer >= 2")
+    if quad_steps > MAX_STEPS:
+        raise ValidationError(f"quad_steps must be <= {MAX_STEPS}")
     if quad_steps % 2 != 0:
         raise ValidationError("quad_steps must be even for Simpson quadrature")
     r = float(base_complexity)
@@ -257,14 +258,26 @@ def nonreversible_cost_profile(
     return out
 
 
-def _lorentz_rhs(state, a: VectorPotential):
-    r, phi, vr, vphi = state
-    gpp = float(metric_phiphi(r))
-    dgpp = float(metric_phiphi_dr(r))
-    fs = float(a.f_rphi(r, phi))
+def _lorentz_rhs(r, phi, vr, vphi, field):
+    """Velocity and Lorentz-force acceleration at one state, on Python floats.
+
+    g_phiphi and its analytic derivative 2 sinh(2r) sinh^2(r) +
+    cosh(2r) sinh(2r) are formed as metric_phiphi forms g_phiphi on a
+    scalar: numpy's sinh/cosh of a float carry the bits of its array loop
+    (libm's differ in the last place), and sinh(r) ** 2 stays numpy's
+    scalar power, which rounds as pow does and overflows to inf where a
+    float ** would raise.  ``field`` is None for a curl-free potential,
+    whose F_rphi is +0.0 everywhere.
+    """
+    sh2 = float(np.sinh(r) ** 2)
+    s2 = float(np.sinh(2.0 * r))
+    c2 = float(np.cosh(2.0 * r))
+    gpp = c2 * sh2
+    dgpp = 2.0 * s2 * sh2 + c2 * s2
+    fs = 0.0 if field is None else float(field(r, phi))
     ar = 0.5 * dgpp * vphi * vphi + fs * vphi
     aphi = (-dgpp * vr * vphi - fs * vr) / gpp if gpp > 0.0 else 0.0
-    return np.array([vr, vphi, ar, aphi])
+    return vr, vphi, ar, aphi
 
 
 def lorentz_geodesic(
@@ -278,7 +291,11 @@ def lorentz_geodesic(
     """Integrate the Lorentz-force geodesic with fixed-step classic RK4.
 
     ``start`` is an (r, phi) pair with r >= 0; start, velocity and length
-    must be finite (ValidationError otherwise).  The initial velocity is
+    must be finite and ``rk_steps`` an integer in [8, MAX_STEPS]
+    (ValidationError otherwise, before anything is allocated).  The
+    state is four Python floats, advanced in numpy's operation order
+    with numpy's sinh/cosh (see _lorentz_rhs), so each sample has the
+    bits of the same RK4 run on numpy arrays.  The initial velocity is
     normalized to unit metric speed so the trajectory is
     parametrized by arc length and covers the requested length.  The
     conserved speed is monitored; drift beyond ``drift_tol`` raises
@@ -289,8 +306,12 @@ def lorentz_geodesic(
     a = a or VectorPotential.none()
     r0, phi0 = map(float, start)
     vr0, vphi0 = map(float, initial_velocity)
+    if not isinstance(rk_steps, (int, np.integer)):
+        raise ValidationError("rk_steps must be an integer")
     if rk_steps < 8:
         raise ValidationError("rk_steps must be >= 8")
+    if rk_steps > MAX_STEPS:
+        raise ValidationError(f"rk_steps must be <= {MAX_STEPS}")
     if not np.all(np.isfinite([r0, phi0, vr0, vphi0, length])):
         raise ValidationError("start, velocity and length must be finite")
     if r0 < 0.0:
@@ -313,17 +334,27 @@ def lorentz_geodesic(
     speed = np.sqrt(vr0 * vr0 + float(metric_phiphi(r0)) * vphi0 * vphi0)
     if speed == 0.0:
         raise ValidationError("initial velocity must be nonzero")
-    state = np.array([r0, phi0, vr0 / speed, vphi0 / speed])
+    field = None if a.f_rphi is _zero else a.f_rphi
+    r, phi, vr, vphi = r0, phi0, float(vr0 / speed), float(vphi0 / speed)
     h = length / n
+    half, sixth = 0.5 * h, h / 6.0
     traj = np.empty((n + 1, 4))
-    traj[0] = state
+    traj[0] = r, phi, vr, vphi
     for i in range(n):
-        k1 = _lorentz_rhs(state, a)
-        k2 = _lorentz_rhs(state + 0.5 * h * k1, a)
-        k3 = _lorentz_rhs(state + 0.5 * h * k2, a)
-        k4 = _lorentz_rhs(state + h * k3, a)
-        state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if state[0] < CHART_EPS:
+        # classic RK4 in numpy's order: x + (h/2) k per stage, x + (h/6)(((k1 + 2k2) + 2k3) + k4)
+        k1 = _lorentz_rhs(r, phi, vr, vphi, field)
+        k2 = _lorentz_rhs(
+            r + half * k1[0], phi + half * k1[1], vr + half * k1[2], vphi + half * k1[3], field
+        )
+        k3 = _lorentz_rhs(
+            r + half * k2[0], phi + half * k2[1], vr + half * k2[2], vphi + half * k2[3], field
+        )
+        k4 = _lorentz_rhs(r + h * k3[0], phi + h * k3[1], vr + h * k3[2], vphi + h * k3[3], field)
+        r += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        phi += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        vr += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        vphi += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        if r < CHART_EPS:
             partial = DiscretizedPath(
                 traj[: i + 1, :2].copy(),
                 np.linspace(0.0, i * h / length, i + 1),
@@ -333,7 +364,7 @@ def lorentz_geodesic(
                 f"trajectory reached r = 0 after arc length {i * h:.6g}",
                 partial_path=partial,
             )
-        traj[i + 1] = state
+        traj[i + 1] = r, phi, vr, vphi
     speeds = np.sqrt(traj[:, 2] ** 2 + metric_phiphi(traj[:, 0]) * traj[:, 3] ** 2)
     drift = float(np.abs(speeds - 1.0).max())
     if drift > drift_tol:

@@ -183,20 +183,24 @@ class GaussianState:
     and purity checks raise state_stack's errors; shape, finiteness and
     z raise errors that name j and z, where the loader names the file's
     "sigma" or "omega" and reports a bad shape as a SchemaError.  Only
-    state_stack's covariance Cholesky is left out.
+    state_stack's covariance Cholesky is left out.  ``tol`` bounds the
+    purity and fermion antisymmetry residuals; a state keeps the
+    tolerance it was accepted at, so apply_transformation checks its
+    image at that tolerance too.
     """
 
     j: np.ndarray
     kind: StateKind
     z: np.ndarray = None
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = _as_matrix(self.j, "j")
         if self.kind is StateKind.BOSON:
             _check_one(-m @ standard_symplectic_form(m.shape[0] // 2), _check_symmetric)
         else:
-            _check_one(m, _check_form, DEFAULT_TOL)
-        _check_one(m, _check_pure, DEFAULT_TOL)
+            _check_one(m, _check_form, self.tol)
+        _check_one(m, _check_pure, self.tol)
         z = _as_vector(self.z, m.shape[0], "z")
         if self.kind is StateKind.FERMION and np.any(z != 0.0):
             raise DisplacementPresent("fermion states carry no displacement")
@@ -283,7 +287,7 @@ def reference_state(kind: StateKind, n_modes: int) -> GaussianState:
 def apply_transformation(
     state: GaussianState, t: GaussianTransformation
 ) -> GaussianState:
-    """Return the transformed state (M J M^{-1}, M z + v)."""
+    """Return the transformed state (M J M^{-1}, M z + v), checked at the state's tol."""
     if state.kind is not t.kind:
         raise KindMismatch(f"state kind {state.kind} != transformation kind {t.kind}")
     if state.n_modes != t.n_modes:
@@ -292,7 +296,7 @@ def apply_transformation(
         )
     j = t.m @ state.j @ t.inverse_m
     z = t.m @ state.z + t.v
-    return GaussianState(j, state.kind, z)
+    return GaussianState(j, state.kind, z, state.tol)
 
 
 def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:
@@ -437,14 +441,17 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     The one-state case of state_stack: ``tol`` bounds the purity residual
     ||J^2 + 1|| and, for fermions, the antisymmetry residual of "sigma".
     The row state_stack returns is already checked, so the state is built
-    from it without running the constructor's checks again.
+    from it without running the constructor's checks again; it carries
+    ``tol``.
     """
     kind, sig, z = parse_state_dict(data)
     states = state_stack(kind, sig[None], [z], tol)
     if states.errors[0] is not None:
         raise states.errors[0]
     state = object.__new__(GaussianState)
-    for name, value in (("j", _freeze(states.j[0])), ("kind", kind), ("z", _freeze(states.z[0]))):
+    for name, value in (
+        ("j", _freeze(states.j[0])), ("kind", kind), ("z", _freeze(states.z[0])), ("tol", tol)
+    ):
         object.__setattr__(state, name, value)
     return state
 

@@ -555,6 +555,51 @@ def test_nonrev_csv_file(tmp_path, capsys):
     assert len(lines) == 258
 
 
+@pytest.mark.parametrize("potential", ["none", "const:0.3", "grad:h=0.2r+0.1r^2"])
+def test_nonrev_csv_is_the_same_on_every_route(tmp_path, capsys, potential):
+    # the CSV is formatted only when asked for; asking changes nothing else
+    argv = [
+        "nonrev", "--start", "0.6,1.0", "--velocity", "0.5,0.2",
+        "--potential", potential, "--length", "0.7", "--rk-steps", "64",
+    ]
+    csv_path = tmp_path / "path.csv"
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0
+    code, with_file = run_cli(capsys, *argv, "--csv-out", str(csv_path))
+    assert code == 0
+    code, csv_stdout = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    with_file = json.loads(with_file)
+    assert with_file.pop("csv_path") == str(csv_path)
+    assert with_file == json.loads(plain)
+    assert csv_path.read_text() == csv_stdout
+    assert len(csv_stdout.splitlines()) == 66
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nonrev", "--start", "0.5,0", "--velocity", "1,0", "--rk-steps", "1000000000000"],
+         "rk_steps must be <= 1048576"),
+        (["weyl", "--omega", "const:0.1", "--quad-steps", "1000000000000"],
+         "quad_steps must be <= 1048576"),
+    ],
+)
+def test_step_counts_are_capped(tmp_path, capsys, argv, message):
+    # the cap is checked before the trajectory or the quadrature grid is allocated
+    if argv[0] == "weyl":
+        argv += ["--reference", boson_ref(tmp_path), "--target", squeezed(tmp_path, 0.7)]
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1 << 20
+    assert json.loads(out) == {"error": f"ValidationError: {message}"}
+
+
 def test_nonrev_csv_into_missing_directory(tmp_path, capsys):
     csv_path = tmp_path / "missing" / "path.csv"
     code, out = run_cli(

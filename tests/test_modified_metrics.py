@@ -20,7 +20,7 @@ from gcomplexity import (
     weyl_complexity,
 )
 from gcomplexity.cli import main
-from gcomplexity.modified_metrics import _cost_terms, metric_phiphi_dr
+from gcomplexity.modified_metrics import CHART_EPS, MAX_STEPS, _cost_terms, _lorentz_rhs
 
 
 def radial_path(r0, r1, n=200):
@@ -42,10 +42,11 @@ def test_metric_phiphi_values():
     assert metric_phiphi(0.0) == 0.0
     r = 0.9
     assert metric_phiphi(r) == pytest.approx(np.cosh(2 * r) * np.sinh(r) ** 2)
-    # analytic derivative against central differences
+    # the integrator's analytic derivative against central differences:
+    # with vr = 0 and vphi = 1 the radial force is d g_phiphi / dr / 2
     eps = 1e-6
     fd = (metric_phiphi(r + eps) - metric_phiphi(r - eps)) / (2 * eps)
-    assert metric_phiphi_dr(r) == pytest.approx(fd, rel=1e-8)
+    assert 2.0 * _lorentz_rhs(r, 0.0, 0.0, 1.0, None)[2] == pytest.approx(fd, rel=1e-8)
 
 
 def test_weyl_constant_factor_exact():
@@ -99,6 +100,20 @@ def test_weyl_quad_steps_validation():
         weyl_complexity(1.0, WeylFactor.constant(0.0), 0)
     with pytest.raises(ValidationError):
         weyl_complexity(-1.0, WeylFactor.constant(0.0), 16)
+
+
+@pytest.mark.parametrize(
+    "quad_steps, message",
+    [
+        (16.0, "quad_steps must be an integer >= 2"),
+        (np.nan, "quad_steps must be an integer >= 2"),
+        (MAX_STEPS + 2, f"quad_steps must be <= {MAX_STEPS}"),
+        (10**12, f"quad_steps must be <= {MAX_STEPS}"),
+    ],
+)
+def test_weyl_quad_steps_are_capped_integers(quad_steps, message):
+    with pytest.raises(ValidationError, match=message):
+        weyl_complexity(1.0, WeylFactor.constant(0.0), quad_steps)
 
 
 def test_weyl_overflow_raises():
@@ -331,3 +346,118 @@ def test_gradient_potential_validation():
         VectorPotential.gradient([np.nan])
     with pytest.raises(ValidationError):
         VectorPotential.constant(-0.5)
+
+
+@pytest.mark.parametrize(
+    "rk_steps, message",
+    [
+        (np.nan, "rk_steps must be an integer"),
+        (8.7, "rk_steps must be an integer"),
+        (256.0, "rk_steps must be an integer"),
+        (7, "rk_steps must be >= 8"),
+        (np.int64(MAX_STEPS + 1), f"rk_steps must be <= {MAX_STEPS}"),
+        (10**12, f"rk_steps must be <= {MAX_STEPS}"),
+    ],
+)
+def test_lorentz_rk_steps_are_capped_integers(rk_steps, message):
+    with pytest.raises(ValidationError, match=message):
+        lorentz_geodesic((0.5, 0.0), (1.0, 0.0), rk_steps=rk_steps)
+
+
+def reference_rhs(state, a):
+    """The array-state right-hand side the float integrator replaced, kept verbatim."""
+    def metric_phiphi_dr(r):
+        r = np.asarray(r, dtype=float)
+        return 2.0 * np.sinh(2.0 * r) * np.sinh(r) ** 2 + np.cosh(2.0 * r) * np.sinh(2.0 * r)
+
+    r, phi, vr, vphi = state
+    gpp = float(metric_phiphi(r))
+    dgpp = float(metric_phiphi_dr(r))
+    fs = float(a.f_rphi(r, phi))
+    ar = 0.5 * dgpp * vphi * vphi + fs * vphi
+    aphi = (-dgpp * vr * vphi - fs * vr) / gpp if gpp > 0.0 else 0.0
+    return np.array([vr, vphi, ar, aphi])
+
+
+def reference_rk4(start, velocity, a, length, n):
+    """The array-state RK4 the float integrator replaced, kept verbatim as the bit reference.
+
+    Returns the (n + 1, 4) trajectory, or the rows up to the step whose
+    update crossed the chart boundary together with that step's index.
+    """
+    r0, phi0 = map(float, start)
+    vr0, vphi0 = map(float, velocity)
+    speed = np.sqrt(vr0 * vr0 + float(metric_phiphi(r0)) * vphi0 * vphi0)
+    state = np.array([r0, phi0, vr0 / speed, vphi0 / speed])
+    h = length / n
+    traj = np.empty((n + 1, 4))
+    traj[0] = state
+    for i in range(n):
+        k1 = reference_rhs(state, a)
+        k2 = reference_rhs(state + 0.5 * h * k1, a)
+        k3 = reference_rhs(state + 0.5 * h * k2, a)
+        k4 = reference_rhs(state + h * k3, a)
+        state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if state[0] < CHART_EPS:
+            return traj[: i + 1], i
+        traj[i + 1] = state
+    return traj, None
+
+
+POTENTIALS = {
+    "none": VectorPotential.none(),
+    "constant": VectorPotential.constant(0.4),
+    "gradient": VectorPotential.gradient([0.0, 0.3, 0.1]),
+    "ripple": VectorPotential.ripple(0.6, 0.3),
+}
+
+
+@pytest.mark.parametrize("potential", ["none", "ripple"])
+def test_lorentz_rhs_has_the_bits_of_the_array_rhs(potential):
+    # one stage at many states: a last-place change in sinh, cosh or the square shows here
+    a = POTENTIALS[potential]
+    field = None if potential == "none" else a.f_rphi
+    rng = np.random.default_rng(17)
+    states = np.column_stack([
+        rng.uniform(0.0, 3.0, 20000), rng.uniform(0.0, 2.0 * np.pi, 20000),
+        rng.normal(size=20000), rng.normal(size=20000),
+    ])
+    for state in states:
+        got = _lorentz_rhs(*state.tolist(), field)
+        assert np.array_equal(got, reference_rhs(state, a)), state
+
+
+@pytest.mark.parametrize("rk_steps", [8, 64, 1024])
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_lorentz_geodesic_has_the_bits_of_the_array_rk4(potential, rk_steps):
+    a = POTENTIALS[potential]
+    rng = np.random.default_rng(rk_steps + len(potential))
+    for _ in range(3):
+        start = (rng.uniform(0.2, 1.5), rng.uniform(0.0, 2.0 * np.pi))
+        velocity = tuple(rng.normal(size=2))
+        length = rng.uniform(0.2, 1.2)
+        # a coarse step can overflow near r = 0; the inf and nan must land where they did
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, cut = reference_rk4(start, velocity, a, length, rk_steps)
+            if cut is not None:
+                continue  # the boundary is pinned by its own test below
+            path = lorentz_geodesic(
+                start, velocity, a=a, length=length, rk_steps=rk_steps, drift_tol=np.inf
+            )
+        assert np.array_equal(path.samples, want[:, :2], equal_nan=True)
+        assert np.array_equal(path.velocities, want[:, 2:], equal_nan=True)
+
+
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_chart_boundary_partial_path_has_the_bits_of_the_array_rk4(potential):
+    a = POTENTIALS[potential]
+    start, velocity, length, n = (0.5, 0.0), (-1.0, 0.0), 1.0, 256  # ripple force is 0 at phi = 0
+    want, cut = reference_rk4(start, velocity, a, length, n)
+    assert cut is not None and cut > 0
+    with pytest.raises(ChartBoundary) as info:
+        lorentz_geodesic(start, velocity, a=a, length=length, rk_steps=n)
+    partial = info.value.partial_path
+    assert np.array_equal(partial.samples, want[:, :2])
+    assert np.array_equal(partial.velocities, want[:, 2:])
+    h = length / n
+    assert np.array_equal(partial.params, np.linspace(0.0, cut * h / length, cut + 1))

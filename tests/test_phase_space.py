@@ -216,6 +216,23 @@ def test_kind_mismatch_on_apply():
         apply_transformation(ref, t)
 
 
+def test_a_state_loaded_at_a_looser_tol_is_closed_under_transformation():
+    # residual 4.7e-08: accepted at tol 1e-6, and so is its image, also under the identity
+    state = state_from_dict(_state("boson", [[1.0, 0.0], [0.0, 1.0 + 1e-7]]), tol=1e-6)
+    assert state.tol == 1e-6
+    for t in (
+        GaussianTransformation(None, np.eye(2), StateKind.BOSON),
+        single_mode_squeezing(0.3, 0.5),
+    ):
+        image = apply_transformation(state, t)
+        assert image.tol == 1e-6
+        assert np.array_equal(image.j, t.m @ state.j @ t.inverse_m)
+    with pytest.raises(NotPure, match="relative residual 4.714e-08"):
+        GaussianState(state.j, state.kind)  # built afresh, it is checked at the default tol
+    with pytest.raises(NotPure):
+        state_from_dict(_state("boson", [[1.0, 0.0], [0.0, 1.0 + 1e-7]]))
+
+
 def test_fermion_state_rejects_displacement():
     j = reference_state(StateKind.FERMION, 1).j
     with pytest.raises(DisplacementPresent):
