@@ -588,7 +588,7 @@ def test_nonrev_csv_is_the_same_on_every_route(tmp_path, capsys, potential):
 def test_step_counts_are_capped(tmp_path, capsys, argv, message):
     # the cap is checked before the trajectory or the quadrature grid is allocated
     if argv[0] == "weyl":
-        argv += ["--reference", boson_ref(tmp_path), "--target", squeezed(tmp_path, 0.7)]
+        argv = argv + ["--reference", boson_ref(tmp_path), "--target", squeezed(tmp_path, 0.7)]
     tracemalloc.start()
     try:
         code, out = run_cli(capsys, *argv)
