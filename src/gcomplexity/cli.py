@@ -253,9 +253,9 @@ def _delta_eigenvalues(rel) -> np.ndarray:
 
 def _group_results(reference, kind, sigmas, zs, tol) -> list:
     """Payload or error for each target of one kind and N, the same as one run each."""
-    states = state_stack(kind, sigmas, zs, tol)
+    states = state_stack(kind, sigmas, tol)
     results = list(states.errors)
-    displaced = np.any(states.z != 0.0, axis=1) | bool(np.any(reference.z != 0.0))
+    displaced = np.any(zs[states.index] != 0.0, axis=1) | bool(np.any(reference.z != 0.0))
     for i in states.index[displaced]:
         results[i] = DisplacementPresent(
             "complexity requires zero displacements; use the coherent command "
@@ -298,8 +298,8 @@ def _complexity_results(reference, paths, tol) -> list:
         else:
             groups.setdefault((kind, sigma.shape), []).append((i, sigma, z))
     for (kind, _), members in groups.items():
-        index, sigmas, zs = zip(*members)
-        for i, result in zip(index, _group_results(reference, kind, np.stack(sigmas), zs, tol)):
+        index, sigmas, zs = map(np.stack, zip(*members))
+        for i, result in zip(index, _group_results(reference, kind, sigmas, zs, tol)):
             results[i] = result
     return results
 

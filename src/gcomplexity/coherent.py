@@ -1,15 +1,21 @@
-r"""Complexity and optimal circuits for displaced bosonic targets.
+r"""Complexity and circuits for displaced bosonic targets.
 
-For a target (J_T, z_T) the optimal circuit is
+For a target (J_T, z_T) the one-parameter affine circuit is
 
     M(tau) = e^{tau log(Delta)/2},
     z(tau) = (M(tau) - 1)(M(1) - 1)^{-1} z_T,
 
 and with N = log(Delta)(sqrt(Delta) - 1)^{-1} and G = N^T sigma_R^{-1} N
 = (H^{-1} N)^T (H^{-1} N), H = sigma_R^{1/2} the pencil's whitening,
-the state complexity is
+its g_1 length is
 
     C = 1/2 sqrt(Tr|log Delta|^2 / 2 + z_T^T G z_T).
+
+C is the distance when z_T = 0.  For a displaced target it is an upper
+bound on the g_1 distance, and a strict one in general: from the vacuum
+to z_T = (Z, 0) with Z > 2, squeezing by e^{-rQ}, displacing by Z e^{-r}
+along q and un-squeezing by e^{rQ} (Q = diag(1, -1), r = ln(Z/2)) costs
+2 + 2 ln(Z/2) < C = Z.
 
 N is the function f(x) = log x / (sqrt x - 1) of Delta.  It is read off
 the pencil decomposition of Delta as f = 2y / expm1(y) with y = s/2 on
@@ -65,8 +71,10 @@ def coherent_geodesic(reference: GaussianState, target: GaussianState) -> Cohere
 
 
 def coherent_complexity(geo: CoherentGeodesic) -> float:
-    r"""C = 1/2 sqrt(Tr|log Delta|^2 / 2 + G(z_T, z_T)).
+    r"""C = 1/2 sqrt(Tr|log Delta|^2 / 2 + G(z_T, z_T)), the one-parameter circuit's length.
 
+    The g_1 length of the affine circuit e^{tau [[log(Delta)/2, N z_T/2],
+    [0, 0]]}: the distance when z_T = 0, an upper bound on it otherwise.
     Raises NumericDomainError when C overflows (a huge but finite z_T).
     """
     s = geo.delta.radial_exponents
@@ -79,7 +87,7 @@ def coherent_complexity(geo: CoherentGeodesic) -> float:
 
 
 def coherent_geodesic_point(geo: CoherentGeodesic, tau: float) -> GaussianTransformation:
-    """Optimal circuit point (z(tau), M(tau)), one exponential of the affine generator.
+    """Circuit point (z(tau), M(tau)), one exponential of the affine generator.
 
     z(tau) solves x' = (log Delta / 2) x + N z_T / 2 from x(0) = 0, and
     M(tau) = e^{tau log(Delta)/2} is the linear part of that flow.

@@ -44,6 +44,7 @@ from .phase_space import (
     StateKind,
     standard_symplectic_form,
 )
+from .phase_space import _QUIET, _as_matrix, _freeze, _frobenius, _rel
 
 BRANCH_CUT_MARGIN = 1e-6
 
@@ -65,26 +66,20 @@ class LieAlgebraElement:
     algebra: LieAlgebra
 
     def __post_init__(self):
-        m = np.asarray(self.v, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise DimensionMismatch(f"algebra element must be 2N x 2N, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NonFinite("algebra element contains non-finite entries")
+        m = _as_matrix(self.v, "algebra element")
         # an overflowing residual is inf or nan, and fails the check
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = 1.0 + np.linalg.norm(m)
+        with np.errstate(**_QUIET):
             if self.algebra is LieAlgebra.SP:
                 om = standard_symplectic_form(m.shape[0] // 2)
-                resid = np.linalg.norm(m @ om + om @ m.T) / scale
+                resid = m @ om + om @ m.T
                 what = "not in sp(2N, R): V Omega + Omega V^T"
             else:
-                resid = np.linalg.norm(m + m.T) / scale
+                resid = m + m.T
                 what = "not in so(2N): V + V^T"
+            resid = _rel(resid[None], _frobenius(m[None]))[0]
         if not resid <= DEFAULT_TOL:
             raise GroupViolation(f"{what} residual {resid:.3e}")
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "v", m)
+        object.__setattr__(self, "v", _freeze(m))
 
     @property
     def n_modes(self) -> int:

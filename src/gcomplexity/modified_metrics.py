@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     ChartBoundary,
     NonFiniteFactor,
+    NumericDomainError,
     PotentialTooLarge,
     StepTooCoarse,
     ValidationError,
@@ -280,6 +281,7 @@ def _lorentz_rhs(r, phi, vr, vphi, field):
     return vr, vphi, ar, aphi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised in-band below
 def lorentz_geodesic(
     start,
     initial_velocity,
@@ -300,7 +302,9 @@ def lorentz_geodesic(
     parametrized by arc length and covers the requested length.  The
     conserved speed is monitored; drift beyond ``drift_tol`` raises
     StepTooCoarse (pass a larger value for deliberate coarse-step
-    convergence studies).  Trajectories reaching r = 0 with angular
+    convergence studies, or inf to skip the check); a nan or inf speed,
+    where g_phiphi overflowed (r above about 178), raises
+    NumericDomainError instead.  Trajectories reaching r = 0 with angular
     motion raise ChartBoundary carrying the partial path.
     """
     a = a or VectorPotential.none()
@@ -365,12 +369,18 @@ def lorentz_geodesic(
                 partial_path=partial,
             )
         traj[i + 1] = r, phi, vr, vphi
-    speeds = np.sqrt(traj[:, 2] ** 2 + metric_phiphi(traj[:, 0]) * traj[:, 3] ** 2)
-    drift = float(np.abs(speeds - 1.0).max())
-    if drift > drift_tol:
-        raise StepTooCoarse(
-            f"speed drift {drift:.3e} exceeds tolerance {drift_tol:.3e}; "
-            "increase rk_steps"
-        )
+    if drift_tol < np.inf:  # an infinite tolerance returns the trajectory unchecked
+        speeds = np.sqrt(traj[:, 2] ** 2 + metric_phiphi(traj[:, 0]) * traj[:, 3] ** 2)
+        drift = float(np.abs(speeds - 1.0).max())
+        if not np.isfinite(drift):  # a non-finite r, vr or vphi leaves its speed non-finite
+            raise NumericDomainError(
+                "g_phiphi = cosh(2r) sinh^2(r) overflowed on the trajectory "
+                "(it does above r of about 178)"
+            )
+        if drift > drift_tol:
+            raise StepTooCoarse(
+                f"speed drift {drift:.3e} exceeds tolerance {drift_tol:.3e}; "
+                "increase rk_steps"
+            )
     return DiscretizedPath(traj[:, :2].copy(), np.linspace(0.0, 1.0, n + 1), traj[:, 2:].copy())
 

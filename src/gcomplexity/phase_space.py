@@ -14,10 +14,10 @@ orthogonal for fermions.  All matrices use the quadrature ordering
 (Q^1, P_1, ..., Q^N, P_N), in which the standard Omega and J_R are
 block-diagonal with 2x2 blocks [[0, 1], [-1, 0]].
 
-The invariant checks run on stacks (B, 2N, 2N): state_stack validates
-many states of one kind and N at once, and GaussianState runs the same
-checks on its one J, all but the covariance Cholesky.  A residual that
-overflows to inf or nan fails its check.
+A state is checked in one place: state_stack runs the check list on a
+stack (B, 2N, 2N) of states of one kind and N, and a GaussianState is
+its one-row case, whether built in code or loaded by state_from_dict.
+A residual that overflows to inf or nan fails its check.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     NotPure,
     SchemaError,
     SingularInput,
-    ValidationError,
 )
 
 DEFAULT_TOL = 1e-10
@@ -52,12 +51,18 @@ class StateKind(enum.Enum):
     FERMION = "fermion"
 
 
-def _as_matrix(a, name):
+def _as_square(a, name):
+    """a as a float 2N x 2N matrix, N >= 1, with any entries."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[0] % 2 != 0 or m.shape[0] == 0:
         raise DimensionMismatch(f"{name} must be 2N x 2N with N >= 1, got shape {m.shape}")
+    return m
+
+
+def _as_matrix(a, name):
+    m = _as_square(a, name)
     if not np.all(np.isfinite(m)):
         raise NonFinite(f"{name} contains non-finite entries")
     return m
@@ -109,16 +114,6 @@ class _Checked:
             for k in np.flatnonzero(~ok):
                 self.errors[self.index[k]] = error(k)
             self.m, self.index = self.m[ok], self.index[ok]
-
-
-
-def _check_one(m, check, *args):
-    """Run a stack check on the one matrix m and raise its error, if any."""
-    c = _Checked(m[None])
-    with np.errstate(**_QUIET):
-        check(c, *args)
-    if c.errors[0] is not None:
-        raise c.errors[0]
 
 
 def _check_finite(c: _Checked, name: str):
@@ -177,16 +172,14 @@ def _check_pure(c: _Checked, tol: float):
 class GaussianState:
     """Pure Gaussian state (J, z) of one kind; z is zero for fermions.
 
-    The constructor runs state_stack's checks on its one J, in the same
-    order: shape and finiteness, symmetry of sigma = -J Omega_N (bosons)
-    or the form checks (fermions), purity, then z.  The symmetry, form
-    and purity checks raise state_stack's errors; shape, finiteness and
-    z raise errors that name j and z, where the loader names the file's
-    "sigma" or "omega" and reports a bad shape as a SchemaError.  Only
-    state_stack's covariance Cholesky is left out.  ``tol`` bounds the
-    purity and fermion antisymmetry residuals; a state keeps the
-    tolerance it was accepted at, so apply_transformation checks its
-    image at that tolerance too.
+    The constructor checks that j is 2N x 2N, then runs state_stack on
+    its one covariance sigma = -J Omega_N (bosons) or form J (fermions)
+    and raises the first error; the loader builds its states through
+    this constructor, so a state built in code and one read from a file
+    pass and fail the same checks with the same messages.  Then z is
+    checked.  ``tol`` bounds the purity and fermion antisymmetry
+    residuals; a state keeps the tolerance it was accepted at, so
+    apply_transformation checks its image at that tolerance too.
     """
 
     j: np.ndarray
@@ -195,12 +188,13 @@ class GaussianState:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        m = _as_matrix(self.j, "j")
-        if self.kind is StateKind.BOSON:
-            _check_one(-m @ standard_symplectic_form(m.shape[0] // 2), _check_symmetric)
-        else:
-            _check_one(m, _check_form, self.tol)
-        _check_one(m, _check_pure, self.tol)
+        m = _as_square(self.j, "j")
+        boson = self.kind is StateKind.BOSON
+        with np.errstate(**_QUIET):
+            sigma = -m @ standard_symplectic_form(len(m) // 2) if boson else m
+        (error,) = state_stack(self.kind, sigma[None], self.tol).errors
+        if error is not None:
+            raise error
         z = _as_vector(self.z, m.shape[0], "z")
         if self.kind is StateKind.FERMION and np.any(z != 0.0):
             raise DisplacementPresent("fermion states carry no displacement")
@@ -337,14 +331,15 @@ def _floats(value, not_numeric: str) -> np.ndarray:
 
 
 def parse_state_dict(data: dict):
-    """Check the JSON state schema; return (kind, sigma, raw z or None).
+    """Check the JSON state schema; return (kind, sigma, z).
 
     Schema: {"kind": "boson"|"fermion", "n_modes": N, "sigma": [[...]],
-    "z": [...]} with "z" optional and forbidden for fermions.  The
-    entries of "sigma" and "z" must be numbers.  For bosons "sigma" is
-    the symmetric covariance matrix; for fermions it is the
-    antisymmetric state symplectic form (the covariance is fixed to the
-    identity).  "z" is parsed by state_stack, after the checks on sigma.
+    "z": [...]} with "z" optional (zeros when absent) and forbidden for
+    fermions.  The entries of "sigma" and "z" must be numbers, and those
+    of "z" finite.  For bosons "sigma" is the symmetric covariance
+    matrix; for fermions it is the antisymmetric state symplectic form
+    (the covariance is fixed to the identity).  The state checks on
+    "sigma" are state_stack's.
     """
     if not isinstance(data, dict):
         raise SchemaError("state file must contain a JSON object")
@@ -365,95 +360,80 @@ def parse_state_dict(data: dict):
     sig = _floats(data["sigma"], "sigma must be a numeric matrix")
     if sig.shape != (d, d):
         raise SchemaError(f"sigma must be {d} x {d}, got {sig.shape}")
-    if kind is StateKind.FERMION and "z" in data:
+    if "z" not in data:
+        return kind, sig, np.zeros(d)
+    if kind is StateKind.FERMION:
         raise DisplacementPresent("fermion state files must not contain 'z'")
-    return kind, sig, data.get("z")
-
-
-def _displacement(raw, d: int) -> np.ndarray:
-    z = _floats(raw, "z must be a numeric vector")
+    z = _floats(data["z"], "z must be a numeric vector")
     if z.shape != (d,):
         raise SchemaError(f"z must have length {d}")
     if not np.all(np.isfinite(z)):
         raise NonFinite("z contains non-finite entries")
-    return z
+    return kind, sig, z
 
 
 @dataclass(frozen=True)
 class StateStack:
     """States of one kind and N validated together.
 
-    ``errors[i]`` is the first ValidationError of input i, in the order
-    state_from_dict raises them, or None.  ``index`` lists the inputs
-    that passed, and ``j`` (len(index), 2N, 2N) and ``z`` (len(index),
-    2N) hold their complex structures and displacements.
+    ``errors[i]`` is the first ValidationError of input i, or None.
+    ``index`` lists the inputs that passed, and ``j`` (len(index), 2N,
+    2N) holds their complex structures.
     """
 
-    kind: StateKind
     index: np.ndarray
     j: np.ndarray
-    z: np.ndarray
     errors: list
 
 
-def state_stack(kind: StateKind, sigmas: np.ndarray, zs, tol: float = DEFAULT_TOL) -> StateStack:
-    """Validate a stack (B, 2N, 2N) of schema-checked "sigma" entries of one kind.
+def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -> StateStack:
+    """Validate a stack (B, 2N, 2N) of "sigma" entries of one kind: the one check list.
 
-    Every check runs once on the stack: finiteness, symmetry and
-    positive-definiteness of a boson covariance, antisymmetry and
-    |det| = 1 of a fermion form, purity J^2 = -1 (``tol`` bounds that
-    residual and the fermion antisymmetry), then each boson's raw z
-    from ``zs`` (None for none).
+    Every check runs once on the stack; an item stops at its first
+    failure.  Bosons: finiteness, symmetry, positive-definiteness, then
+    purity J^2 = -1 of J = sigma Omega_N.  Fermions: finiteness,
+    antisymmetry and |det| = 1 of the form, which is J, then purity.
+    ``tol`` bounds the purity residual and the fermion antisymmetry.
+
+    Positivity is the Cholesky of (sigma + sigma^{-1})/2, with sigma^{-1}
+    = -Omega sigma Omega (exact for a pure sigma, and only a signed
+    permutation of its entries).  Its eigenvalues are cosh 2r_i >= 1, where
+    sigma's own e^{-2r_i} round to zero or below at strong off-axis
+    squeezing; sigma = -1 still fails.
     """
-    b, d = sigmas.shape[:2]
-    z = np.zeros((b, d))
-    z_errors = [None] * b
-    for i, raw in enumerate(zs):
-        if raw is not None:
-            try:
-                z[i] = _displacement(raw, d)
-            except ValidationError as exc:
-                z_errors[i] = exc
     c = _Checked(sigmas)
     with np.errstate(**_QUIET):
         if kind is StateKind.BOSON:
+            om = standard_symplectic_form(sigmas.shape[1] // 2)
             _check_finite(c, "sigma")
             _check_symmetric(c)
+            # halves taken first: no sum of two finite entries overflows
             c.require(
-                _cholesky_succeeds(c.m), lambda k: SingularInput("sigma is not positive-definite")
+                _cholesky_succeeds(0.5 * c.m - 0.5 * (om @ c.m @ om)),
+                lambda k: SingularInput("sigma is not positive-definite"),
             )
-            c.m = c.m @ standard_symplectic_form(d // 2)  # J = sigma Omega_N
+            c.m = c.m @ om  # J = sigma Omega_N
         else:
             # sigma = 1, so J = Omega sigma^{-1} is the state's own form
             _check_finite(c, "omega")
             _check_form(c, tol)
         _check_pure(c, tol)
-    c.require(
-        np.array([z_errors[i] is None for i in c.index], dtype=bool),
-        lambda k: z_errors[c.index[k]],
-    )
-    return StateStack(kind, c.index, c.m, z[c.index], c.errors)
+    return StateStack(c.index, c.m, c.errors)
 
 
 def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     """Parse the JSON state schema (parse_state_dict) into a GaussianState.
 
-    The one-state case of state_stack: ``tol`` bounds the purity residual
-    ||J^2 + 1|| and, for fermions, the antisymmetry residual of "sigma".
-    The row state_stack returns is already checked, so the state is built
-    from it without running the constructor's checks again; it carries
-    ``tol``.
+    The state is built by the constructor, so it is state_stack's one-row
+    case: ``tol`` bounds the purity residual ||J^2 + 1|| and, for
+    fermions, the antisymmetry residual of "sigma", and the state
+    carries ``tol``.
     """
     kind, sig, z = parse_state_dict(data)
-    states = state_stack(kind, sig[None], [z], tol)
-    if states.errors[0] is not None:
-        raise states.errors[0]
-    state = object.__new__(GaussianState)
-    for name, value in (
-        ("j", _freeze(states.j[0])), ("kind", kind), ("z", _freeze(states.z[0])), ("tol", tol)
-    ):
-        object.__setattr__(state, name, value)
-    return state
+    if kind is StateKind.BOSON:
+        with np.errstate(**_QUIET):
+            sig = sig @ standard_symplectic_form(sig.shape[0] // 2)  # J = sigma Omega_N
+    return GaussianState(sig, kind, z, tol)
 
 
 def state_to_dict(state: GaussianState) -> dict:

@@ -665,6 +665,23 @@ def test_nonrev_rejects_non_finite_input(capsys, extra):
     assert json.loads(out)["error"].startswith("ValidationError:")
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "start,velocity", [("400,0", "1,1"), ("400,0", "1,0"), ("200,0", "0.3,1")]
+)
+def test_nonrev_far_out_launch_is_an_in_band_overflow(capsys, start, velocity):
+    # g_phiphi overflows above r of about 178; a nan drift used to pass as exit 0 with NaN costs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "nonrev", "--start", start, "--velocity", velocity)
+    assert code == 2
+    error = json.loads(out, parse_constant=_no_constant)["error"]
+    assert error.startswith("NumericDomainError: g_phiphi = cosh(2r) sinh^2(r) overflowed")
+
+
 def test_oracle_verify_self(tmp_path, capsys):
     ref = boson_ref(tmp_path)
     code, out = run_cli(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
@@ -7,12 +8,14 @@ from gcomplexity import (
     DisplacementPresent,
     GaussianState,
     GaussianTransformation,
+    GroupPath,
     KindMismatch,
     StateKind,
     apply_transformation,
     coherent_complexity,
     coherent_geodesic,
     coherent_geodesic_point,
+    group_path_length,
     reference_state,
     single_mode_squeezing,
     state_complexity,
@@ -66,6 +69,38 @@ def test_endpoint_exactness():
             at0 = coherent_geodesic_point(geo, 0.0)
             assert np.allclose(at0.m, np.eye(2 * n), atol=1e-14)
             assert np.allclose(at0.v, np.zeros(2 * n), atol=1e-14)
+
+
+@pytest.mark.parametrize("z", [3.0, 8.0, 64.0])
+def test_closed_form_is_an_upper_bound_on_displaced_targets(z):
+    """C is the length of one circuit, not the distance: from the vacuum to
+    z_T = (Z, 0), squeezing by e^{-rQ}, displacing by Z e^{-r} along q and
+    un-squeezing by e^{rQ} (r = ln(Z/2)) costs 2 + 2 ln(Z/2) < C = Z."""
+    r = np.log(z / 2.0)
+    q = np.diag([1.0, -1.0])
+    vacuum = reference_state(StateKind.BOSON, 1)
+    target = GaussianState(vacuum.j, vacuum.kind, np.array([z, 0.0]))
+    shift = np.array([z * np.exp(-r), 0.0])
+    legs = [
+        GaussianTransformation(None, scipy.linalg.expm(-r * q), StateKind.BOSON),
+        GaussianTransformation(shift, np.eye(2), StateKind.BOSON),
+        GaussianTransformation(None, scipy.linalg.expm(r * q), StateKind.BOSON),
+    ]
+    state = vacuum
+    for leg in legs:
+        state = apply_transformation(state, leg)
+    assert np.abs(legs[2].m @ legs[0].m - np.eye(2)).max() <= 1e-12
+    assert np.abs(state.j - target.j).max() <= 1e-12
+    assert np.abs(state.z - target.z).max() <= 1e-12
+    # the same legs as the oracle's path increments, two segments each, in its metric
+    increments = np.stack([-q, -q, 0.0 * q, 0.0 * q, q, q]) * (0.5 * r)
+    du = np.zeros((6, 2))
+    du[2:4] = 0.5 * shift
+    length = group_path_length(GroupPath(increments, StateKind.BOSON, du))
+    assert length == pytest.approx(2.0 + 2.0 * np.log(z / 2.0), rel=1e-12)
+    closed = coherent_complexity(coherent_geodesic(vacuum, target))
+    assert closed == pytest.approx(z, rel=1e-12)
+    assert length < closed
 
 
 def test_displacement_flow_matches_hamiltonian_integration():

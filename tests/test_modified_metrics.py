@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gcomplexity import (
     ChartBoundary,
     DiscretizedPath,
     NonFiniteFactor,
+    NumericDomainError,
     PotentialTooLarge,
     StepTooCoarse,
     ValidationError,
@@ -282,6 +284,26 @@ def test_lorentz_chart_boundary_carries_partial_path():
 def test_lorentz_step_too_coarse():
     with pytest.raises(StepTooCoarse):
         lorentz_geodesic((1.0, 0.0), (0.0, 1.0), length=3.0, rk_steps=8)
+
+
+@pytest.mark.parametrize(
+    "start,velocity,length,rk_steps",
+    [
+        *[((400.0, 0.0), (1.0, 0.0), 1.0, n) for n in (8, 256, 4096)],
+        *[((177.0, 0.0), (0.0, 1.0), 1.0, n) for n in (8, 256, 4096)],
+        # a coarse step near r = 0 throws a stage out to r = 436
+        ((0.4997036205668777, 4.212534840251065), (-1.3206632116051251, -0.10775250794802987),
+         1.058130489083909, 8),
+    ],
+)
+def test_lorentz_overflow_is_a_domain_error(start, velocity, length, rk_steps):
+    # g_phiphi overflows above r of about 178 and the speed comes out nan or inf,
+    # which used to pass the drift check; it is not StepTooCoarse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericDomainError, match="^g_phiphi = cosh") as raised:
+            lorentz_geodesic(start, velocity, length=length, rk_steps=rk_steps)
+    assert type(raised.value) is NumericDomainError
 
 
 def test_lorentz_rk4_convergence_order():

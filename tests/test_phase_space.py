@@ -25,7 +25,8 @@ from gcomplexity import (
     state_to_dict,
 )
 from gcomplexity import phase_space
-from helpers import displaced_target, random_target, random_transformation
+from gcomplexity.lie_numerics import spd_pencil_stack
+from helpers import displaced_target, passive, random_target, random_transformation
 
 
 def test_standard_form_blocks():
@@ -121,6 +122,14 @@ _PARITY = {
     "boson N=2 -J Omega asymmetric": (StateKind.BOSON, _conjugated_standard_form(2, {(0, 2): 0.8})),
     "boson thermal 2 Omega": (StateKind.BOSON, 2.0 * standard_symplectic_form(1)),
     "fermion thermal 2 Omega": (StateKind.FERMION, 2.0 * standard_symplectic_form(1)),
+    # sigma = -1 is symmetric and symplectic, and J^2 = -1: only positivity rejects it
+    "boson J = -Omega_1": (StateKind.BOSON, -standard_symplectic_form(1)),
+    "boson N=2 diag(Omega, -Omega)": (
+        StateKind.BOSON,
+        np.kron(np.diag([1.0, -1.0]), standard_symplectic_form(1)),
+    ),
+    "boson J with a nan entry": (StateKind.BOSON, np.array([[0.0, 1.0], [np.nan, 0.0]])),
+    "fermion J with an inf entry": (StateKind.FERMION, np.array([[0.0, np.inf], [-1.0, 0.0]])),
 }
 
 
@@ -136,6 +145,61 @@ def test_constructor_rejects_what_the_loader_rejects(case):
         GaussianState(j, kind)
     assert type(built.value) is type(loaded.value)
     assert str(built.value) == str(loaded.value)
+
+
+def _squeezes():
+    """S(r, phi) at phi in {0, 0.3, 1} and r = 4, 4.5, ..., 20: 99 squeezes."""
+    return [
+        single_mode_squeezing(r, phi) for phi in (0.0, 0.3, 1.0) for r in np.arange(4.0, 20.25, 0.5)
+    ]
+
+
+def _mixed_draws(count=400):
+    """J = sigma Omega_2 for sigma = P diag(e^{+-2 r_i}) P^T, radii in [0, 20], P passive."""
+    rng = np.random.default_rng(18)
+    om = standard_symplectic_form(2)
+    for _ in range(count):
+        p = passive(rng, 2)
+        x = np.repeat(rng.uniform(0.0, 20.0, size=2), 2) * np.tile([1.0, -1.0], 2)
+        sigma = (p * np.exp(2.0 * x)) @ p.T
+        yield 0.5 * (sigma + sigma.T) @ om
+
+
+def test_strongly_squeezed_states_survive_the_file_round_trip():
+    # a Cholesky of sigma itself rejected 30 of these 99 on the way back in
+    vacuum = reference_state(StateKind.BOSON, 1)
+    for t in _squeezes():
+        state = apply_transformation(vacuum, t)
+        back = state_from_dict(state_to_dict(state))
+        assert np.array_equal(back.j, state.j)
+
+
+def test_positivity_rejects_only_states_the_pencil_rejects():
+    # a state the constructor rejects as not positive-definite (1 of these 499, at
+    # r = (19.71, 0.72)) is one whose complexity fails anyway, in the pencil's eigh
+    jr = standard_symplectic_form(1)
+    grid = [t.m @ jr @ t.inverse_m for t in _squeezes()]
+    for j in [*grid, *_mixed_draws()]:
+        try:
+            GaussianState(j, StateKind.BOSON)
+        except SingularInput:
+            _, errors = spd_pencil_stack(phase_space.boson_covariance(j)[None])
+            assert errors[0] is not None
+
+
+@pytest.mark.parametrize(
+    "sigma,z,error",
+    [
+        ([[1.0, 0.5], [0.0, 1.0]], [np.nan, 0.0], "NonFinite: z contains non-finite entries"),
+        ([[1.0, 0.0], [0.0, -1.0]], [0.0], "SchemaError: z must have length 2"),
+        ([[2.0, 0.0], [0.0, 2.0]], ["0", 0.0], "SchemaError: z must be a numeric vector"),
+    ],
+)
+def test_a_bad_z_is_reported_before_a_bad_sigma(sigma, z, error):
+    data = {"kind": "boson", "n_modes": 1, "sigma": sigma, "z": z}
+    with pytest.raises(ValidationError) as loaded:
+        state_from_dict(data)
+    assert f"{type(loaded.value).__name__}: {loaded.value}" == error
 
 
 def test_state_from_dict_checks_each_state_once(monkeypatch):
