@@ -2,9 +2,12 @@
 
 Commands: complexity | coherent | weyl | nonrev | oracle-verify.
 States are loaded from JSON files in the schema documented in
-phase_space.parse_state_dict.  All floats are rendered with 17
-significant digits so results round-trip exactly, and identical inputs
-with the same seed produce byte-identical output.
+phase_space.parse_state_dict; a file is read as bytes and decoded as
+UTF-8, with CRLF and CR line ends made LF, which is what a text-mode
+read gives.  All floats are rendered with 17 significant digits so
+results round-trip exactly, and identical inputs with the same seed
+produce byte-identical output.  A float array is rendered by one % of
+a template cached per shape.
 
 `complexity` runs one array program per group of targets of one kind
 and N: the schema is checked file by file, then the group's matrices are
@@ -12,7 +15,8 @@ stacked and validated together (phase_space.state_stack), and decomposed
 by one stacked eigh for either kind (complexity_core.relative_stack).  A
 single --target is the one-file case of the same program, and --batch
 reports each file's first error in-band, as the single-file run would
-raise it.
+raise it.  The floats of a group's entries come from one tolist, and
+each --batch entry is one % of a template cached per N.
 
 Exit codes: 0 success, 2 numeric-domain error, 3 validation error,
 4 oracle non-convergence.
@@ -60,27 +64,44 @@ EXIT_NO_CONVERGENCE = 4
 _quote = json.encoder.encode_basestring_ascii
 
 
+@functools.lru_cache(maxsize=64)  # a few shapes per call
+def _template(shape: tuple) -> str:
+    """The %-template of a float array of this shape: one %.17g per entry, in JSON brackets."""
+    text = "%.17g"
+    for size in reversed(shape):
+        text = "[" + ", ".join([text] * size) + "]"
+    return text
+
+
+@functools.lru_cache(maxsize=64)
+def _entry_template(d: int) -> str:
+    """The %-template of a successful --batch entry at 2N = d: file name, then the row's floats."""
+    return (
+        '{"file": %s, "complexity": %.17g, "generator": ' + _template((d, d))
+        + ', "delta_eigenvalues": ' + _template((d, 2)) + "}"
+    )
+
+
+_ERROR_ENTRY = '{"file": %s, "error": %s}'
+
+
+class _JSON(str):
+    """Text that is already JSON: _render writes it as it is."""
+
+
 def _render(obj) -> str:
     """Compact JSON with floats at 17 significant digits.
 
-    Containers nest; each row of a float array (its last axis) is
-    formatted by one %, and a list of Python floats in one join.
+    Containers nest; a float array is formatted by one % of the
+    template of its shape.
     """
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim and obj.size:
-            fmt = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"
-            text = [fmt % tuple(row) for row in obj.reshape(-1, obj.shape[-1]).tolist()]
-            for size in reversed(obj.shape[:-1]):
-                text = [
-                    "[" + ", ".join(text[i : i + size]) + "]" for i in range(0, len(text), size)
-                ]
-            return text[0]
+        if obj.dtype.kind == "f" and obj.size:
+            return _template(obj.shape) % tuple(obj.ravel().tolist())
         obj = obj.tolist()
     if isinstance(obj, dict):
         return "{" + ", ".join([f"{_quote(k)}: {_render(v)}" for k, v in obj.items()]) + "}"
     if isinstance(obj, (list, tuple)):
-        if all(type(x) is float for x in obj):
-            return "[" + ", ".join(["%.17g" % x for x in obj]) + "]"
         return "[" + ", ".join([_render(x) for x in obj]) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -89,7 +110,7 @@ def _render(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return "%.17g" % float(obj)
     if isinstance(obj, str):
-        return _quote(obj)
+        return obj if type(obj) is _JSON else _quote(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot render {type(obj)!r}")
@@ -107,18 +128,29 @@ def _emit(payload: dict, fmt: str):
         print(_render(payload))
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _fail(exc: Exception) -> dict:
-    return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"error": _error_text(exc)}
 
 
 def _read_state_file(path: str):
+    """The JSON in a state file, read as a text-mode read would: UTF-8, line ends made LF.
+
+    The bytes are decoded here rather than by json.loads, which would
+    guess their encoding; a BOM is kept, so json.loads rejects it.
+    """
     try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read state file {path}: {exc}")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(raw)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"state file {path} is not valid JSON: {exc}")
 
@@ -252,7 +284,12 @@ def _delta_eigenvalues(rel) -> np.ndarray:
 
 
 def _group_results(reference, kind, sigmas, zs, tol) -> list:
-    """Payload or error for each target of one kind and N, the same as one run each."""
+    """Row or error for each target of one kind and N, the same as one run each.
+
+    A row is the target's floats in output order: complexity, then the
+    generator and the Delta eigenvalues, row-major; the rows of the group
+    come from one tolist.
+    """
     states = state_stack(kind, sigmas, tol)
     results = list(states.errors)
     displaced = np.any(zs[states.index] != 0.0, axis=1) | bool(np.any(reference.z != 0.0))
@@ -270,20 +307,21 @@ def _group_results(reference, kind, sigmas, zs, tol) -> list:
         for i in live:
             results[i] = exc
         return results
-    complexity = complexity_from_relative(rel).tolist()
-    generator = 0.5 * rel.log_delta
-    eigenvalues = _delta_eigenvalues(rel)
+    rows = np.concatenate(
+        [
+            complexity_from_relative(rel)[:, None],
+            (0.5 * rel.log_delta).reshape(len(live), -1),
+            _delta_eigenvalues(rel).reshape(len(live), -1),
+        ],
+        axis=1,
+    ).tolist()
     for k, i in enumerate(live):
-        results[i] = errors[k] if errors[k] is not None else {
-            "complexity": complexity[k],
-            "generator": generator[k],
-            "delta_eigenvalues": eigenvalues[k],
-        }
+        results[i] = errors[k] if errors[k] is not None else rows[k]
     return results
 
 
 def _complexity_results(reference, paths, tol) -> list:
-    """Payload or error for each target file.
+    """Row (_group_results) or error for each target file.
 
     Files are read and schema-checked one by one; then each group of one
     kind and N runs as one stack (_group_results).
@@ -298,21 +336,29 @@ def _complexity_results(reference, paths, tol) -> list:
         else:
             groups.setdefault((kind, sigma.shape), []).append((i, sigma, z))
     for (kind, _), members in groups.items():
-        index, sigmas, zs = map(np.stack, zip(*members))
-        for i, result in zip(index, _group_results(reference, kind, sigmas, zs, tol)):
+        index, sigmas, zs = zip(*members)
+        group = _group_results(reference, kind, np.array(sigmas), np.array(zs), tol)
+        for i, result in zip(index, group):
             results[i] = result
     return results
 
 
 def cmd_complexity(args) -> int:
     reference = _load_state(args.reference, args.tol)
+    d = 2 * reference.n_modes  # every target that succeeds has the reference's N
     if not args.batch:
         if not args.target:
             raise ValidationError("either --target or --batch is required")
         (result,) = _complexity_results(reference, [args.target], args.tol)
         if isinstance(result, Exception):
             raise result
-        _emit(result, args.format)
+        row = np.array(result)
+        payload = {
+            "complexity": result[0],
+            "generator": row[1 : 1 + d * d].reshape(d, d),
+            "delta_eigenvalues": row[1 + d * d :].reshape(d, 2),
+        }
+        _emit(payload, args.format)
         return EXIT_OK
     base = str(Path(args.batch))
     if not os.path.isdir(base):
@@ -324,16 +370,19 @@ def cmd_complexity(args) -> int:
     if not names:
         raise ValidationError(f"no .json files in {args.batch}")
     # the paths Path.glob gave, which error messages quote: bare names under "."
-    paths = [n if base == "." else os.path.join(base, n) for n in names]
+    prefix = "" if base == "." else os.path.join(base, "")
+    paths = [prefix + n for n in names]
+    template = _entry_template(d)
     entries = []
     worst = EXIT_OK
     for name, result in zip(names, _complexity_results(reference, paths, args.tol)):
         if isinstance(result, Exception):
             code = EXIT_NUMERIC if isinstance(result, NumericDomainError) else EXIT_VALIDATION
             worst = worst or code
-            result = _fail(result)
-        entries.append({"file": name, **result})
-    _emit({"results": entries}, args.format)
+            entries.append(_ERROR_ENTRY % (_quote(name), _quote(_error_text(result))))
+        else:
+            entries.append(template % (_quote(name), *result))
+    _emit({"results": _JSON("[" + ", ".join(entries) + "]")}, args.format)
     return worst
 
 

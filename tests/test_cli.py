@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gcomplexity import StateKind, reference_state, state_to_dict
-from gcomplexity.cli import _emit, _render, main
+from gcomplexity import (
+    StateKind,
+    complexity_from_relative,
+    reference_state,
+    relative_complex_structure,
+    state_from_dict,
+    state_to_dict,
+)
+from gcomplexity.cli import _delta_eigenvalues, _emit, _read_state_file, _render, main
+from gcomplexity.errors import SchemaError
 from helpers import random_target, reference_render, src_first_env
 
 
@@ -942,6 +950,17 @@ RENDER_PAYLOADS = [
     {"delta_eigenvalues": np.random.default_rng(1).normal(size=(40, 4, 2))},
     {"wide": np.random.default_rng(2).normal(size=(64, 64)) * 10.0 ** np.arange(-32, 32)},
     {"f32": np.array([np.nan, np.inf, -np.inf, -0.0, 0.1], dtype=np.float32)},
+    # one array of each shape a --batch entry or a coherent payload has, at N = 1, 2, 8
+    {
+        f"{name}_n{n}": np.random.default_rng(n).normal(size=shape(2 * n)) * 10.0 ** (n - 4)
+        for n in (1, 2, 8)
+        for name, shape in (
+            ("generator", lambda d: (d, d)),
+            ("delta_eigenvalues", lambda d: (d, 2)),
+            ("z_target", lambda d: (d,)),
+        )
+    },
+    {"generators": np.random.default_rng(5).normal(size=(3, 4, 4)), "zero_d": np.array(-0.0)},
 ]
 
 
@@ -958,3 +977,136 @@ def test_renderer_matches_the_recursive_reference(capsys, payload):
             text = '"' + text.replace('"', '""') + '"'
         want.append(f"{k},{text}")
     assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def _r18_off_axis_sigma():
+    """sigma = R diag(e^36, e^-36) R^T, rotated by 0.3: r = 18, where the pencil meets defect A."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    sigma = rot @ np.diag([np.exp(36.0), np.exp(-36.0)]) @ rot.T
+    return (0.5 * (sigma + sigma.T)).tolist()
+
+
+MIXED_ERRORS = {
+    # file name: (state, error of a run against the N = 1 boson reference)
+    "e_schema.json": ({"kind": "boson", "n_modes": 1}, "SchemaError: missing required key 'sigma'"),
+    "e_not_pure.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [[2.0, 0.0], [0.0, 2.0]]},
+        "NotPure: J^2 != -1",
+    ),
+    "e_displaced.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": [[4.0, 0.0], [0.0, 0.25]], "z": [0.3, 0.0]},
+        "DisplacementPresent: complexity requires zero displacements",
+    ),
+    "e_defect_a_r18.json": (
+        {"kind": "boson", "n_modes": 1, "sigma": _r18_off_axis_sigma()},
+        "NumericDomainError: relative covariance is not positive-definite",
+    ),
+}
+
+
+def write_mixed_batch(directory):
+    """Bosons and fermions at N = 1, 2, 8, an odd file name, and in-band errors."""
+    directory.mkdir()
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 8):
+        for kind in StateKind:
+            for i in range(2):
+                data = state_to_dict(random_target(kind, n, rng))
+                write_state(directory, f"{kind.value}_n{n}_{i}.json", data)
+    write_state(directory, 'q"uote \u00e9.json', state_to_dict(random_target(StateKind.BOSON, 1, rng)))
+    for name, (data, _) in MIXED_ERRORS.items():
+        write_state(directory, name, data)
+
+
+@pytest.mark.parametrize("kind", ["boson", "fermion"])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_batch_output_is_the_reference_render_of_its_entries(tmp_path, capsys, monkeypatch, kind, n):
+    batch = tmp_path / "batch"
+    write_mixed_batch(batch)
+    reference = reference_state(StateKind(kind), n)
+    ref = write_state(tmp_path, "ref.json", state_to_dict(reference))
+    monkeypatch.chdir(batch)
+    entries = []
+    for name in sorted(os.listdir(".")):
+        code, text = run_cli(capsys, "complexity", "--reference", ref, "--target", name)
+        if code:
+            entries.append({"file": name, "error": json.loads(text)["error"]})
+            continue
+        with open(name, encoding="utf-8") as f:
+            rel = relative_complex_structure(reference, state_from_dict(json.load(f)))
+        payload = {
+            "complexity": complexity_from_relative(rel),
+            "generator": 0.5 * rel.log_delta,
+            "delta_eigenvalues": _delta_eigenvalues(rel),
+        }
+        assert text == reference_render(payload) + "\n"  # the --target route renders the same
+        entries.append({"file": name, **payload})
+    assert sum("error" not in e for e in entries) == (3 if (kind, n) == ("boson", 1) else 2)
+    if (kind, n) == ("boson", 1):
+        errors = {e["file"]: e["error"] for e in entries if "error" in e}
+        assert set(MIXED_ERRORS) <= set(errors)
+        for name, (_, error) in MIXED_ERRORS.items():
+            assert errors[name].startswith(error)
+    want = reference_render({"results": entries})
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", ".")
+    assert out == want + "\n"
+    assert code in (2, 3)
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", ".", "--format", "csv")
+    assert out == 'key,value\nresults,"' + want[len('{"results": ') : -1].replace('"', '""') + '"\n'
+
+
+def _text_mode_error(path):
+    """The error the state-file read gives when the file is opened in text mode as UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"SchemaError: cannot read state file {path}: {exc}"
+    try:
+        json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return f"SchemaError: state file {path} is not valid JSON: {exc}"
+    return None
+
+
+STATE_TEXT = b'{"kind": "boson",\n "n_modes": 1,\n "sigma": [[1, 0],\n [0, 1]]}\n'
+READ_ERRORS = {
+    "crlf_malformed.json": STATE_TEXT.replace(b"\n", b"\r\n").replace(b"[0, 1]]", b"[0, 1]] x"),
+    "cr_malformed.json": STATE_TEXT.replace(b"\n", b"\r").replace(b'"n_modes"', b"n_modes"),
+    "mixed_newlines_malformed.json": b'{"kind": "boson",\r\n\r "n_modes": 1,\n\r\n "sigma": ]}',
+    "bom.json": b"\xef\xbb\xbf" + STATE_TEXT,
+    "invalid_utf8.json": STATE_TEXT.replace(b"\n", b"\r\n").replace(b"boson", b"bos\xffon"),
+    "truncated_utf8.json": STATE_TEXT + b"\xc3",
+    "missing.json": None,
+}
+
+
+@pytest.mark.parametrize("name", list(READ_ERRORS))
+def test_state_file_read_errors_match_the_text_mode_read(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    if READ_ERRORS[name] is not None:
+        (tmp_path / name).write_bytes(READ_ERRORS[name])
+    want = _text_mode_error(name)
+    assert want is not None
+    with pytest.raises(SchemaError) as read:
+        _read_state_file(name)
+    assert f"SchemaError: {read.value}" == want
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_state_file_newlines_read_as_text_mode_reads_them(tmp_path, capsys, newline):
+    path = tmp_path / "state.json"
+    path.write_bytes(STATE_TEXT.replace(b"\n", newline))
+    assert _text_mode_error(path) is None
+    assert _read_state_file(str(path)) == json.loads(STATE_TEXT)
+
+
+def test_a_directory_as_target_reads_as_in_text_mode(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ref = boson_ref(tmp_path)
+    (tmp_path / "d.json").mkdir()
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", "d.json")
+    assert code == 3
+    assert json.loads(out)["error"] == _text_mode_error("d.json")
+    assert "Is a directory: 'd.json'" in out

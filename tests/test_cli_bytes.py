@@ -37,13 +37,19 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
     assert _tool("compare", out, out).returncode == 0
 
     first, last = small[0], small[-1]
+    before = first["stdout"].encode()
+    at = before.index(b"1")
     first["stdout"] = first["stdout"].replace("1", "2", 1)
+    after = first["stdout"].encode()
+    start = max(0, at - 20)
     changed = tmp_path / "b.json"
     changed.write_text(json.dumps([c for c in calls if c is not last]))
     proc = _tool("compare", out, changed)
     assert proc.returncode == 1
     assert proc.stdout.splitlines() == [
-        "batch_small seed=1 call=0 " + " ".join(first["argv"]) + ": stdout differs",
+        "batch_small seed=1 call=0 " + " ".join(first["argv"]) + f": stdout differs at byte {at}",
+        f"  a: {before[start : start + 40]!r}",
+        f"  b: {after[start : start + 40]!r}",
         f"batch_small seed=1 call={last['index']}: only in a",
         f"2 of {len(calls)} calls differ",
     ]

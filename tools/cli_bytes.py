@@ -11,7 +11,8 @@ exactly as the benchmark makes it.  The temporary directory is written
 as ``<root>`` in the argv and stdout it keeps, so the records of two
 trees are equal exactly when their output is.  ``compare`` lists the
 calls whose exit code or stdout differ, or that only one record has, and
-exits 1 if there are any.  Nothing is written under bench/.
+exits 1 if there are any; for a stdout difference it prints the first
+differing byte offset and about 40 bytes of each side around it.  Nothing is written under bench/.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = "<root>"
+CONTEXT = 40  # bytes of each stdout shown around the first difference
 
 
 def record(tree: Path, seeds) -> list:
@@ -54,7 +56,12 @@ def record(tree: Path, seeds) -> list:
 
 
 def compare(a: list, b: list) -> list:
-    """One line per call whose exit code or stdout differ, or that one record lacks."""
+    """One report per call whose exit code or stdout differ, or that one record lacks.
+
+    A report is one line, except for a stdout difference: its line names
+    the first byte offset where the two differ, and two more lines show
+    the bytes around it from a and from b.
+    """
     def by_key(calls):
         return {(c["workload"], c["seed"], c["index"]): c for c in calls}
 
@@ -68,7 +75,14 @@ def compare(a: list, b: list) -> list:
         elif x["exit"] != y["exit"]:
             lines.append(f"{label} {' '.join(x['argv'])}: exit {x['exit']!r} != {y['exit']!r}")
         elif x["stdout"] != y["stdout"]:
-            lines.append(f"{label} {' '.join(x['argv'])}: stdout differs")
+            a, b = x["stdout"].encode(), y["stdout"].encode()
+            at = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+            start = max(0, at - CONTEXT // 2)
+            lines.append(
+                f"{label} {' '.join(x['argv'])}: stdout differs at byte {at}\n"
+                f"  a: {a[start : start + CONTEXT]!r}\n"
+                f"  b: {b[start : start + CONTEXT]!r}"
+            )
     return lines
 
 
