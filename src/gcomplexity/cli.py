@@ -74,12 +74,9 @@ def _template(shape: tuple) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _entry_template(d: int) -> str:
-    """The %-template of a successful --batch entry at 2N = d: file name, then the row's floats."""
-    return (
-        '{"file": %s, "complexity": %.17g, "generator": ' + _template((d, d))
-        + ', "delta_eigenvalues": ' + _template((d, 2)) + "}"
-    )
+def _entry_template(layout: tuple) -> str:
+    """The %-template of a --batch entry: the file name, then each (key, shape) of layout."""
+    return '{"file": %s' + "".join([f", {_quote(k)}: {_template(s)}" for k, s in layout]) + "}"
 
 
 _ERROR_ENTRY = '{"file": %s, "error": %s}'
@@ -284,10 +281,10 @@ def _delta_eigenvalues(rel) -> np.ndarray:
 
 
 def _group_results(reference, kind, sigmas, zs, tol) -> list:
-    """Row or error for each target of one kind and N, the same as one run each.
+    """(layout, row) or error for each target of one kind and N, the same as one run each.
 
-    A row is the target's floats in output order: complexity, then the
-    generator and the Delta eigenvalues, row-major; the rows of the group
+    layout is the payload's (key, shape) pairs in output order, and row
+    the target's floats in that order, row-major; the rows of the group
     come from one tolist.
     """
     states = state_stack(kind, sigmas, tol)
@@ -307,21 +304,20 @@ def _group_results(reference, kind, sigmas, zs, tol) -> list:
         for i in live:
             results[i] = exc
         return results
-    rows = np.concatenate(
-        [
-            complexity_from_relative(rel)[:, None],
-            (0.5 * rel.log_delta).reshape(len(live), -1),
-            _delta_eigenvalues(rel).reshape(len(live), -1),
-        ],
-        axis=1,
-    ).tolist()
+    fields = {
+        "complexity": complexity_from_relative(rel),
+        "generator": 0.5 * rel.log_delta,
+        "delta_eigenvalues": _delta_eigenvalues(rel),
+    }
+    layout = tuple((key, a.shape[1:]) for key, a in fields.items())
+    rows = np.concatenate([a.reshape(len(live), -1) for a in fields.values()], axis=1).tolist()
     for k, i in enumerate(live):
-        results[i] = errors[k] if errors[k] is not None else rows[k]
+        results[i] = errors[k] if errors[k] is not None else (layout, rows[k])
     return results
 
 
 def _complexity_results(reference, paths, tol) -> list:
-    """Row (_group_results) or error for each target file.
+    """(layout, row) (_group_results) or error for each target file.
 
     Files are read and schema-checked one by one; then each group of one
     kind and N runs as one stack (_group_results).
@@ -345,20 +341,16 @@ def _complexity_results(reference, paths, tol) -> list:
 
 def cmd_complexity(args) -> int:
     reference = _load_state(args.reference, args.tol)
-    d = 2 * reference.n_modes  # every target that succeeds has the reference's N
     if not args.batch:
         if not args.target:
             raise ValidationError("either --target or --batch is required")
         (result,) = _complexity_results(reference, [args.target], args.tol)
         if isinstance(result, Exception):
             raise result
-        row = np.array(result)
-        payload = {
-            "complexity": result[0],
-            "generator": row[1 : 1 + d * d].reshape(d, d),
-            "delta_eigenvalues": row[1 + d * d :].reshape(d, 2),
-        }
-        _emit(payload, args.format)
+        layout, row = result
+        ends = np.cumsum([np.prod(shape, dtype=int) for _, shape in layout])
+        parts = np.split(np.array(row), ends[:-1])
+        _emit({key: p.reshape(shape) for (key, shape), p in zip(layout, parts)}, args.format)
         return EXIT_OK
     base = str(Path(args.batch))
     if not os.path.isdir(base):
@@ -372,7 +364,6 @@ def cmd_complexity(args) -> int:
     # the paths Path.glob gave, which error messages quote: bare names under "."
     prefix = "" if base == "." else os.path.join(base, "")
     paths = [prefix + n for n in names]
-    template = _entry_template(d)
     entries = []
     worst = EXIT_OK
     for name, result in zip(names, _complexity_results(reference, paths, args.tol)):
@@ -381,7 +372,8 @@ def cmd_complexity(args) -> int:
             worst = worst or code
             entries.append(_ERROR_ENTRY % (_quote(name), _quote(_error_text(result))))
         else:
-            entries.append(template % (_quote(name), *result))
+            layout, row = result
+            entries.append(_entry_template(layout) % (_quote(name), *row))
     _emit({"results": _JSON("[" + ", ".join(entries) + "]")}, args.format)
     return worst
 

@@ -137,8 +137,7 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
     # 2^-s ||X||_1 < theta; multiplying by 2^-s is exact
     s = np.maximum(np.frexp(norms / _TAYLOR_THETA)[1], 0)[:, None, None]
     powers = np.empty((5, n, d, d))
-    powers[0] = 0.0  # the identity, built in place: every d + 1-th entry of each matrix
-    powers[0].reshape(n, d * d)[:, :: d + 1] = 1.0
+    powers[0] = np.eye(d)
     np.multiply(flat, np.ldexp(1.0, -s), out=powers[1])
     np.matmul(powers[1], powers[1], out=powers[2])
     np.matmul(powers[2], powers[1], out=powers[3])

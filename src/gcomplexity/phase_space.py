@@ -174,13 +174,12 @@ class GaussianState:
 
     The constructor checks that j is 2N x 2N, then runs state_stack on
     its one covariance sigma = -J Omega_N (bosons) or form J (fermions)
-    and raises the first error; the loader runs state_stack on the
-    file's sigma and builds the state from its output, so a state built
-    in code and one read from a file pass and fail the same checks with
-    the same messages.  Then z is checked.  ``tol`` bounds the purity
-    and fermion antisymmetry residuals; a state keeps the tolerance it
-    was accepted at, so apply_transformation checks its image at that
-    tolerance too.
+    and raises the first error; the loader builds its states through
+    this constructor, so a state built in code and one read from a file
+    pass and fail the same checks with the same messages.  Then z is
+    checked.  ``tol`` bounds the purity and fermion antisymmetry
+    residuals; a state keeps the tolerance it was accepted at, so
+    apply_transformation checks its image at that tolerance too.
     """
 
     j: np.ndarray
@@ -201,17 +200,6 @@ class GaussianState:
             raise DisplacementPresent("fermion states carry no displacement")
         object.__setattr__(self, "j", _freeze(m))
         object.__setattr__(self, "z", _freeze(z))
-
-    @classmethod
-    def _checked(cls, j, kind, z, tol):
-        """The state of a row j of state_stack's output and a z that parse_state_dict checked.
-
-        Nothing is checked again: state_stack has run on this state.
-        """
-        state = object.__new__(cls)
-        for name, value in (("j", _freeze(j)), ("kind", kind), ("z", _freeze(z)), ("tol", tol)):
-            object.__setattr__(state, name, value)
-        return state
 
     @property
     def n_modes(self) -> int:
@@ -420,7 +408,7 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -
             _check_finite(c, "sigma")
             _check_symmetric(c)
             sigma = c.m
-            c.m = sigma @ om  # J = sigma Omega_N, the one product with Omega per state
+            c.m = sigma @ om  # J = sigma Omega_N
             # sigma^{-1} = -Omega J; halves taken first: no sum of two finite entries overflows
             c.require(
                 _cholesky_succeeds(0.5 * sigma - 0.5 * (om @ c.m)),
@@ -437,17 +425,16 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -
 def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
     """Parse the JSON state schema (parse_state_dict) into a GaussianState.
 
-    The state is state_stack's one-row case, run on "sigma" as read, so
-    J = sigma Omega_N is formed once: ``tol`` bounds the purity residual
-    ||J^2 + 1|| and, for fermions, the antisymmetry residual of "sigma",
-    and the state carries ``tol``.
+    The state is built by the constructor, so it is state_stack's one-row
+    case: ``tol`` bounds the purity residual ||J^2 + 1|| and, for
+    fermions, the antisymmetry residual of "sigma", and the state
+    carries ``tol``.
     """
     kind, sig, z = parse_state_dict(data)
-    states = state_stack(kind, sig[None], tol)
-    (error,) = states.errors
-    if error is not None:
-        raise error
-    return GaussianState._checked(states.j[0], kind, z, tol)
+    if kind is StateKind.BOSON:
+        with np.errstate(**_QUIET):
+            sig = sig @ standard_symplectic_form(sig.shape[0] // 2)  # J = sigma Omega_N
+    return GaussianState(sig, kind, z, tol)
 
 
 def state_to_dict(state: GaussianState) -> dict:
