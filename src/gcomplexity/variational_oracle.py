@@ -280,46 +280,41 @@ class _Problem:
         """Penalty stages on a stack of starts x0 (R, K, ncoord), all at once.
 
         Each stage is plain gradient descent with a backtracking line
-        search.  A path leaves the stack for the rest of a stage when its
-        gradient vanishes or no step is accepted, and rejoins at the next
-        stage; every path takes the steps it would take alone.
+        search.  A path whose gradient vanishes or that accepts no step
+        is masked out of the search for the rest of the stage, its row
+        left as it is, and searches again at the next stage; every path
+        takes the steps it would take alone.
         """
         x = x0.copy()
         fwd = self._forward(x)
         step = np.full(len(x), 0.1)
         for w, max_iter in zip(PENALTY_SCHEDULE, STAGE_ITERATIONS):
-            # the paths still descending: rows of the stack and their state
-            rows, xs, fw, ss, f = np.arange(len(x)), x, fwd, step, self.total(x, w, fwd)
+            f = self.total(x, w, fwd)
+            searching = np.ones(len(x), dtype=bool)
             for _ in range(max_iter):
-                moved = self._line_search(xs, fw, f, ss, self.gradient(xs, w, fw), w)
-                if not moved.all():
-                    x[rows], step[rows] = xs, ss
-                    fwd.put(rows, fw)
-                    rows, xs, ss, f = rows[moved], xs[moved], ss[moved], f[moved]
-                    fw = fw.take(moved)
-                    if not len(rows):
-                        break
-            x[rows], step[rows] = xs, ss
-            fwd.put(rows, fw)
+                g = self.gradient(x, w, fwd)
+                searching = self._line_search(x, fwd, f, step, g, w, searching)
+                if not searching.any():
+                    break
         return x
 
-    def _line_search(self, x, fwd, f, step, g, w):
-        """One backtracking descent step for each path of the stack, in place.
+    def _line_search(self, x, fwd, f, step, g, w, searching):
+        """One backtracking descent step for each searching path, in place.
 
-        A path whose gradient vanishes (g.g < 1e-20) stays.  The others
-        try trial * 2^-j for j = 0, 1, ..., LINE_SEARCH_TRIES - 1,
-        LINE_SEARCH_CANDIDATES values of j per stacked evaluation, and
-        take the first step that lowers the objective by at least
-        1e-4 * step * g.g, which is the step halving one at a time would
-        take.  x, fwd, f and step are overwritten on the paths that take
-        a step; returns their mask.
+        A path outside the mask ``searching``, or whose gradient vanishes
+        (g.g < 1e-20), stays.  The others try trial * 2^-j for j = 0, 1,
+        ..., LINE_SEARCH_TRIES - 1, LINE_SEARCH_CANDIDATES values of j
+        per stacked evaluation, and take the first step that lowers the
+        objective by at least 1e-4 * step * g.g, which is the step halving
+        one at a time would take.  x, fwd, f and step are overwritten on
+        the paths that take a step; returns their mask.
         """
         gn2 = (g * g).reshape(len(g), -1).sum(axis=1)
         trial = step * 2.0
         steep = gn2 > 100.0
         trial[steep] = np.minimum(trial[steep], 10.0 / np.sqrt(gn2[steep]))
         moved = np.zeros(len(x), dtype=bool)
-        idx = np.flatnonzero(gn2 >= 1e-20)  # the paths still trying
+        idx = np.flatnonzero(searching & (gn2 >= 1e-20))  # the paths still trying
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(0, LINE_SEARCH_TRIES, LINE_SEARCH_CANDIDATES):
                 if not len(idx):

@@ -131,6 +131,18 @@ def test_log_spd_pencil_rejects_indefinite():
         pencil_log(np.diag([1.0, -1.0]))
 
 
+def test_spd_pencil_takes_sigma_R_within_1e_13_of_the_identity_as_the_identity():
+    sigma_T = np.diag([2.0, 0.5])
+    assert spd_pencil(sigma_T, np.eye(2) + 0.9e-13).half is None
+    whitened = spd_pencil(sigma_T, np.eye(2) + 2e-13)
+    assert whitened.half is not None
+    assert np.allclose(whitened.logs, [-np.log(2.0), np.log(2.0)], atol=1e-12)
+    sigma_R = np.eye(2)
+    sigma_R[0, 1] = np.nan
+    with pytest.raises(NumericDomainError, match="sigma_R is not positive-definite"):
+        spd_pencil(sigma_T, sigma_R)
+
+
 def pencil_sqrt(sigma_T, sigma_R=None):
     return spd_pencil(sigma_T, sigma_R).apply(lambda s: np.exp(0.5 * s))
 

@@ -335,15 +335,46 @@ def test_stacked_restarts_take_the_steps_they_take_alone(kind, n, displaced):
         alone.append(prob.minimize(x0[-1:])[0])
     # some iteration of the last start needed a second stacked evaluation (4+ halvings)
     assert sum(c.args[0].ndim == 4 for c in fwd.call_args_list) > grad.call_count
-    with mock.patch.object(prob, "gradient", wraps=prob.gradient) as grad:
+    with mock.patch.object(prob, "_line_search", wraps=prob._line_search) as search:
         stacked = prob.minimize(x0)
     if not displaced:
-        # the starts near the geodesic leave the stack, at different iterations
-        assert len({len(c.args[0]) for c in grad.call_args_list}) >= 3
+        # the starts near the geodesic stop searching, at different iterations
+        assert len({c.args[6].sum() for c in search.call_args_list}) >= 3
     for got, want in zip(stacked, alone):
         assert np.array_equal(got, want)
     # and the stacked line search takes the step that halving one at a time takes
     assert np.array_equal(alone[-1], _minimize_one_path(prob, x0[-1]))
+
+
+@pytest.mark.parametrize("kind,n", [(StateKind.BOSON, 1), (StateKind.BOSON, 2), (StateKind.FERMION, 2)])
+def test_a_restart_that_stops_keeps_its_row_until_its_stage_ends(kind, n):
+    prob, _ = _problem(kind, n, False, seed=90 + n)
+    # the warm start stops before the cap in some stages, while the random starts go on
+    rng = np.random.default_rng(91)
+    x0 = np.stack([prob.warm_start(), *rng.normal(scale=0.05, size=(2, 8, prob.ncoord))])
+    calls = []
+    line_search = prob._line_search
+
+    def record(x, fwd, f, step, g, w, searching):
+        before = [a.copy() for a in (x, step, *fwd)]
+        moved = line_search(x, fwd, f, step, g, w, searching)
+        calls.append((w, searching, moved, before, [a.copy() for a in (x, step, *fwd)]))
+        return moved
+
+    with mock.patch.object(prob, "_line_search", side_effect=record):
+        prob.minimize(x0)
+    stopped_while_others_moved = False
+    for i, (w, searching, moved, before, after) in enumerate(calls):
+        assert not (moved & ~searching).any()
+        for a, b in zip(before, after):
+            assert np.array_equal(a[~moved], b[~moved])
+        if i + 1 < len(calls) and calls[i + 1][0] == w:
+            # nothing moves a row between two steps of one stage
+            assert calls[i + 1][1] is moved
+            for a, b in zip(after, calls[i + 1][3]):
+                assert np.array_equal(a, b)
+        stopped_while_others_moved |= bool((~searching).any() and moved.any())
+    assert stopped_while_others_moved
 
 
 @pytest.mark.parametrize("kind,n,displaced", DERIVATIVE_CASES)
