@@ -486,7 +486,6 @@ def cmd_oracle_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-10, help="validation tolerance")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
@@ -542,6 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--segments", type=int, default=16, help="path segments")
     p.add_argument("--restarts", type=int, default=5, help="optimizer restarts")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_oracle_verify)
     return parser
 

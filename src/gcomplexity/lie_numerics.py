@@ -7,9 +7,9 @@ the inner product at the identity
 
     g_1(V, W) = 1/2 Tr(V sigma_R W^T sigma_R^{-1}),
 
-membership checks for sp(2N, R) and so(2N), and the splitting of the
-algebra into the stabilizer subalgebra sta = {V : [V, J_R] = 0} and its
-g_1-orthogonal complement.
+membership checks for sp(2N, R) and so(2N), the canonical basis of either
+algebra as one (D, 2N, 2N) stack, and its split by one SVD into the
+stabilizer sta = {V : [V, J_R] = 0} and its g_1-orthogonal complement.
 
 sigma_R is decomposed in one place only: the pencil whitens by
 H = sigma_R^{1/2}, which is symplectic, so V -> H^{-1} V H carries g_1
@@ -294,68 +294,41 @@ def inner_product_identity(v, w) -> float:
     return 0.5 * float(np.tensordot(vm, wm, axes=2))
 
 
-def algebra_basis(algebra: LieAlgebra, n_modes: int) -> tuple:
+def algebra_basis(algebra: LieAlgebra, n_modes: int) -> np.ndarray:
     """Canonical basis of sp(2N, R) (V = Omega S, S symmetric elementary)
-    or so(2N) (elementary antisymmetric), in a fixed reproducible order."""
+    or so(2N) (elementary antisymmetric), one per upper-triangle entry
+    (i, j) in row-major order, as a read-only stack (D, 2N, 2N).  It is
+    g_1-orthogonal: sp's Omega S_ii have norm sqrt(2), the rest norm 1."""
     d = 2 * n_modes
-    out = []
-    if algebra is LieAlgebra.SP:
-        om = standard_symplectic_form(n_modes)
-        for i in range(d):
-            for j in range(i, d):
-                s = np.zeros((d, d))
-                s[i, j] += 1.0
-                s[j, i] += 1.0
-                out.append(LieAlgebraElement(om @ s, algebra))
-    else:
-        for i in range(d):
-            for j in range(i + 1, d):
-                a = np.zeros((d, d))
-                a[i, j] = 1.0
-                a[j, i] = -1.0
-                out.append(LieAlgebraElement(a, algebra))
-    return tuple(out)
-
-
-def _gram_schmidt(mats, against=(), tol=1e-9):
-    """Modified Gram-Schmidt under g_1 with one re-orthogonalization pass."""
-    ortho = []
-    for m in mats:
-        v = m.copy()
-        for _ in range(2):
-            for b in against:
-                v = v - inner_product_identity(v, b) * b
-            for b in ortho:
-                v = v - inner_product_identity(v, b) * b
-        nrm = np.sqrt(inner_product_identity(v, v))
-        if nrm > tol:
-            ortho.append(v / nrm)
-    return ortho
+    sp = algebra is LieAlgebra.SP
+    rows, cols = np.triu_indices(d, k=0 if sp else 1)
+    k = np.arange(len(rows))
+    out = np.zeros((len(rows), d, d))
+    out[k, rows, cols] = 1.0
+    out[k, cols, rows] += 1.0 if sp else -1.0
+    if sp:
+        out = standard_symplectic_form(n_modes) @ out
+    return _freeze(out)
 
 
 def stabilizer_basis(reference: GaussianState) -> StabilizerBasis:
     """Split the algebra into sta = {V : [V, J_R] = 0} and its complement.
 
-    The splitting solves the commutator condition as a dense linear
-    system over the canonical basis; the complement is then
-    g_1-orthonormalized against the stabilizer part.  Orthonormality is
-    under the vacuum g_1, 1/2 Tr(V W^T): for a squeezed reference, split
-    at the whitened H^{-1} J_R H (the standard J) and map back.
+    One SVD of the commutator map over the normalised canonical basis,
+    which is g_1-orthonormal, so the rows of V^T are g_1-orthonormal
+    elements: the null rows span sta, the others its complement.
+    Orthonormality is under the vacuum g_1, 1/2 Tr(V W^T): for a squeezed
+    reference, split at the whitened H^{-1} J_R H (the standard J) and map back.
     """
     algebra = algebra_of_kind(reference.kind)
     basis = algebra_basis(algebra, reference.n_modes)
-    mats = [b.v for b in basis]
+    basis = basis / np.sqrt(0.5 * np.einsum("dij,dij->d", basis, basis))[:, None, None]
     jr = reference.j
-    comm = np.stack([(m @ jr - jr @ m).ravel() for m in mats], axis=1)
-    _, svals, vt = np.linalg.svd(comm)
+    comm = (basis @ jr - jr @ basis).reshape(len(basis), -1).T
+    _, svals, vt = np.linalg.svd(comm, full_matrices=False)
     cutoff = max(comm.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > max(cutoff, 1e-12)))
-    coeff_sta = vt[rank:]
-    coeff_comp = vt[:rank]
-    sta_raw = [np.einsum("d,dij->ij", c, mats) for c in coeff_sta]
-    comp_raw = [np.einsum("d,dij->ij", c, mats) for c in coeff_comp]
-    sta = _gram_schmidt(sta_raw)
-    comp = _gram_schmidt(comp_raw, against=sta)
-    elements = tuple(LieAlgebraElement(m, algebra) for m in sta)
-    complement = tuple(LieAlgebraElement(m, algebra) for m in comp)
+    mats = np.einsum("cd,dij->cij", vt, basis)
+    elements = tuple(LieAlgebraElement(m, algebra) for m in mats[rank:])
+    complement = tuple(LieAlgebraElement(m, algebra) for m in mats[:rank])
     return StabilizerBasis(elements, complement)

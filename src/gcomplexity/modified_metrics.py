@@ -93,7 +93,11 @@ def _simpson(values: np.ndarray, step: float) -> float:
 
 
 def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -> float:
-    r"""Deformed complexity r * Integral_0^1 e^{omega(tau r)} d tau."""
+    r"""Deformed complexity r * Integral_0^1 e^{omega(tau r)} d tau.
+
+    Raises NonFiniteFactor where e^omega is not finite, and
+    NumericDomainError where the integral overflows.
+    """
     if not isinstance(quad_steps, (int, np.integer)) or quad_steps < 2:
         raise ValidationError("quad_steps must be an integer >= 2")
     if quad_steps > MAX_STEPS:
@@ -106,10 +110,15 @@ def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -
     if r == 0.0:
         return 0.0
     tau = np.linspace(0.0, 1.0, quad_steps + 1)
-    vals = np.exp(weyl(tau * r))
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteFactor("Weyl factor evaluation is not finite")
-    return r * _simpson(vals, 1.0 / quad_steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised in-band below
+        vals = np.exp(weyl(tau * r))
+        out = r * _simpson(vals, 1.0 / quad_steps)
+    # e^omega >= 0, so a non-finite factor value leaves the result non-finite
+    if not np.isfinite(out):
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteFactor("Weyl factor evaluation is not finite")
+        raise NumericDomainError("Weyl complexity overflows")
+    return out
 
 
 def _zero(r, phi):
@@ -209,6 +218,7 @@ class DiscretizedPath:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite term is raised in-band below
 def _cost_terms(path: DiscretizedPath, a: VectorPotential):
     r = path.samples[:, 0]
     phi = path.samples[:, 1]
@@ -225,8 +235,11 @@ def _cost_terms(path: DiscretizedPath, a: VectorPotential):
     dphi = np.diff(phi)
     gpp_m = 0.5 * (gpp[1:] + gpp[:-1])
     ar_m = 0.5 * (ar[1:] + ar[:-1])
-    seg_len = np.sqrt(dr * dr + gpp_m * dphi * dphi)
+    # a radial segment has no g_phiphi term, also where g_phiphi overflowed (r above about 178)
+    seg_len = np.sqrt(dr * dr + np.where(dphi == 0.0, 0.0, gpp_m * dphi * dphi))
     seg_pot = ar_m * dr
+    if not np.all(np.isfinite(seg_len + seg_pot)):
+        raise NumericDomainError("non-reversible cost overflows on the path")
     return seg_len, seg_pot
 
 

@@ -176,9 +176,8 @@ class _Problem:
         self.kind = reference.kind
         self.d = 2 * reference.n_modes
         self.K = segments
-        basis = algebra_basis(algebra_of_kind(self.kind), reference.n_modes)
-        self.basis = np.stack([b.v for b in basis])
-        self.D = len(basis)
+        self.basis = algebra_basis(algebra_of_kind(self.kind), reference.n_modes)
+        self.D = len(self.basis)
         self.displaced = bool(np.any(target.z != 0.0) or np.any(reference.z != 0.0))
         geo = coherent_geodesic(reference, target) if self.displaced else None
         rel = relative_complex_structure(reference, target) if geo is None else geo.delta
@@ -497,7 +496,7 @@ def check_stabilizer_geodesic(
     norm = np.sqrt(0.5 * np.vdot(x, x))
     if norm == 0.0:
         return StationarityReport(np.zeros(perturbation_count), STATIONARITY_THRESHOLD)
-    mats = np.stack([b.v for b in algebra_basis(v.algebra, v.n_modes)])
+    mats = algebra_basis(v.algebra, v.n_modes)
     coeff = np.random.default_rng(seed).normal(size=(perturbation_count, k_seg - 1, len(mats)))
     deltas = np.einsum("pkd,dij->pkij", coeff, mats)
     deltas /= np.sqrt(0.5 * np.einsum("pkij,pkij->p", deltas, deltas))[:, None, None, None]

@@ -28,7 +28,7 @@ def random_with_norm1(rng, norms, d: int) -> np.ndarray:
 def random_algebra_matrix(kind: StateKind, n_modes: int, rng, scale: float = 0.5):
     basis = algebra_basis(algebra_of_kind(kind), n_modes)
     coeff = rng.normal(scale=scale, size=len(basis))
-    return sum(c * b.v for c, b in zip(coeff, basis))
+    return sum(c * b for c, b in zip(coeff, basis))
 
 
 def random_transformation(kind: StateKind, n_modes: int, rng, scale: float = 0.5):

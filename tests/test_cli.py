@@ -776,6 +776,49 @@ def test_huge_displacement_is_a_numeric_error(tmp_path, command, extra):
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "omega,error",
+    [
+        # every factor value is finite; the quadrature's sums overflow
+        ("const:705", "NumericDomainError: Weyl complexity overflows"),
+        ("linear:1e4", "NonFiniteFactor: Weyl factor evaluation is not finite"),
+    ],
+)
+def test_weyl_overflow_is_a_numeric_error(tmp_path, omega, error):
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.5)
+    proc = run_module("weyl", "--reference", ref, "--target", target, "--omega", omega)
+    assert proc.returncode == 2
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_no_constant) == {"error": error}
+    assert proc.stderr == ""
+
+
+def test_nonrev_radial_launch_past_the_overflow_radius():
+    # g_phiphi overflows above r of about 178, but a radial path has no g_phiphi term
+    proc = run_module("nonrev", "--start", "0,0", "--velocity", "1,0", "--length", "1000")
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout, parse_constant=_no_constant)
+    for key in ("length", "forward_cost", "reverse_cost"):
+        assert data[key] == pytest.approx(1000.0, rel=1e-12)
+    assert proc.stderr == ""
+    proc = run_module("nonrev", "--start", "0,0", "--velocity", "1,0", "--length", "1e200")
+    assert proc.returncode == 2
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith("NumericDomainError:")
+    assert proc.stderr == ""
+
+
+def test_seed_is_an_oracle_verify_option_only(tmp_path):
+    ref = boson_ref(tmp_path)
+    proc = run_module("complexity", "--reference", ref, "--target", ref, "--seed", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --seed 1" in proc.stderr
+
+
 def test_csv_format_quotes_compound_values(tmp_path, capsys):
     ref = boson_ref(tmp_path)
     target = squeezed(tmp_path, 0.5)

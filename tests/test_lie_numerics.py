@@ -23,7 +23,7 @@ from gcomplexity import (
     standard_symplectic_form,
 )
 from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN, rotation_pencil_stack
-from helpers import random_with_norm1
+from helpers import random_target, random_with_norm1
 
 
 def rotation(theta):
@@ -260,10 +260,25 @@ def test_inner_product_identity_canonical():
 
 
 def test_algebra_basis_dimensions():
-    assert len(algebra_basis(LieAlgebra.SP, 1)) == 3
-    assert len(algebra_basis(LieAlgebra.SP, 2)) == 10
-    assert len(algebra_basis(LieAlgebra.SO, 1)) == 1
-    assert len(algebra_basis(LieAlgebra.SO, 2)) == 6
+    for algebra, n, dim in [
+        (LieAlgebra.SP, 1, 3),
+        (LieAlgebra.SP, 2, 10),
+        (LieAlgebra.SO, 1, 1),
+        (LieAlgebra.SO, 2, 6),
+    ]:
+        basis = algebra_basis(algebra, n)
+        assert isinstance(basis, np.ndarray)
+        assert basis.shape == (dim, 2 * n, 2 * n)
+        assert not basis.flags.writeable
+        for b in basis:
+            LieAlgebraElement(b, algebra)
+        # the one-SVD stabilizer split relies on this: the basis is
+        # g_1-orthogonal, with g_1 = 2 on sp's Omega S_ii and 1 elsewhere
+        sym = standard_symplectic_form(n).T @ basis if algebra is LieAlgebra.SP else basis
+        diagonal = np.any(np.diagonal(sym, axis1=1, axis2=2) != 0.0, axis=1)
+        assert diagonal.sum() == (2 * n if algebra is LieAlgebra.SP else 0)
+        gram = 0.5 * np.einsum("aij,bij->ab", basis, basis)
+        np.testing.assert_array_equal(gram, np.diag(np.where(diagonal, 2.0, 1.0)))
 
 
 @pytest.mark.parametrize(
@@ -285,25 +300,26 @@ def test_stabilizer_dimensions(kind, n, dim_sta, dim_comp):
 @pytest.mark.parametrize("kind", list(StateKind))
 @pytest.mark.parametrize("n", [1, 2])
 def test_stabilizer_basis_properties(kind, n):
-    ref = reference_state(kind, n)
-    basis = stabilizer_basis(ref)
-    jr = ref.j
-    all_elems = list(basis.elements) + list(basis.complement)
-    for b in basis.elements:
-        assert np.linalg.norm(b.v @ jr - jr @ b.v) <= 1e-10
-    for c in basis.complement:
-        assert np.linalg.norm(c.v @ jr - jr @ c.v) > 1e-3
-    for i, a in enumerate(all_elems):
-        for k, b in enumerate(all_elems):
-            want = 1.0 if i == k else 0.0
-            assert inner_product_identity(a, b) == pytest.approx(want, abs=1e-9)
+    rng = np.random.default_rng(31)
+    for ref in (reference_state(kind, n), random_target(kind, n, rng), random_target(kind, n, rng)):
+        basis = stabilizer_basis(ref)
+        jr = ref.j
+        all_elems = list(basis.elements) + list(basis.complement)
+        for b in basis.elements:
+            assert np.linalg.norm(b.v @ jr - jr @ b.v) <= 1e-10
+        for c in basis.complement:
+            assert np.linalg.norm(c.v @ jr - jr @ c.v) > 1e-3
+        for i, a in enumerate(all_elems):
+            for k, b in enumerate(all_elems):
+                want = 1.0 if i == k else 0.0
+                assert inner_product_identity(a, b) == pytest.approx(want, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3))
 def test_sp_exponential_is_symplectic(coeffs):
     basis = algebra_basis(LieAlgebra.SP, 1)
-    v = sum(c * b.v for c, b in zip(coeffs, basis))
+    v = sum(c * b for c, b in zip(coeffs, basis))
     m = matrix_exp(v)
     om = standard_symplectic_form(1)
     assert np.linalg.norm(m @ om @ m.T - om) <= 1e-12 * np.linalg.norm(m) ** 2
@@ -313,7 +329,7 @@ def test_sp_exponential_is_symplectic(coeffs):
 @given(st.lists(st.floats(-0.4, 0.4), min_size=6, max_size=6))
 def test_so_exponential_is_orthogonal(coeffs):
     basis = algebra_basis(LieAlgebra.SO, 2)
-    v = sum(c * b.v for c, b in zip(coeffs, basis))
+    v = sum(c * b for c, b in zip(coeffs, basis))
     m = matrix_exp(v)
     assert np.linalg.norm(m @ m.T - np.eye(4)) <= 1e-12
     assert np.linalg.det(m) > 0.0

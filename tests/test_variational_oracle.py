@@ -239,7 +239,7 @@ def _central_difference(v, count, seed, eps=3e-5):
     k_seg = STATIONARITY_SEGMENTS
     x = v.v / k_seg
     target = scipy.linalg.expm(v.v)
-    mats = np.stack([b.v for b in algebra_basis(v.algebra, v.n_modes)])
+    mats = algebra_basis(v.algebra, v.n_modes)
     rng = np.random.default_rng(seed)
 
     def length(incs):
