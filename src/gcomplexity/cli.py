@@ -148,7 +148,7 @@ def _read_state_file(path: str):
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past 4300 digits
         raise SchemaError(f"state file {path} is not valid JSON: {exc}")
 
 
@@ -255,20 +255,20 @@ def _parse_potential(spec: str) -> VectorPotential:
     )
 
 
-def _delta_eigenvalues(rel) -> np.ndarray:
+def _delta_eigenvalues(pencil) -> np.ndarray:
     """Eigenvalues of Delta as [re, im] rows, by descending re, then im.
 
-    Shape (..., 2N, 2), with the leading axis of a stacked rel.  Bosons:
+    Shape (..., 2N, 2), with the leading axis of a stacked pencil.  Bosons:
     e^s from the pencil log-spectrum.  Fermions: e^{+-i theta} from the
     rotation angles.  An angle within 1e-12 of the one below it is set
     equal to it, so a repeated angle lists all its +sin pairs before its
     -sin pairs instead of an order set by rounding noise.
     """
-    if rel.kind is StateKind.BOSON:
-        re = np.sort(np.exp(rel.pencil.logs), axis=-1)[..., ::-1]
+    if pencil.kind is StateKind.BOSON:
+        re = np.sort(np.exp(pencil.logs), axis=-1)[..., ::-1]
         im = np.zeros_like(re)
     else:
-        angles = np.sort(rel.radial_exponents, axis=-1)
+        angles = np.sort(pencil.radial_exponents, axis=-1)
         for i in range(1, angles.shape[-1]):
             tie = angles[..., i] - angles[..., i - 1] <= 1e-12
             angles[..., i] = np.where(tie, angles[..., i - 1], angles[..., i])
@@ -299,15 +299,15 @@ def _group_results(reference, kind, sigmas, zs, tol) -> list:
     if not len(live):
         return results
     try:
-        rel, errors = relative_stack(reference, kind, states.j[~displaced])
+        pencil, errors = relative_stack(reference, kind, states.j[~displaced])
     except (ValidationError, NumericDomainError) as exc:  # the whole group: kind, N or sigma_R
         for i in live:
             results[i] = exc
         return results
     fields = {
-        "complexity": complexity_from_relative(rel),
-        "generator": 0.5 * rel.log_delta,
-        "delta_eigenvalues": _delta_eigenvalues(rel),
+        "complexity": complexity_from_relative(pencil),
+        "generator": 0.5 * pencil.log_delta,
+        "delta_eigenvalues": _delta_eigenvalues(pencil),
     }
     layout = tuple((key, a.shape[1:]) for key, a in fields.items())
     rows = np.concatenate([a.reshape(len(live), -1) for a in fields.values()], axis=1).tolist()

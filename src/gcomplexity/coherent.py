@@ -32,17 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity_core import RelativeComplexStructure, relative_complex_structure
+from .complexity_core import relative_complex_structure
 from .errors import DisplacementPresent, KindMismatch, NumericDomainError
-from .lie_numerics import matrix_exp
+from .lie_numerics import SpdPencil, matrix_exp
 from .phase_space import GaussianState, GaussianTransformation, StateKind
 
 
 @dataclass(frozen=True)
 class CoherentGeodesic:
-    """Geodesic data for a displaced bosonic target."""
+    """Geodesic data for a displaced bosonic target; ``delta`` is the pencil of Delta."""
 
-    delta: RelativeComplexStructure
+    delta: SpdPencil
     n_matrix: np.ndarray
     z_target: np.ndarray
     g_form: np.ndarray
@@ -61,13 +61,13 @@ def coherent_geodesic(reference: GaussianState, target: GaussianState) -> Cohere
         raise KindMismatch("coherent geodesics are defined for bosons only")
     if np.any(reference.z != 0.0):
         raise DisplacementPresent("reference displacement must be zero")
-    rel = relative_complex_structure(reference, target)
+    pencil = relative_complex_structure(reference, target)
     z_t = np.asarray(target.z, dtype=float)
-    n_matrix = rel.pencil.apply(_n_of_log_spectrum)
-    white_n = rel.pencil.whiten(n_matrix)
+    n_matrix = pencil.apply(_n_of_log_spectrum)
+    white_n = pencil.whiten(n_matrix)
     g_form = white_n.T @ white_n
     g_form = 0.5 * (g_form + g_form.T)
-    return CoherentGeodesic(rel, n_matrix, z_t, g_form)
+    return CoherentGeodesic(pencil, n_matrix, z_t, g_form)
 
 
 def coherent_complexity(geo: CoherentGeodesic) -> float:

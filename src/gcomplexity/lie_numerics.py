@@ -162,9 +162,9 @@ class SpdPencil:
     the eigenpairs of the whitened target covariance H^{-1} sigma_T H^{-1}.
     Fermions: Delta = V diag(e^{i theta}) V^H with V unitary, the
     log-spectrum i theta is imaginary and H is the identity, as
-    sigma_R = 1.  Every function of Delta that is analytic on its spectrum
-    is read off this one solve.  For a stack, ``logs`` (B, 2N) and ``u``
-    (B, 2N, 2N) carry a leading axis and H is shared.
+    sigma_R = 1.  It is the one object for Delta: every function of Delta
+    analytic on its spectrum is read off this one solve.  For a stack,
+    ``logs`` (B, 2N) and ``u`` (B, 2N, 2N) carry a leading axis, H is shared.
     """
 
     logs: np.ndarray
@@ -176,6 +176,16 @@ class SpdPencil:
         """f(Delta) for a scalar f acting elementwise on the log-spectrum; its real part."""
         m = ((self.u * f(self.logs)[..., None, :]) @ self.u.conj().mT).real
         return m if self.half is None else self.half @ m @ self.inv_half
+
+    @property
+    def log_delta(self) -> np.ndarray:
+        """The principal log of Delta, apply(identity), computed when read."""
+        return self.apply(lambda s: s)
+
+    @property
+    def kind(self) -> StateKind:
+        """FERMION for the imaginary log-spectrum of a rotation, BOSON for a real one."""
+        return StateKind.FERMION if np.iscomplexobj(self.logs) else StateKind.BOSON
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """H^{-1} x: a vector or matrix x in the frame where sigma_R is the identity."""
@@ -238,14 +248,6 @@ def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray = None):
     # a target that fails gets logs 0 (Delta = 1), so arithmetic on the stack stays finite
     logs = np.log(np.where(positive[..., None], w, 1.0))
     return SpdPencil(logs, u, half, inv_half), errors
-
-
-def spd_pencil(sigma_T: np.ndarray, sigma_R: np.ndarray = None) -> SpdPencil:
-    """spd_pencil_stack for one sigma_T; raises NumericDomainError where it is not positive."""
-    pencil, errors = spd_pencil_stack(np.asarray(sigma_T, dtype=float)[None], sigma_R)
-    if errors[0] is not None:
-        raise errors[0]
-    return pencil[0]
 
 
 def rotation_pencil_stack(delta: np.ndarray):

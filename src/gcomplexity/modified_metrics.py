@@ -281,13 +281,14 @@ def _lorentz_rhs(r, phi, vr, vphi, field):
     (libm's differ in the last place), and sinh(r) ** 2 stays numpy's
     scalar power, which rounds as pow does and overflows to inf where a
     float ** would raise.  ``field`` is None for a curl-free potential,
-    whose F_rphi is +0.0 everywhere.
+    whose F_rphi is +0.0 everywhere.  A radial state (vphi == 0) has no
+    g_phiphi term, also where g_phiphi overflowed (inf * 0 would be nan).
     """
     sh2 = float(np.sinh(r) ** 2)
     s2 = float(np.sinh(2.0 * r))
     c2 = float(np.cosh(2.0 * r))
     gpp = c2 * sh2
-    dgpp = 2.0 * s2 * sh2 + c2 * s2
+    dgpp = 2.0 * s2 * sh2 + c2 * s2 if vphi else 0.0
     fs = 0.0 if field is None else float(field(r, phi))
     ar = 0.5 * dgpp * vphi * vphi + fs * vphi
     aphi = (-dgpp * vr * vphi - fs * vr) / gpp if gpp > 0.0 else 0.0
@@ -348,9 +349,14 @@ def lorentz_geodesic(
         samples = np.stack([s, np.full(n + 1, phi0)], axis=1)
         vel = np.tile([1.0, 0.0], (n + 1, 1))
         return DiscretizedPath(samples, s / length if length > 0 else np.linspace(0, 1, n + 1), vel)
-    speed = np.sqrt(vr0 * vr0 + float(metric_phiphi(r0)) * vphi0 * vphi0)
+    # a radial launch has no g_phiphi term, as in _lorentz_rhs
+    speed = np.sqrt(vr0 * vr0 + (float(metric_phiphi(r0)) * vphi0 * vphi0 if vphi0 else 0.0))
     if speed == 0.0:
         raise ValidationError("initial velocity must be nonzero")
+    if not np.isfinite(speed):
+        raise NumericDomainError(
+            "g_phiphi = cosh(2r) sinh^2(r) overflowed at the start (it does above r of about 178)"
+        )
     field = None if a.f_rphi is _zero else a.f_rphi
     r, phi, vr, vphi = r0, phi0, float(vr0 / speed), float(vphi0 / speed)
     h = length / n
@@ -383,7 +389,8 @@ def lorentz_geodesic(
             )
         traj[i + 1] = r, phi, vr, vphi
     if drift_tol < np.inf:  # an infinite tolerance returns the trajectory unchecked
-        speeds = np.sqrt(traj[:, 2] ** 2 + metric_phiphi(traj[:, 0]) * traj[:, 3] ** 2)
+        gpp_term = np.where(traj[:, 3] == 0.0, 0.0, metric_phiphi(traj[:, 0]) * traj[:, 3] ** 2)
+        speeds = np.sqrt(traj[:, 2] ** 2 + gpp_term)
         drift = float(np.abs(speeds - 1.0).max())
         if not np.isfinite(drift):  # a non-finite r, vr or vphi leaves its speed non-finite
             raise NumericDomainError(

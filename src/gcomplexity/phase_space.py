@@ -309,13 +309,16 @@ def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:
 _NUMBERS = (int, float, np.integer, np.floating)
 
 
-def _floats(value, not_numeric: str) -> np.ndarray:
+def _floats(value, key: str, not_numeric: str) -> np.ndarray:
     """value as a float array; SchemaError(not_numeric) unless every entry is a number.
 
-    np.asarray(..., dtype=float) alone also takes strings, booleans and None.
+    np.asarray(..., dtype=float) alone also takes strings, booleans and
+    None.  An integer too large for a float is NonFinite, as 1e400 is.
     """
     try:
         a = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise NonFinite(f"{key} contains non-finite entries")
     except (TypeError, ValueError):
         raise SchemaError(not_numeric)
     if isinstance(value, np.ndarray):
@@ -357,14 +360,14 @@ def parse_state_dict(data: dict):
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("n_modes must be a positive integer")
     d = 2 * n
-    sig = _floats(data["sigma"], "sigma must be a numeric matrix")
+    sig = _floats(data["sigma"], "sigma", "sigma must be a numeric matrix")
     if sig.shape != (d, d):
         raise SchemaError(f"sigma must be {d} x {d}, got {sig.shape}")
     if "z" not in data:
         return kind, sig, np.zeros(d)
     if kind is StateKind.FERMION:
         raise DisplacementPresent("fermion state files must not contain 'z'")
-    z = _floats(data["z"], "z must be a numeric vector")
+    z = _floats(data["z"], "z", "z must be a numeric vector")
     if z.shape != (d,):
         raise SchemaError(f"z must have length {d}")
     if not np.all(np.isfinite(z)):

@@ -180,10 +180,9 @@ class _Problem:
         self.D = len(self.basis)
         self.displaced = bool(np.any(target.z != 0.0) or np.any(reference.z != 0.0))
         geo = coherent_geodesic(reference, target) if self.displaced else None
-        rel = relative_complex_structure(reference, target) if geo is None else geo.delta
-        pencil = rel.pencil
+        pencil = relative_complex_structure(reference, target) if geo is None else geo.delta
         if self.kind is StateKind.FERMION:
-            self.jr, self.jt, self.log_delta = reference.j, target.j, rel.log_delta
+            self.jr, self.jt, self.log_delta = reference.j, target.j, pencil.log_delta
         else:
             hinv = pencil.whiten(np.eye(self.d))
             self.jr = standard_symplectic_form(reference.n_modes)

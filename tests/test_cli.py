@@ -677,9 +677,7 @@ def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize(
-    "start,velocity", [("400,0", "1,1"), ("400,0", "1,0"), ("200,0", "0.3,1")]
-)
+@pytest.mark.parametrize("start,velocity", [("400,0", "1,1"), ("200,0", "0.3,1")])
 def test_nonrev_far_out_launch_is_an_in_band_overflow(capsys, start, velocity):
     # g_phiphi overflows above r of about 178; a nan drift used to pass as exit 0 with NaN costs
     with warnings.catch_warnings():
@@ -811,6 +809,17 @@ def test_nonrev_radial_launch_past_the_overflow_radius():
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("start,length", [("400,0", "1"), ("0.5,0", "1000")])
+def test_nonrev_radial_launch_from_r_above_zero(start, length):
+    # the same radial path as from r = 0: no g_phiphi term, also where it overflows
+    proc = run_module("nonrev", "--start", start, "--velocity", "1,0", "--length", length)
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout, parse_constant=_no_constant)
+    for key in ("length", "forward_cost", "reverse_cost"):
+        assert data[key] == pytest.approx(float(length), rel=1e-12)
+    assert proc.stderr == ""
+
+
 def test_seed_is_an_oracle_verify_option_only(tmp_path):
     ref = boson_ref(tmp_path)
     proc = run_module("complexity", "--reference", ref, "--target", ref, "--seed", "1")
@@ -868,6 +877,52 @@ def test_module_propagates_exit_code(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"].startswith("SchemaError:")
+
+
+BIG_INT = "1" + "0" * 400  # a JSON integer past the float range, as 1e400 is a float past it
+
+
+def _big_int_state(tmp_path, name, key, digits=BIG_INT):
+    """A boson file whose sigma[0][0], or z[0], is the integer literal ``digits``."""
+    s00 = digits if key == "sigma" else "1"
+    z = f', "z": [{digits}, 0]' if key == "z" else ""
+    text = f'{{"kind": "boson", "n_modes": 1, "sigma": [[{s00}, 0], [0, 1]]{z}}}'
+    (tmp_path / name).write_text(text)
+    return str(tmp_path / name)
+
+
+@pytest.mark.parametrize(
+    "command,key", [("complexity", "sigma"), ("coherent", "sigma"), ("coherent", "z")]
+)
+def test_an_integer_past_the_float_range_is_non_finite(tmp_path, capsys, command, key):
+    ref = boson_ref(tmp_path)
+    target = _big_int_state(tmp_path, "big.json", key)
+    code, out = run_cli(capsys, command, "--reference", ref, "--target", target)
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": f"NonFinite: {key} contains non-finite entries"}
+
+
+def test_an_integer_past_the_float_range_is_in_band_in_a_batch(tmp_path, capsys):
+    ref = boson_ref(tmp_path)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    squeezed(batch, 0.3, name="a.json")
+    _big_int_state(batch, "b.json", "sigma")
+    _big_int_state(batch, "c.json", "sigma", digits="1" + "0" * 5000)
+    squeezed(batch, 0.5, name="d.json")
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", str(batch))
+    assert code == 3
+    results = json.loads(out)["results"]
+    names = [r["file"].rsplit("/", 1)[-1] for r in results]
+    assert names == ["a.json", "b.json", "c.json", "d.json"]
+    assert results[0]["complexity"] == pytest.approx(0.3, abs=1e-12)
+    assert results[1]["error"] == "NonFinite: sigma contains non-finite entries"
+    # past 4300 digits the json module itself refuses the integer
+    assert results[2]["error"].startswith("SchemaError: state file ")
+    assert " is not valid JSON: " in results[2]["error"]
+    assert results[3]["complexity"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,6 @@ from gcomplexity import (
     GaussianState,
     GaussianTransformation,
     KindMismatch,
-    RelativeComplexStructure,
     SpdPencil,
     StateKind,
     apply_transformation,
@@ -22,6 +21,7 @@ from gcomplexity import (
     stabilizer_basis,
     state_complexity,
 )
+from gcomplexity.complexity_core import relative_stack
 from helpers import random_target, random_transformation
 
 
@@ -60,11 +60,38 @@ def test_single_mode_squeezing_complexity():
 
 
 def test_delta_spectrum_of_squeezed_state():
-    rel = relative_complex_structure(reference_state(StateKind.BOSON, 1), squeezed(1.5))
-    w = np.sort(np.linalg.eigvals(rel.delta).real)
+    ref, target = reference_state(StateKind.BOSON, 1), squeezed(1.5)
+    w = np.sort(np.linalg.eigvals(target.j @ -ref.j).real)
     assert np.allclose(w, [np.exp(-3.0), np.exp(3.0)], rtol=1e-12)
-    assert np.allclose(rel.radial_exponents, [3.0], atol=1e-12)
-    assert np.allclose(np.exp(rel.pencil.logs), [np.exp(-3.0), np.exp(3.0)], rtol=1e-12)
+    pencil = relative_complex_structure(ref, target)
+    assert np.allclose(pencil.radial_exponents, [3.0], atol=1e-12)
+    assert np.allclose(np.exp(pencil.logs), [np.exp(-3.0), np.exp(3.0)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(StateKind))
+def test_pencil_is_delta_kind_and_log_for_a_stack_and_each_row(kind):
+    # the pencil is the one object for Delta: its kind comes from the dtype
+    # of its log-spectrum, and log_delta is apply(identity), bit for bit
+    rng = np.random.default_rng([23, kind is StateKind.BOSON])
+    refs = [reference_state(kind, 2)]
+    if kind is StateKind.BOSON:
+        refs.append(apply_transformation(refs[0], random_transformation(kind, 2, rng)))
+    for ref in refs:
+        targets = [apply_transformation(ref, random_transformation(kind, 2, rng)) for _ in range(4)]
+        pencil, errors = relative_stack(ref, kind, np.stack([t.j for t in targets]))
+        assert errors == [None] * 4
+        assert pencil.kind is kind
+        log_delta = pencil.log_delta
+        assert log_delta.shape == (4, 4, 4)
+        assert np.array_equal(log_delta, pencil.apply(lambda s: s))
+        for i, target in enumerate(targets):
+            row = pencil[i]
+            assert row.kind is kind
+            assert np.array_equal(row.log_delta, row.apply(lambda s: s))
+            assert np.array_equal(row.log_delta, log_delta[i])
+            one = relative_complex_structure(ref, target)
+            assert one.kind is kind
+            assert np.array_equal(one.log_delta, log_delta[i])
 
 
 def test_multimode_quadrature_sum():
@@ -149,13 +176,10 @@ def test_geodesic_point_matches_analytic_squeezing(r, phi):
     # resolve the e^{-2r} eigenvalue off-axis at r = 20
     c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
     rot = np.array([[c, -s], [s, c]])
-    delta = rot @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ rot.T
-    log_delta = rot @ np.diag([2.0 * r, -2.0 * r]) @ rot.T
     pencil = SpdPencil(np.array([2.0 * r, -2.0 * r]), rot)
-    rel = RelativeComplexStructure(delta, log_delta, np.array([2.0 * r]), StateKind.BOSON, pencil)
     for tau in (0.25, 0.6, 1.0):
         want = rot @ np.diag([np.exp(tau * r), np.exp(-tau * r)]) @ rot.T
-        got = geodesic_point(rel, tau).m
+        got = geodesic_point(pencil, tau).m
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 

@@ -18,11 +18,10 @@ from gcomplexity import (
     matrix_exp,
     matrix_exp_batch,
     reference_state,
-    spd_pencil,
     stabilizer_basis,
     standard_symplectic_form,
 )
-from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN, rotation_pencil_stack
+from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN, rotation_pencil_stack, spd_pencil_stack
 from helpers import random_target, random_with_norm1
 
 
@@ -85,6 +84,14 @@ def test_matrix_exp_batch_squares_each_matrix_on_its_own(d):
     vs = random_with_norm1(rng, np.geomspace(1e-3, 30.0, 16), d)
     for v, e in zip(vs, matrix_exp_batch(vs)):
         assert np.array_equal(e, matrix_exp_batch(v[None])[0])
+
+
+def spd_pencil(sigma_T, sigma_R=None):
+    """The pencil of one sigma_T from the stacked kernel; raises its NumericDomainError."""
+    pencil, errors = spd_pencil_stack(np.asarray(sigma_T, dtype=float)[None], sigma_R)
+    if errors[0] is not None:
+        raise errors[0]
+    return pencil[0]
 
 
 def pencil_log(sigma_T, sigma_R=None):

@@ -256,6 +256,21 @@ def test_lorentz_radial_launch_from_origin():
         lorentz_geodesic((0.0, 0.0), (-1.0, 0.0))
 
 
+@pytest.mark.parametrize("rk_steps", [8, 256, 4096])
+def test_lorentz_radial_launch_past_the_overflow_radius(rk_steps):
+    # a radial state has no g_phiphi term, so inf * 0 does not turn the
+    # speed or the force into nan above r of about 178
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = lorentz_geodesic((400.0, 0.0), (1.0, 0.0), length=1.0, rk_steps=rk_steps)
+    assert path.samples[0, 0] == 400.0
+    assert path.samples[-1, 0] == pytest.approx(401.0, rel=1e-15)
+    assert np.all(path.samples[:, 1] == 0.0)
+    assert np.all(path.velocities == [1.0, 0.0])
+    assert chart_path_length(path) == pytest.approx(1.0, rel=1e-12)
+    assert nonreversible_cost(path.reversed()) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_lorentz_unit_speed_and_params():
     path = lorentz_geodesic((1.0, 0.0), (0.3, 0.7), length=1.5, rk_steps=512)
     speeds = np.sqrt(
@@ -289,11 +304,14 @@ def test_lorentz_step_too_coarse():
 @pytest.mark.parametrize(
     "start,velocity,length,rk_steps",
     [
-        *[((400.0, 0.0), (1.0, 0.0), 1.0, n) for n in (8, 256, 4096)],
+        # vphi = 1e-300 is not 0, so the g_phiphi term stays and overflows in the loop
+        *[((177.5, 0.0), (1.0, 1e-300), 1.0, n) for n in (8, 256, 4096)],
         *[((177.0, 0.0), (0.0, 1.0), 1.0, n) for n in (8, 256, 4096)],
         # a coarse step near r = 0 throws a stage out to r = 436
         ((0.4997036205668777, 4.212534840251065), (-1.3206632116051251, -0.10775250794802987),
          1.058130489083909, 8),
+        # an angular launch where g_phiphi is already inf has an infinite initial speed
+        ((200.0, 0.0), (0.3, 1.0), 1.0, 256),
     ],
 )
 def test_lorentz_overflow_is_a_domain_error(start, velocity, length, rk_steps):
