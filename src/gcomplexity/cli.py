@@ -148,7 +148,7 @@ def _read_state_file(path: str):
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal past 4300 digits
+    except (ValueError, RecursionError) as exc:  # bad JSON, a 4301-digit integer, deep nesting
         raise SchemaError(f"state file {path} is not valid JSON: {exc}")
 
 

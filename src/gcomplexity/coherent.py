@@ -64,7 +64,7 @@ def coherent_geodesic(reference: GaussianState, target: GaussianState) -> Cohere
     pencil = relative_complex_structure(reference, target)
     z_t = np.asarray(target.z, dtype=float)
     n_matrix = pencil.apply(_n_of_log_spectrum)
-    white_n = pencil.whiten(n_matrix)
+    white_n = pencil.inv_half @ n_matrix
     g_form = white_n.T @ white_n
     g_form = 0.5 * (g_form + g_form.T)
     return CoherentGeodesic(pencil, n_matrix, z_t, g_form)

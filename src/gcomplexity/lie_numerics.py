@@ -11,11 +11,12 @@ membership checks for sp(2N, R) and so(2N), the canonical basis of either
 algebra as one (D, 2N, 2N) stack, and its split by one SVD into the
 stabilizer sta = {V : [V, J_R] = 0} and its g_1-orthogonal complement.
 
-sigma_R is decomposed in one place only: the pencil whitens by
-H = sigma_R^{1/2}, which is symplectic, so V -> H^{-1} V H carries g_1
-at sigma_R to g_1 at the vacuum, 1/2 Tr(V W^T).  The inner product and
-the stabilizer splitting here are those of the vacuum reference; for
-another reference, whiten first (``SpdPencil.whiten``).
+sigma_R is decomposed in one place only: every pencil holds the frame
+H = sigma_R^{1/2} and its inverse (the identity for fermions, where
+sigma_R = 1).  H is symplectic, so V -> H^{-1} V H carries g_1 at
+sigma_R to g_1 at the vacuum, 1/2 Tr(V W^T).  The inner product and the
+stabilizer splitting here are those of the vacuum reference; for another
+reference, whiten first by the pencil's ``inv_half``.
 
 Both pencils diagonalize a Hermitian matrix similar to Delta (a
 symmetric positive-definite one for bosons, -i times the antisymmetric
@@ -155,27 +156,26 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdPencil:
-    r"""One eigen-decomposition of Delta, or of each of a stack.
+    r"""One eigen-decomposition of Delta, or of each of a stack, in its frame H.
 
-    Bosons: Delta = sigma_T sigma_R^{-1} = H U diag(e^s) U^T H^{-1} with
-    H = sigma_R^{1/2} (left out when sigma_R is the identity) and U, e^s
-    the eigenpairs of the whitened target covariance H^{-1} sigma_T H^{-1}.
-    Fermions: Delta = V diag(e^{i theta}) V^H with V unitary, the
-    log-spectrum i theta is imaginary and H is the identity, as
-    sigma_R = 1.  It is the one object for Delta: every function of Delta
-    analytic on its spectrum is read off this one solve.  For a stack,
-    ``logs`` (B, 2N) and ``u`` (B, 2N, 2N) carry a leading axis, H is shared.
+    Delta = H U diag(e^{logs}) U^H H^{-1}.  Bosons: H = sigma_R^{1/2} and
+    U, e^s are the eigenpairs of the whitened target covariance
+    H^{-1} sigma_T H^{-1}.  Fermions: H is the identity, as sigma_R = 1,
+    U is unitary and the log-spectrum i theta is imaginary.  It is the one
+    object for Delta: every function of Delta analytic on its spectrum is
+    read off this one solve.  For a stack, ``logs`` (B, 2N) and ``u``
+    (B, 2N, 2N) carry a leading axis, and H is shared.
     """
 
     logs: np.ndarray
     u: np.ndarray
-    half: np.ndarray = None
-    inv_half: np.ndarray = None
+    half: np.ndarray
+    inv_half: np.ndarray
 
     def apply(self, f) -> np.ndarray:
         """f(Delta) for a scalar f acting elementwise on the log-spectrum; its real part."""
         m = ((self.u * f(self.logs)[..., None, :]) @ self.u.conj().mT).real
-        return m if self.half is None else self.half @ m @ self.inv_half
+        return self.half @ m @ self.inv_half
 
     @property
     def log_delta(self) -> np.ndarray:
@@ -186,10 +186,6 @@ class SpdPencil:
     def kind(self) -> StateKind:
         """FERMION for the imaginary log-spectrum of a rotation, BOSON for a real one."""
         return StateKind.FERMION if np.iscomplexobj(self.logs) else StateKind.BOSON
-
-    def whiten(self, x: np.ndarray) -> np.ndarray:
-        """H^{-1} x: a vector or matrix x in the frame where sigma_R is the identity."""
-        return x if self.inv_half is None else self.inv_half @ x
 
     @property
     def radial_exponents(self) -> np.ndarray:
@@ -213,34 +209,28 @@ NOT_A_PURE_PAIR = (
 )
 
 
-def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray = None):
+def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray):
     """Decompose Delta = sigma_T sigma_R^{-1} for a stack (B, d, d) of sigma_T.
 
     Returns (pencil, errors): the stacked SpdPencil, and for each target
     None, or a NumericDomainError where its whitened covariance is not
     positive-definite; the rows of such a target are not meaningful.
-    sigma_R is decomposed once for the stack; within 1e-13 of the
-    identity it is taken as the identity, and no whitening is done.
-    Raises NumericDomainError when sigma_R itself is not positive-definite.
+    sigma_R is decomposed once for the stack into the pencil's frame
+    H = sigma_R^{1/2}, exactly 1 for the vacuum.  Raises NumericDomainError
+    when sigma_R itself is not positive-definite.
 
     The large eigenvalues of a symmetric matrix carry full relative
     precision, so this route stays accurate at strong squeezing where a
     dense logarithm does not.
     """
-    sigma_T = 0.5 * (sigma_T + sigma_T.mT)
-    d = sigma_T.shape[-1]
-    if sigma_R is None or np.abs(sigma_R - np.eye(d)).max() <= 1e-13:
-        half = inv_half = None
-        w_mid = sigma_T
-    else:
-        wr, ur = np.linalg.eigh(0.5 * (sigma_R + sigma_R.T))
-        if not wr.min() > 0.0:
-            raise NumericDomainError("sigma_R is not positive-definite")
-        half = (ur * np.sqrt(wr)) @ ur.T
-        inv_half = (ur / np.sqrt(wr)) @ ur.T
-        w_mid = inv_half @ sigma_T @ inv_half
-        w_mid = 0.5 * (w_mid + w_mid.mT)
-    w, u = np.linalg.eigh(w_mid)
+    # halves first, here and for w: no sum of two finite entries overflows
+    wr, ur = np.linalg.eigh(0.5 * sigma_R + 0.5 * sigma_R.T)
+    if not wr.min() > 0.0:
+        raise NumericDomainError("sigma_R is not positive-definite")
+    half = (ur * np.sqrt(wr)) @ ur.T
+    inv_half = (ur / np.sqrt(wr)) @ ur.T
+    w_mid = inv_half @ sigma_T @ inv_half
+    w, u = np.linalg.eigh(0.5 * w_mid + 0.5 * w_mid.mT)
     positive = w.min(axis=-1) > 0.0
     errors = [None] * len(w)
     for i in np.flatnonzero(~positive):
@@ -255,14 +245,15 @@ def rotation_pencil_stack(delta: np.ndarray):
 
     The Cayley transform C = (Delta + 1)^{-1} (Delta - 1), which equals
     (Delta - 1)(Delta + 1)^{-1}, is antisymmetric with eigenvalues
-    i tan(theta/2) for the rotation angles theta of Delta, so the Hermitian -i C = V diag(t) V^H
-    gives the principal log Delta = V diag(2i arctan t) V^H: the pencil's
-    log-spectrum is i theta = 2i arctan t.  Returns (pencil, errors), with
-    errors[i] None or the BranchCut of target i: a rotation angle within
-    BRANCH_CUT_MARGIN of pi, or an eigenvalue -1, has no principal log.
-    Such targets are found before the solve, from the eigenvalues
-    cos(theta) of (Delta + Delta^T)/2, and their rows are solved at
-    Delta = 1, so one singular Delta + 1 does not fail the stack.
+    i tan(theta/2) for the rotation angles theta of Delta, so the
+    Hermitian -i C = V diag(t) V^H gives the principal log
+    Delta = V diag(2i arctan t) V^H: the pencil's log-spectrum is
+    i theta = 2i arctan t, and its frame H is 1, as sigma_R = 1.  Returns
+    (pencil, errors), with errors[i] None or the BranchCut of target i: a
+    rotation angle within BRANCH_CUT_MARGIN of pi, or an eigenvalue -1,
+    has no principal log.  Such targets are found before the solve, from
+    the eigenvalues cos(theta) of (Delta + Delta^T)/2, and their rows are
+    solved at Delta = 1, so one singular Delta + 1 does not fail the stack.
     """
     eye = np.eye(delta.shape[-1])
     cos_min = np.linalg.eigvalsh(0.5 * (delta + delta.mT))[..., 0]
@@ -281,7 +272,7 @@ def rotation_pencil_stack(delta: np.ndarray):
     delta = np.where(cut[:, None, None], eye, delta)
     c = np.linalg.solve(delta + eye, delta - eye)
     t, v = np.linalg.eigh(-0.5j * (c - c.mT))
-    return SpdPencil(2j * np.arctan(t), v), errors
+    return SpdPencil(2j * np.arctan(t), v, eye, eye), errors
 
 
 def inner_product_identity(v, w) -> float:

@@ -79,7 +79,13 @@ class WeylFactor:
             raise ValidationError("tabulated factor contains non-finite values")
         from scipy.interpolate import PchipInterpolator  # only --omega table: needs it
 
-        interp = PchipInterpolator(r_values, omega_values, extrapolate=True)
+        with np.errstate(all="ignore"):  # slopes past the float range raise NonFiniteFactor
+            try:
+                interp = PchipInterpolator(r_values, omega_values, extrapolate=True)
+            except ValueError:
+                interp = None
+        if interp is None or not np.all(np.isfinite(interp.c)):
+            raise NonFiniteFactor("tabulated factor's interpolant is not finite")
         return WeylFactor(interp)
 
     def __call__(self, r):
@@ -155,7 +161,8 @@ class VectorPotential:
         c = np.asarray(h_coeffs, dtype=float)
         if c.ndim != 1 or not np.all(np.isfinite(c)):
             raise ValidationError("polynomial coefficients must be finite reals")
-        dc = c[1:] * np.arange(1, len(c))
+        with np.errstate(over="ignore"):  # an inf coefficient is PotentialTooLarge where A is used
+            dc = c[1:] * np.arange(1, len(c))
 
         def a_r(r, phi):
             r = np.asarray(r, dtype=float)

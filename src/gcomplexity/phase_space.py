@@ -456,7 +456,7 @@ def state_to_dict(state: GaussianState) -> dict:
 def boson_covariance(j: np.ndarray) -> np.ndarray:
     """Symmetrized boson covariance -J Omega_N of J, or of each J of a stack (..., 2N, 2N)."""
     sig = -j @ standard_symplectic_form(j.shape[-1] // 2)
-    return 0.5 * (sig + sig.mT)
+    return 0.5 * sig + 0.5 * sig.mT  # halves first: no sum of two finite entries overflows
 
 
 def covariance_of(state: GaussianState) -> np.ndarray:

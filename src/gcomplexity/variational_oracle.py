@@ -158,9 +158,9 @@ class _Forward(NamedTuple):
 class _Problem:
     """Penalty objective for one (reference, target) pair, in the vacuum frame.
 
-    Bosons are whitened by the pencil of Delta: J_R becomes the standard
-    Omega, J_T becomes H^{-1} J_T H and z_T becomes H^{-1} z_T, so the
-    metric is the Frobenius gram.  Fermions have sigma_R = 1 already.
+    Both kinds are whitened by the pencil's frame H (1 for fermions): J_R
+    becomes Omega for bosons, J_T and z_T become H^{-1} J_T H and H^{-1} z_T,
+    log Delta becomes U diag(logs) U^H, and the metric the Frobenius gram.
     Coordinate c of segment k moves the generator A_k along dirs[c]: the
     algebra basis, plus for a displaced target the unit displacement
     columns of the affine generator [[V, u], [0, 0]].  Derivatives are
@@ -181,17 +181,13 @@ class _Problem:
         self.displaced = bool(np.any(target.z != 0.0) or np.any(reference.z != 0.0))
         geo = coherent_geodesic(reference, target) if self.displaced else None
         pencil = relative_complex_structure(reference, target) if geo is None else geo.delta
-        if self.kind is StateKind.FERMION:
-            self.jr, self.jt, self.log_delta = reference.j, target.j, pencil.log_delta
-        else:
-            hinv = pencil.whiten(np.eye(self.d))
-            self.jr = standard_symplectic_form(reference.n_modes)
-            # H^{-1} J_T H: H^{-1} is symplectic, and its group inverse is H
-            self.jt = hinv @ target.j @ group_inverse(hinv, self.kind)
-            self.log_delta = (pencil.u * pencil.logs) @ pencil.u.T
+        fermion = self.kind is StateKind.FERMION
+        self.jr = reference.j if fermion else standard_symplectic_form(reference.n_modes)
+        self.jt = pencil.inv_half @ target.j @ pencil.half
+        self.log_delta = ((pencil.u * pencil.logs) @ pencil.u.conj().T).real
         if geo is not None:
-            self.z_t = pencil.whiten(target.z)
-            self.z_rate = pencil.whiten(0.5 * geo.n_matrix @ target.z)
+            self.z_t = pencil.inv_half @ target.z
+            self.z_rate = pencil.inv_half @ (0.5 * geo.n_matrix @ target.z)
         self.ncoord = self.D + (self.d if self.displaced else 0)
         da = self.d + 1 if self.displaced else self.d
         self.eye = np.eye(da)

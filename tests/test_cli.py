@@ -13,7 +13,10 @@ import scipy.linalg
 
 from gcomplexity import (
     StateKind,
+    coherent_complexity,
+    coherent_geodesic,
     complexity_from_relative,
+    minimize_to_target,
     reference_state,
     relative_complex_structure,
     state_from_dict,
@@ -175,6 +178,21 @@ def test_batch_lists_every_json_name_in_byte_order(tmp_path, capsys, monkeypatch
     monkeypatch.chdir(batch)  # "." names each file bare, not "./name"
     code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", ".")
     assert json.loads(out)["results"][6]["error"].startswith(unreadable.format("sub.json"))
+
+
+def test_batch_needs_a_directory_with_a_json_file(tmp_path, capsys):
+    ref = boson_ref(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("{}")
+    for batch, error in (
+        (ref, f"batch path {ref} is not a directory"),
+        (str(empty), f"no .json files in {empty}"),
+    ):
+        code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", batch)
+        assert code == 3
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": f"ValidationError: {error}"}
 
 
 def test_an_unlistable_batch_directory_is_a_validation_error(tmp_path, capsys, monkeypatch):
@@ -521,6 +539,34 @@ def test_weyl_bad_spec(tmp_path, capsys):
         assert json.loads(out)["error"].startswith("ValidationError:")
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["weyl", "--omega", "const:x"], "const factor needs a number, got 'x'"),
+        (["weyl", "--omega", "linear:x"], "linear factor needs a number, got 'x'"),
+        (
+            ["nonrev", "--potential", "foo"],
+            "unknown potential spec 'foo'; use none, const:f0 or grad:h=<poly>",
+        ),
+        (["nonrev", "--potential", "grad:x"], "gradient potential must be written grad:h=<poly>"),
+        (["nonrev", "--potential", "const:x"], "const potential needs a number, got 'x'"),
+        (["nonrev", "--potential", "grad:h="], "empty polynomial"),
+        (["nonrev", "--potential", "grad:h=r^2e"], "cannot parse polynomial term 'r^2e'"),
+        (["nonrev", "--start", "a,b"], "--start must be numeric, got 'a,b'"),
+    ],
+)
+def test_grammar_errors_are_validation_errors(tmp_path, capsys, argv, error):
+    if argv[0] == "weyl":
+        ref = boson_ref(tmp_path)
+        argv = [*argv, "--reference", ref, "--target", squeezed(tmp_path, 0.5)]
+    else:
+        argv = ["nonrev", "--start", "0.5,0", "--velocity", "1,0", *argv[1:]]
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": f"ValidationError: {error}"}
+
+
 def test_nonrev_gradient_anchor(capsys):
     code, out = run_cli(
         capsys, "nonrev", "--start", "0,0", "--velocity", "1,0",
@@ -716,6 +762,25 @@ def test_oracle_verify_squeezed(tmp_path, capsys):
     assert data["constraint_residual"] < 1e-6
 
 
+def test_oracle_verify_displaced(tmp_path, capsys):
+    # the closed form is the coherent one, the length the oracle's own for the same arguments
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.4, z=[0.2, 0.22])
+    code, out = run_cli(
+        capsys, "oracle-verify", "--reference", ref, "--target", target,
+        "--segments", "8", "--restarts", "2",
+    )
+    assert code == 0
+    data = json.loads(out)
+    ref_state, target_state = (
+        state_from_dict(json.loads(Path(p).read_text())) for p in (ref, target)
+    )
+    assert data["closed_form"] == coherent_complexity(coherent_geodesic(ref_state, target_state))
+    _, length = minimize_to_target(ref_state, target_state, segments=8, restarts=2, seed=0)
+    assert data["oracle_length"] == length
+    assert data["converged"] is True
+
+
 def test_oracle_verify_rejects_a_negative_seed(tmp_path):
     ref = boson_ref(tmp_path)
     target = squeezed(tmp_path, 0.7)
@@ -790,6 +855,45 @@ def test_weyl_overflow_is_a_numeric_error(tmp_path, omega, error):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0], parse_constant=_no_constant) == {"error": error}
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0,0\n1,1e308\n2,-1e308\n", "0,0\n1e-300,1\n1,2\n"],
+    ids=["a_secant_slope_overflows", "a_coefficient_overflows"],
+)
+def test_weyl_table_whose_slopes_overflow_is_non_finite(tmp_path, rows):
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.5)
+    table = tmp_path / "omega.csv"
+    table.write_text(rows)
+    proc = run_module(
+        "weyl", "--reference", ref, "--target", target, "--omega", f"table:{table}"
+    )
+    assert proc.returncode == 2
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "NonFiniteFactor: tabulated factor's interpolant is not finite"
+    }
+    assert proc.stderr == ""
+
+
+def test_overflow_near_the_float_range_leaves_stderr_empty(tmp_path):
+    ref = boson_ref(tmp_path)
+    target = write_state(
+        tmp_path, "t.json", {"kind": "boson", "n_modes": 1, "sigma": [[1e308, 0.0], [0.0, 1e-308]]}
+    )
+    proc = run_module("complexity", "--reference", ref, "--target", target)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"].startswith("NumericDomainError:")
+    assert proc.stderr == ""
+    proc = run_module(
+        "nonrev", "--start", "0.5,0", "--velocity", "1,1", "--potential", "grad:h=1e308r^64"
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"].startswith("PotentialTooLarge:")
     assert proc.stderr == ""
 
 
@@ -923,6 +1027,44 @@ def test_an_integer_past_the_float_range_is_in_band_in_a_batch(tmp_path, capsys)
     assert results[2]["error"].startswith("SchemaError: state file ")
     assert " is not valid JSON: " in results[2]["error"]
     assert results[3]["complexity"] == pytest.approx(0.5, abs=1e-12)
+
+
+DEEP_SIGMA = '{"kind": "boson", "n_modes": 1, "sigma": ' + "[" * 990 + "1" + "]" * 990 + "}"
+DEEP_NESTING = {"deep_sigma.json": DEEP_SIGMA, "brackets.json": "[" * 100_000 + "]" * 100_000}
+
+
+@pytest.mark.parametrize("command", ["complexity", "coherent"])
+@pytest.mark.parametrize("name", list(DEEP_NESTING))
+def test_deeply_nested_json_is_not_valid_json(tmp_path, command, name):
+    ref = boson_ref(tmp_path)
+    (tmp_path / name).write_text(DEEP_NESTING[name])
+    proc = run_module(command, "--reference", ref, "--target", name, cwd=tmp_path)
+    assert proc.returncode == 3
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error.startswith(f"SchemaError: state file {name} is not valid JSON: ")
+    assert proc.stderr == ""
+
+
+def test_deeply_nested_json_is_in_band_in_a_batch(tmp_path):
+    ref = boson_ref(tmp_path)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    squeezed(batch, 0.3, name="a.json")
+    for name, text in DEEP_NESTING.items():
+        (batch / name).write_text(text)
+    squeezed(batch, 0.5, name="z.json")
+    proc = run_module("complexity", "--reference", ref, "--batch", str(batch))
+    assert proc.returncode == 3
+    results = json.loads(proc.stdout)["results"]
+    assert [r["file"] for r in results] == ["a.json", "brackets.json", "deep_sigma.json", "z.json"]
+    assert results[0]["complexity"] == pytest.approx(0.3, abs=1e-12)
+    for r in results[1:3]:
+        invalid = f"SchemaError: state file {batch / r['file']} is not valid JSON: "
+        assert r["error"].startswith(invalid)
+    assert results[3]["complexity"] == pytest.approx(0.5, abs=1e-12)
+    assert proc.stderr == ""
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):

@@ -176,7 +176,7 @@ def test_geodesic_point_matches_analytic_squeezing(r, phi):
     # resolve the e^{-2r} eigenvalue off-axis at r = 20
     c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
     rot = np.array([[c, -s], [s, c]])
-    pencil = SpdPencil(np.array([2.0 * r, -2.0 * r]), rot)
+    pencil = SpdPencil(np.array([2.0 * r, -2.0 * r]), rot, np.eye(2), np.eye(2))
     for tau in (0.25, 0.6, 1.0):
         want = rot @ np.diag([np.exp(tau * r), np.exp(-tau * r)]) @ rot.T
         got = geodesic_point(pencil, tau).m
@@ -194,9 +194,10 @@ def test_geodesic_additivity():
 
 
 def test_slightly_squeezed_reference_is_not_taken_as_identity():
-    # a reference squeezed by 1e-7 is whitened, so the pair (R, R) has C = 0
-    ref = squeezed(1e-7)
-    assert state_complexity(ref, ref) <= 1e-14
+    # a reference squeezed by 1e-7 or 2e-14 is whitened, so the pair (R, R) has C = 0
+    for r, bound in ((1e-7, 1e-14), (2e-14, 1e-15)):
+        ref = squeezed(r)
+        assert state_complexity(ref, ref) <= bound
 
 
 def test_displacement_rejected():

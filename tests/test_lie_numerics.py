@@ -87,8 +87,11 @@ def test_matrix_exp_batch_squares_each_matrix_on_its_own(d):
 
 
 def spd_pencil(sigma_T, sigma_R=None):
-    """The pencil of one sigma_T from the stacked kernel; raises its NumericDomainError."""
-    pencil, errors = spd_pencil_stack(np.asarray(sigma_T, dtype=float)[None], sigma_R)
+    """The pencil of one sigma_T (sigma_R = 1 when None); raises its NumericDomainError."""
+    sigma_T = np.asarray(sigma_T, dtype=float)
+    if sigma_R is None:
+        sigma_R = np.eye(len(sigma_T))
+    pencil, errors = spd_pencil_stack(sigma_T[None], sigma_R)
     if errors[0] is not None:
         raise errors[0]
     return pencil[0]
@@ -138,11 +141,11 @@ def test_log_spd_pencil_rejects_indefinite():
         pencil_log(np.diag([1.0, -1.0]))
 
 
-def test_spd_pencil_takes_sigma_R_within_1e_13_of_the_identity_as_the_identity():
+def test_spd_pencil_whitens_a_sigma_R_within_1e_13_of_the_identity():
     sigma_T = np.diag([2.0, 0.5])
-    assert spd_pencil(sigma_T, np.eye(2) + 0.9e-13).half is None
-    whitened = spd_pencil(sigma_T, np.eye(2) + 2e-13)
-    assert whitened.half is not None
+    sigma_R = np.eye(2) + 0.9e-13
+    whitened = spd_pencil(sigma_T, sigma_R)
+    assert np.allclose(whitened.half @ whitened.half, sigma_R, rtol=0.0, atol=1e-15)
     assert np.allclose(whitened.logs, [-np.log(2.0), np.log(2.0)], atol=1e-12)
     sigma_R = np.eye(2)
     sigma_R[0, 1] = np.nan

@@ -183,7 +183,7 @@ def test_positivity_rejects_only_states_the_pencil_rejects():
         try:
             GaussianState(j, StateKind.BOSON)
         except SingularInput:
-            _, errors = spd_pencil_stack(phase_space.boson_covariance(j)[None])
+            _, errors = spd_pencil_stack(phase_space.boson_covariance(j)[None], np.eye(len(j)))
             assert errors[0] is not None
 
 
