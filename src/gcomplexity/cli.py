@@ -216,7 +216,7 @@ def _parse_omega(spec: str) -> WeylFactor:
         try:
             rows = [
                 line.split(",")
-                for line in Path(arg).read_text(encoding="utf-8").strip().splitlines()
+                for line in Path(arg).read_text(encoding="utf-8-sig").strip().splitlines()
                 if line.strip()
             ]
         except (OSError, UnicodeDecodeError) as exc:
@@ -525,7 +525,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "nonrev", parents=[common], help="non-reversible cost along a Lorentz geodesic"
     )
     p.add_argument("--start", required=True, help="start point 'r,phi'")
-    p.add_argument("--velocity", required=True, help="initial velocity 'vr,vphi'")
+    p.add_argument(
+        "--velocity",
+        required=True,
+        help="initial velocity 'vr,vphi'; write a negative vr as --velocity=-1,0",
+    )
     p.add_argument(
         "--potential", default="none", help="spec: none | const:f0 | grad:h=<poly>"
     )

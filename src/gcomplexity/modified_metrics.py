@@ -18,8 +18,10 @@ functional to
 which stays nonnegative while ||A||_g <= 1 and produces Lorentz-force
 geodesics r'' + Gamma = F^i_j gamma'^j with F_ij = d_i A_j - d_j A_i.
 lorentz_geodesic integrates them by fixed-step RK4 whose state is four
-Python floats; its metric terms use numpy's sinh/cosh, so each step has
-the bits the vectorized metric_phiphi would give it.
+Python floats.  A stage's position slope is its own velocity, so each
+stage computes only the Lorentz-force acceleration; its metric terms use
+numpy's sinh/cosh, so each step has the bits the vectorized
+metric_phiphi would give it.
 """
 
 from __future__ import annotations
@@ -172,9 +174,20 @@ class VectorPotential:
 
     @staticmethod
     def ripple(f0: float, eps: float) -> "VectorPotential":
-        """f(r, phi) = f0 (1 + eps cos phi), a genuinely magnetic example."""
+        """f(r, phi) = f0 (1 + eps cos phi), a genuinely magnetic example.
+
+        f0 >= 0 and |eps| <= 1, both finite, keep f >= 0 everywhere.
+        """
         f0 = float(f0)
         eps = float(eps)
+        if not np.isfinite(f0):
+            raise ValidationError(f"ripple f0 must be finite, got {f0}")
+        if not np.isfinite(eps):
+            raise ValidationError(f"ripple eps must be finite, got {eps}")
+        if f0 < 0.0:
+            raise ValidationError(f"ripple f0 must be nonnegative, got {f0}")
+        if abs(eps) > 1.0:
+            raise ValidationError(f"ripple eps must lie in [-1, 1], got {eps}")
         a_r = lambda r, phi: -f0 * (1.0 + eps * np.cos(phi)) * np.ones_like(
             np.asarray(r, dtype=float)
         )
@@ -279,27 +292,32 @@ def nonreversible_cost_profile(
     return out
 
 
-def _lorentz_rhs(r, phi, vr, vphi, field):
-    """Velocity and Lorentz-force acceleration at one state, on Python floats.
+def _lorentz_acceleration(r, phi, vr, vphi, field, sinh=np.sinh, cosh=np.cosh):
+    """Lorentz-force acceleration (a_r, a_phi) at one state, on Python floats.
 
-    g_phiphi and its analytic derivative 2 sinh(2r) sinh^2(r) +
-    cosh(2r) sinh(2r) are formed as metric_phiphi forms g_phiphi on a
-    scalar: numpy's sinh/cosh of a float carry the bits of its array loop
-    (libm's differ in the last place), and sinh(r) ** 2 stays numpy's
-    scalar power, which rounds as pow does and overflows to inf where a
-    float ** would raise.  ``field`` is None for a curl-free potential,
-    whose F_rphi is +0.0 everywhere.  A radial state (vphi == 0) has no
-    g_phiphi term, also where g_phiphi overflowed (inf * 0 would be nan).
+    The velocity half of an RK4 slope is the state's own (vr, vphi), so
+    only the acceleration is returned.  g_phiphi and its analytic
+    derivative 2 sinh(2r) sinh^2(r) + cosh(2r) sinh(2r) are formed as
+    metric_phiphi forms g_phiphi on a scalar: numpy's sinh/cosh of a
+    float carry the bits of its array loop (libm's differ in the last
+    place), and sinh(r) ** 2 stays numpy's scalar power, which rounds as
+    pow does and overflows to inf where a float ** would raise.
+    ``field`` is None for a curl-free potential, whose F_rphi is +0.0
+    everywhere.  A radial state (vphi == 0) has no g_phiphi term, also
+    where g_phiphi overflowed (inf * 0 would be nan).  ``sinh`` and
+    ``cosh`` are numpy's, bound once at definition so that a stage does
+    not look them up; no caller passes them.
     """
-    sh2 = float(np.sinh(r) ** 2)
-    s2 = float(np.sinh(2.0 * r))
-    c2 = float(np.cosh(2.0 * r))
+    r2 = 2.0 * r
+    sh2 = float(sinh(r) ** 2)
+    s2 = float(sinh(r2))
+    c2 = float(cosh(r2))
     gpp = c2 * sh2
     dgpp = 2.0 * s2 * sh2 + c2 * s2 if vphi else 0.0
     fs = 0.0 if field is None else float(field(r, phi))
     ar = 0.5 * dgpp * vphi * vphi + fs * vphi
     aphi = (-dgpp * vr * vphi - fs * vr) / gpp if gpp > 0.0 else 0.0
-    return vr, vphi, ar, aphi
+    return ar, aphi
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised in-band below
@@ -317,16 +335,19 @@ def lorentz_geodesic(
     must be finite and ``rk_steps`` an integer in [8, MAX_STEPS]
     (ValidationError otherwise, before anything is allocated).  The
     state is four Python floats, advanced in numpy's operation order
-    with numpy's sinh/cosh (see _lorentz_rhs), so each sample has the
-    bits of the same RK4 run on numpy arrays.  The initial velocity is
+    with numpy's sinh/cosh (see _lorentz_acceleration), so each sample
+    has the bits of the same RK4 run on numpy arrays.  Each stage's
+    position slope is that stage's velocity, held by name in the loop;
+    only its acceleration is computed.  The initial velocity is
     normalized to unit metric speed so the trajectory is
     parametrized by arc length and covers the requested length.  The
     conserved speed is monitored; drift beyond ``drift_tol`` raises
     StepTooCoarse (pass a larger value for deliberate coarse-step
     convergence studies, or inf to skip the check); a nan or inf speed,
     where g_phiphi overflowed (r above about 178), raises
-    NumericDomainError instead.  Trajectories reaching r = 0 with angular
-    motion raise ChartBoundary carrying the partial path.
+    NumericDomainError instead.  A trajectory reaching r = 0 (an inward
+    radial launch included) raises ChartBoundary carrying the partial
+    path.
     """
     a = a or VectorPotential.none()
     r0, phi0 = map(float, start)
@@ -356,7 +377,7 @@ def lorentz_geodesic(
         samples = np.stack([s, np.full(n + 1, phi0)], axis=1)
         vel = np.tile([1.0, 0.0], (n + 1, 1))
         return DiscretizedPath(samples, s / length if length > 0 else np.linspace(0, 1, n + 1), vel)
-    # a radial launch has no g_phiphi term, as in _lorentz_rhs
+    # a radial launch has no g_phiphi term, as in _lorentz_acceleration
     speed = np.sqrt(vr0 * vr0 + (float(metric_phiphi(r0)) * vphi0 * vphi0 if vphi0 else 0.0))
     if speed == 0.0:
         raise ValidationError("initial velocity must be nonzero")
@@ -371,19 +392,19 @@ def lorentz_geodesic(
     traj = np.empty((n + 1, 4))
     traj[0] = r, phi, vr, vphi
     for i in range(n):
-        # classic RK4 in numpy's order: x + (h/2) k per stage, x + (h/6)(((k1 + 2k2) + 2k3) + k4)
-        k1 = _lorentz_rhs(r, phi, vr, vphi, field)
-        k2 = _lorentz_rhs(
-            r + half * k1[0], phi + half * k1[1], vr + half * k1[2], vphi + half * k1[3], field
-        )
-        k3 = _lorentz_rhs(
-            r + half * k2[0], phi + half * k2[1], vr + half * k2[2], vphi + half * k2[3], field
-        )
-        k4 = _lorentz_rhs(r + h * k3[0], phi + h * k3[1], vr + h * k3[2], vphi + h * k3[3], field)
-        r += sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        phi += sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        vr += sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        vphi += sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+        # classic RK4 in numpy's order: x + (h/2) k per stage, x + (h/6)(((k1 + 2k2) + 2k3) + k4);
+        # a stage's position slope is its own velocity, so only accelerations are computed
+        ar1, ap1 = _lorentz_acceleration(r, phi, vr, vphi, field)
+        vr2, vp2 = vr + half * ar1, vphi + half * ap1
+        ar2, ap2 = _lorentz_acceleration(r + half * vr, phi + half * vphi, vr2, vp2, field)
+        vr3, vp3 = vr + half * ar2, vphi + half * ap2
+        ar3, ap3 = _lorentz_acceleration(r + half * vr2, phi + half * vp2, vr3, vp3, field)
+        vr4, vp4 = vr + h * ar3, vphi + h * ap3
+        ar4, ap4 = _lorentz_acceleration(r + h * vr3, phi + h * vp3, vr4, vp4, field)
+        r += sixth * (vr + 2.0 * vr2 + 2.0 * vr3 + vr4)
+        phi += sixth * (vphi + 2.0 * vp2 + 2.0 * vp3 + vp4)
+        vr += sixth * (ar1 + 2.0 * ar2 + 2.0 * ar3 + ar4)
+        vphi += sixth * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
         if r < CHART_EPS:
             partial = DiscretizedPath(
                 traj[: i + 1, :2].copy(),

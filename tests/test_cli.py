@@ -539,6 +539,23 @@ def test_weyl_bad_spec(tmp_path, capsys):
         assert json.loads(out)["error"].startswith("ValidationError:")
 
 
+@pytest.mark.parametrize("header", ["", "r,omega\n"], ids=["no_header", "header"])
+def test_weyl_table_with_a_bom_reads_as_without(tmp_path, capsys, header):
+    # a BOM made the first cell non-numeric, so a headerless table lost its first row
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.5 * np.log(2.0))
+    table = tmp_path / "omega.csv"
+    outs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        table.write_bytes(bom + (header + "0,0.3\n1,0.5\n2,1\n").encode())
+        code, out = run_cli(
+            capsys, "weyl", "--reference", ref, "--target", target, "--omega", f"table:{table}"
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "argv,error",
     [
@@ -922,6 +939,24 @@ def test_nonrev_radial_launch_from_r_above_zero(start, length):
     for key in ("length", "forward_cost", "reverse_cost"):
         assert data[key] == pytest.approx(float(length), rel=1e-12)
     assert proc.stderr == ""
+
+
+def test_nonrev_inward_launch_takes_the_equals_form(capsys):
+    # argparse reads "-1,0" after a space as an option, so a negative vr needs --velocity=-1,0
+    with pytest.raises(SystemExit) as info:
+        main(["nonrev", "--start", "0.5,0", "--velocity", "-1,0", "--length", "0.3"])
+    assert info.value.code == 2
+    assert "argument --velocity: expected one argument" in capsys.readouterr().err
+    code, out = run_cli(capsys, "nonrev", "--start", "0.5,0", "--velocity=-1,0", "--length", "0.3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["forward_cost"] == data["reverse_cost"] == data["length"]
+    assert data["length"] == pytest.approx(0.3, rel=1e-12)
+    code, out = run_cli(capsys, "nonrev", "--start", "0.5,0", "--velocity=-1,0", "--length", "5")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ChartBoundary: trajectory reached r = 0 after arc length 0.488281"
+    }
 
 
 def test_seed_is_an_oracle_verify_option_only(tmp_path):

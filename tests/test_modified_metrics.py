@@ -22,7 +22,7 @@ from gcomplexity import (
     weyl_complexity,
 )
 from gcomplexity.cli import main
-from gcomplexity.modified_metrics import CHART_EPS, MAX_STEPS, _cost_terms, _lorentz_rhs
+from gcomplexity.modified_metrics import CHART_EPS, MAX_STEPS, _cost_terms, _lorentz_acceleration
 
 
 def radial_path(r0, r1, n=200):
@@ -48,7 +48,7 @@ def test_metric_phiphi_values():
     # with vr = 0 and vphi = 1 the radial force is d g_phiphi / dr / 2
     eps = 1e-6
     fd = (metric_phiphi(r + eps) - metric_phiphi(r - eps)) / (2 * eps)
-    assert 2.0 * _lorentz_rhs(r, 0.0, 0.0, 1.0, None)[2] == pytest.approx(fd, rel=1e-8)
+    assert 2.0 * _lorentz_acceleration(r, 0.0, 0.0, 1.0, None)[0] == pytest.approx(fd, rel=1e-8)
 
 
 def test_weyl_constant_factor_exact():
@@ -389,6 +389,32 @@ def test_gradient_potential_validation():
 
 
 @pytest.mark.parametrize(
+    "f0, eps, message",
+    [
+        (float("nan"), 0.3, "ripple f0 must be finite, got nan"),
+        (float("inf"), 0.3, "ripple f0 must be finite, got inf"),
+        (0.5, float("inf"), "ripple eps must be finite, got inf"),
+        (0.5, float("nan"), "ripple eps must be finite, got nan"),
+        (-0.5, 0.3, "ripple f0 must be nonnegative, got -0.5"),
+        (0.5, 1.5, r"ripple eps must lie in \[-1, 1\], got 1.5"),
+        (0.5, -1.01, r"ripple eps must lie in \[-1, 1\], got -1.01"),
+    ],
+    ids=["f0_nan", "f0_inf", "eps_inf", "eps_nan", "f0_negative", "eps_above_1", "eps_below_-1"],
+)
+def test_ripple_potential_validation(f0, eps, message):
+    # f = f0 (1 + eps cos phi) must stay finite and nonnegative, as constant's f does
+    with pytest.raises(ValidationError, match=message):
+        VectorPotential.ripple(f0, eps)
+
+
+def test_ripple_potential_accepts_the_edges_of_its_domain():
+    phi = np.linspace(0.0, 2.0 * np.pi, 65)
+    for f0, eps in ((0.5, -1.0), (0.5, 1.0), (0.0, 0.3)):
+        f = -VectorPotential.ripple(f0, eps).a_r(np.full_like(phi, 0.7), phi)
+        assert np.all(f >= 0.0)
+
+
+@pytest.mark.parametrize(
     "rk_steps, message",
     [
         (np.nan, "rk_steps must be an integer"),
@@ -463,11 +489,11 @@ def test_lorentz_rhs_has_the_bits_of_the_array_rhs(potential):
         rng.normal(size=20000), rng.normal(size=20000),
     ])
     for state in states:
-        got = _lorentz_rhs(*state.tolist(), field)
-        assert np.array_equal(got, reference_rhs(state, a)), state
+        got = _lorentz_acceleration(*state.tolist(), field)
+        assert np.array(got).tobytes() == reference_rhs(state, a)[2:].tobytes(), state
 
 
-@pytest.mark.parametrize("rk_steps", [8, 64, 1024])
+@pytest.mark.parametrize("rk_steps", [8, 64, 256, 1024])
 @pytest.mark.parametrize("potential", sorted(POTENTIALS))
 def test_lorentz_geodesic_has_the_bits_of_the_array_rk4(potential, rk_steps):
     a = POTENTIALS[potential]
