@@ -2,12 +2,12 @@
 
 Commands: complexity | coherent | weyl | nonrev | oracle-verify.
 States are loaded from JSON files in the schema documented in
-phase_space.parse_state_dict; a file is read as bytes and decoded as
-UTF-8, with CRLF and CR line ends made LF, which is what a text-mode
-read gives.  All floats are rendered with 17 significant digits so
-results round-trip exactly, and identical inputs with the same seed
-produce byte-identical output.  A float array is rendered by one % of
-a template cached per shape.
+phase_space.parse_state_dict; a file is read as bytes by os.read, with
+no file object, and decoded as UTF-8, with CRLF and CR line ends made
+LF, which is what a text-mode read gives.  All floats are rendered with
+17 significant digits so results round-trip exactly, and identical
+inputs with the same seed produce byte-identical output.  A float array
+is rendered by one % of a template cached per shape.
 
 `complexity` runs one array program per group of targets of one kind
 and N: the schema is checked file by file, then the group's matrices are
@@ -15,7 +15,7 @@ stacked and validated together (phase_space.state_stack), and decomposed
 by one stacked eigh for either kind (complexity_core.relative_stack).  A
 single --target is the one-file case of the same program, and --batch
 reports each file's first error in-band, as the single-file run would
-raise it.  The floats of a group's entries come from one tolist, and
+raise it; the two flags exclude each other.  The floats of a group's entries come from one tolist, and
 each --batch entry is one % of a template cached per N.
 
 Exit codes: 0 success, 2 numeric-domain error, 3 validation error,
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import re
@@ -136,12 +137,25 @@ def _fail(exc: Exception) -> dict:
 def _read_state_file(path: str):
     """The JSON in a state file, read as a text-mode read would: UTF-8, line ends made LF.
 
-    The bytes are decoded here rather than by json.loads, which would
-    guess their encoding; a BOM is kept, so json.loads rejects it.
+    The bytes come from os.open/os.read, without a file object: the
+    first read asks for the file's size plus one byte, and reads go on
+    until one returns nothing, so a pipe is read whole too.  os.read on a
+    directory raises without the file name, so that error is raised again
+    with it, as open() gives it.  The bytes are decoded here rather than
+    by json.loads, which would guess their encoding; a BOM is kept, so
+    json.loads rejects it.
     """
     try:
-        with open(path, "rb", buffering=0) as f:
-            text = f.read().decode("utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+            while chunks[-1]:
+                chunks.append(os.read(fd, io.DEFAULT_BUFFER_SIZE))
+        except IsADirectoryError as exc:
+            raise IsADirectoryError(exc.errno, exc.strerror, path)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read state file {path}: {exc}")
     if "\r" in text:
@@ -280,16 +294,17 @@ def _delta_eigenvalues(pencil) -> np.ndarray:
     return np.stack([re, im], axis=-1)
 
 
-def _group_results(reference, kind, sigmas, zs, tol) -> list:
+def _group_results(reference, kind, sigmas, displaced, tol) -> list:
     """(layout, row) or error for each target of one kind and N, the same as one run each.
 
-    layout is the payload's (key, shape) pairs in output order, and row
-    the target's floats in that order, row-major; the rows of the group
-    come from one tolist.
+    displaced flags the targets with a nonzero z.  layout is the
+    payload's (key, shape) pairs in output order, and row the target's
+    floats in that order, row-major; the rows of the group come from one
+    tolist.
     """
     states = state_stack(kind, sigmas, tol)
     results = list(states.errors)
-    displaced = np.any(zs[states.index] != 0.0, axis=1) | bool(np.any(reference.z != 0.0))
+    displaced = displaced[states.index] | bool(np.any(reference.z != 0.0))
     for i in states.index[displaced]:
         results[i] = DisplacementPresent(
             "complexity requires zero displacements; use the coherent command "
@@ -319,8 +334,9 @@ def _group_results(reference, kind, sigmas, zs, tol) -> list:
 def _complexity_results(reference, paths, tol) -> list:
     """(layout, row) (_group_results) or error for each target file.
 
-    Files are read and schema-checked one by one; then each group of one
-    kind and N runs as one stack (_group_results).
+    Files are read and schema-checked one by one, keeping of each z only
+    whether it is nonzero; then each group of one kind and N runs as one
+    stack (_group_results).
     """
     results = [None] * len(paths)
     groups = {}
@@ -330,10 +346,11 @@ def _complexity_results(reference, paths, tol) -> list:
         except ValidationError as exc:
             results[i] = exc
         else:
-            groups.setdefault((kind, sigma.shape), []).append((i, sigma, z))
+            displaced = z is not None and bool(z.any())
+            groups.setdefault((kind, sigma.shape), []).append((i, sigma, displaced))
     for (kind, _), members in groups.items():
-        index, sigmas, zs = zip(*members)
-        group = _group_results(reference, kind, np.array(sigmas), np.array(zs), tol)
+        index, sigmas, displaced = zip(*members)
+        group = _group_results(reference, kind, np.array(sigmas), np.array(displaced), tol)
         for i, result in zip(index, group):
             results[i] = result
     return results
@@ -341,6 +358,8 @@ def _complexity_results(reference, paths, tol) -> list:
 
 def cmd_complexity(args) -> int:
     reference = _load_state(args.reference, args.tol)
+    if args.target is not None and args.batch is not None:
+        raise ValidationError("either --target or --batch is required, not both")
     if not args.batch:
         if not args.target:
             raise ValidationError("either --target or --batch is required")

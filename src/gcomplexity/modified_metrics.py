@@ -343,7 +343,8 @@ def lorentz_geodesic(
     parametrized by arc length and covers the requested length.  The
     conserved speed is monitored; drift beyond ``drift_tol`` raises
     StepTooCoarse (pass a larger value for deliberate coarse-step
-    convergence studies, or inf to skip the check); a nan or inf speed,
+    convergence studies, or inf to skip the check; a nan or negative
+    drift_tol is a ValidationError); a nan or inf speed,
     where g_phiphi overflowed (r above about 178), raises
     NumericDomainError instead.  A trajectory reaching r = 0 (an inward
     radial launch included) raises ChartBoundary carrying the partial
@@ -360,6 +361,8 @@ def lorentz_geodesic(
         raise ValidationError(f"rk_steps must be <= {MAX_STEPS}")
     if not np.all(np.isfinite([r0, phi0, vr0, vphi0, length])):
         raise ValidationError("start, velocity and length must be finite")
+    if not drift_tol >= 0.0:  # a nan drift_tol fails this too
+        raise ValidationError("drift_tol must be >= 0, or inf to skip the drift check")
     if r0 < 0.0:
         raise ValidationError("radial coordinate must be nonnegative")
     if length < 0.0:

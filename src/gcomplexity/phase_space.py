@@ -37,6 +37,7 @@ from .errors import (
     NotPure,
     SchemaError,
     SingularInput,
+    ValidationError,
 )
 
 DEFAULT_TOL = 1e-10
@@ -178,8 +179,10 @@ class GaussianState:
     this constructor, so a state built in code and one read from a file
     pass and fail the same checks with the same messages.  Then z is
     checked.  ``tol`` bounds the purity and fermion antisymmetry
-    residuals; a state keeps the tolerance it was accepted at, so
-    apply_transformation checks its image at that tolerance too.
+    residuals and must be finite and positive (ValidationError
+    otherwise, before any other check); a state keeps the tolerance it
+    was accepted at, so apply_transformation checks its image at that
+    tolerance too.
     """
 
     j: np.ndarray
@@ -188,6 +191,9 @@ class GaussianState:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if not 0.0 < self.tol < np.inf:  # a nan tol fails this too
+            need = "positive" if np.isfinite(self.tol) else "finite"
+            raise ValidationError(f"tol must be {need}")
         m = _as_square(self.j, "j")
         boson = self.kind is StateKind.BOSON
         with np.errstate(**_QUIET):
@@ -307,6 +313,7 @@ def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:
 
 
 _NUMBERS = (int, float, np.integer, np.floating)
+_JSON_NUMBERS = frozenset((float, int))
 
 
 def _floats(value, key: str, not_numeric: str) -> np.ndarray:
@@ -314,6 +321,9 @@ def _floats(value, key: str, not_numeric: str) -> np.ndarray:
 
     np.asarray(..., dtype=float) alone also takes strings, booleans and
     None.  An integer too large for a float is NonFinite, as 1e400 is.
+    The entry types are walked once.  A set of them within {float, int},
+    the types of JSON numbers, passes at once; any other set takes the
+    general test, which lets numpy numbers pass and rejects bool.
     """
     try:
         a = np.asarray(value, dtype=float)
@@ -328,33 +338,42 @@ def _floats(value, key: str, not_numeric: str) -> np.ndarray:
         for _ in range(a.ndim - 1):
             entries = itertools.chain.from_iterable(entries)
         types = set(map(type, entries))
-    if not all(issubclass(t, _NUMBERS) and not issubclass(t, bool) for t in types):
+    if not types <= _JSON_NUMBERS and not all(
+        issubclass(t, _NUMBERS) and not issubclass(t, bool) for t in types
+    ):
         raise SchemaError(not_numeric)
     return a
+
+
+_KEYS = frozenset(("kind", "n_modes", "sigma", "z"))
+# the kind by value, and each member by itself, as StateKind(kind) takes it
+_KINDS = {**{k.value: k for k in StateKind}, **{k: k for k in StateKind}}
 
 
 def parse_state_dict(data: dict):
     """Check the JSON state schema; return (kind, sigma, z).
 
     Schema: {"kind": "boson"|"fermion", "n_modes": N, "sigma": [[...]],
-    "z": [...]} with "z" optional (zeros when absent) and forbidden for
+    "z": [...]} with "z" optional (None when absent) and forbidden for
     fermions.  The entries of "sigma" and "z" must be numbers, and those
     of "z" finite.  For bosons "sigma" is the symmetric covariance
     matrix; for fermions it is the antisymmetric state symplectic form
     (the covariance is fixed to the identity).  The state checks on
     "sigma" are state_stack's.
+
+    The kind is looked up in a dict of the values and of the StateKind
+    members, so a member passes, as StateKind(member) takes it.
     """
     if not isinstance(data, dict):
         raise SchemaError("state file must contain a JSON object")
     for key in ("kind", "n_modes", "sigma"):
         if key not in data:
             raise SchemaError(f"missing required key '{key}'")
-    unknown = set(data) - {"kind", "n_modes", "sigma", "z"}
-    if unknown:
-        raise SchemaError(f"unknown keys in state file: {sorted(unknown)}")
+    if not data.keys() <= _KEYS:
+        raise SchemaError(f"unknown keys in state file: {sorted(data.keys() - _KEYS)}")
     try:
-        kind = StateKind(data["kind"])
-    except ValueError:
+        kind = _KINDS[data["kind"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
         raise SchemaError(f"kind must be 'boson' or 'fermion', got {data['kind']!r}")
     n = data["n_modes"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -364,7 +383,7 @@ def parse_state_dict(data: dict):
     if sig.shape != (d, d):
         raise SchemaError(f"sigma must be {d} x {d}, got {sig.shape}")
     if "z" not in data:
-        return kind, sig, np.zeros(d)
+        return kind, sig, None
     if kind is StateKind.FERMION:
         raise DisplacementPresent("fermion state files must not contain 'z'")
     z = _floats(data["z"], "z", "z must be a numeric vector")

@@ -401,6 +401,13 @@ class _Problem:
         )
 
 
+def _require_integers(**values):
+    """ValidationError naming the first value that is not an integer (numpy's pass, bool not)."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an integer")
+
+
 def minimize_to_target(
     reference: GaussianState,
     target: GaussianState,
@@ -417,13 +424,15 @@ def minimize_to_target(
     restart still descending, and then one Levenberg-Marquardt restore
     each; there is no projection step.  At most MAX_RESTARTS restarts,
     and MAX_STACK_SEGMENTS segments over all restarts, are taken, which
-    bounds the stack's memory.  Among the attempts
+    bounds the stack's memory; ``segments``, ``restarts`` and ``seed``
+    must be integers (ValidationError otherwise).  Among the attempts
     that meet the constraint residual the shortest wins; when none
     does, the one with the smallest residual is returned with
     ``converged = False``.  Ties keep the earlier restart.
     """
     if reference.n_modes > 2:
         raise ValidationError("the oracle is capped at N <= 2")
+    _require_integers(segments=segments, restarts=restarts, seed=seed)
     if segments < 4:
         raise ValidationError("segments must be >= 4")
     if restarts < 1:
@@ -483,8 +492,15 @@ def check_stabilizer_geodesic(
     and its length by g_1(X, L') / |X| = 1/2 Tr(W R^T) / |X|, where
     L_exp(X^T, W) = X (L_exp(X^T, .) is the Frobenius adjoint of
     L_exp(X, .)).  No logarithm is taken, so the last increment stays on
-    the branch through X however large V is.
+    the branch through X however large V is.  ``perturbation_count``
+    must be an integer >= 1 and ``seed`` one >= 0 (ValidationError
+    otherwise).
     """
+    _require_integers(perturbation_count=perturbation_count, seed=seed)
+    if perturbation_count < 1:
+        raise ValidationError("perturbation_count must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     k_seg = STATIONARITY_SEGMENTS
     x = v.v / k_seg
     d = x.shape[0]

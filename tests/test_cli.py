@@ -433,6 +433,17 @@ def test_complexity_requires_target_or_batch(tmp_path, capsys):
     assert code == 3
 
 
+def test_complexity_refuses_both_target_and_batch(tmp_path, capsys):
+    # the batch ran and the target was dropped, with exit 0
+    ref = boson_ref(tmp_path)
+    target = squeezed(tmp_path, 0.5)
+    code = main(["complexity", "--reference", ref, "--target", target, "--batch", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == '{"error": "ValidationError: either --target or --batch is required, not both"}\n'
+    assert err == ""
+
+
 def test_coherent_345(tmp_path, capsys):
     ref = boson_ref(tmp_path)
     target = write_state(
@@ -1377,6 +1388,19 @@ def test_state_file_newlines_read_as_text_mode_reads_them(tmp_path, capsys, newl
     assert _read_state_file(str(path)) == json.loads(STATE_TEXT)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_to_its_end():
+    # a pipe's size reads as 0, so the reads go on past the first one; 20 kB is more than one
+    data = STATE_TEXT + b" " * 20000
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        assert _read_state_file(f"/dev/fd/{r}") == json.loads(STATE_TEXT)
+    finally:
+        os.close(r)
+
+
 def test_a_directory_as_target_reads_as_in_text_mode(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     ref = boson_ref(tmp_path)
@@ -1385,3 +1409,114 @@ def test_a_directory_as_target_reads_as_in_text_mode(tmp_path, capsys, monkeypat
     assert code == 3
     assert json.loads(out)["error"] == _text_mode_error("d.json")
     assert "Is a directory: 'd.json'" in out
+
+
+LOADER_STATE = {"kind": "boson", "n_modes": 1, "sigma": [[4.0, 0.0], [0.0, 0.25]]}
+LOADER_TEXT = json.dumps(LOADER_STATE, indent=1).encode()
+
+
+def _loader_state(**changes) -> bytes:
+    return json.dumps({**LOADER_STATE, **changes}).encode()
+
+
+# x.json's bytes (None: made in the test) and the error both routes report, {path} as given
+LOADER_ERRORS = {
+    "directory": (
+        None, "SchemaError: cannot read state file {path}: [Errno 21] Is a directory: '{path}'"
+    ),
+    "dangling_symlink": (
+        None,
+        "SchemaError: cannot read state file {path}: [Errno 2] No such file or directory: '{path}'",
+    ),
+    "invalid_utf8": (
+        LOADER_TEXT.replace(b"boson", b"bos\xffon"),
+        "SchemaError: cannot read state file {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 15: invalid start byte",
+    ),
+    "bom": (
+        b"\xef\xbb\xbf" + LOADER_TEXT,
+        "SchemaError: state file {path} is not valid JSON: Unexpected UTF-8 BOM "
+        "(decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+    "unknown_key": (_loader_state(extra=1), "SchemaError: unknown keys in state file: ['extra']"),
+    **{
+        f"kind_{label}": (
+            _loader_state(kind=kind), f"SchemaError: kind must be 'boson' or 'fermion', got {text}"
+        )
+        for label, kind, text in [
+            ("capitalised", "Boson", "'Boson'"),
+            ("list", ["boson"], "['boson']"),
+            ("object", {"a": 1}, "{'a': 1}"),
+            ("number", 1, "1"),
+            ("null", None, "None"),
+        ]
+    },
+    **{
+        f"sigma_{label}": (
+            _loader_state(sigma=[[4.0, entry], [0.0, 0.25]]),
+            "SchemaError: sigma must be a numeric matrix",
+        )
+        for label, entry in [("bool", True), ("string", "0"), ("null", None)]
+    },
+    **{
+        f"z_{label}": (_loader_state(z=[entry, 0.0]), "SchemaError: z must be a numeric vector")
+        for label, entry in [("bool", True), ("string", "0"), ("null", None)]
+    },
+}
+# a directory as --target is pinned by test_a_directory_as_target_reads_as_in_text_mode
+LOADER_CASES = [
+    (route, name)
+    for name in LOADER_ERRORS
+    for route in ("--target", "--batch")
+    if (route, name) != ("--target", "directory")
+]
+
+
+@pytest.mark.parametrize("route,name", LOADER_CASES)
+def test_loader_errors_are_the_same_through_target_and_batch(
+    tmp_path, capsys, monkeypatch, route, name
+):
+    monkeypatch.chdir(tmp_path)
+    ref = boson_ref(tmp_path)
+    (tmp_path / "d").mkdir()
+    content, error = LOADER_ERRORS[name]
+    if name == "directory":
+        (tmp_path / "d" / "x.json").mkdir()
+    elif name == "dangling_symlink":
+        (tmp_path / "d" / "x.json").symlink_to("nowhere.json")
+    else:
+        (tmp_path / "d" / "x.json").write_bytes(content)
+    text = error.replace("{path}", os.path.join("d", "x.json"))
+    if route == "--target":
+        arg, want = os.path.join("d", "x.json"), {"error": text}
+    else:
+        arg, want = "d", {"results": [{"file": "x.json", "error": text}]}
+    code = main(["complexity", "--reference", ref, route, arg])
+    assert (code, capsys.readouterr()) == (3, (json.dumps(want) + "\n", ""))
+
+
+def test_a_missing_target_is_named_in_its_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ref = boson_ref(tmp_path)
+    code = main(["complexity", "--reference", ref, "--target", "nowhere.json"])
+    error = (
+        "SchemaError: cannot read state file nowhere.json: "
+        "[Errno 2] No such file or directory: 'nowhere.json'"
+    )
+    assert (code, capsys.readouterr()) == (3, (json.dumps({"error": error}) + "\n", ""))
+
+
+@pytest.mark.parametrize("route", ["--target", "--batch"])
+def test_crlf_state_files_give_the_bytes_of_lf_ones(tmp_path, capsys, route):
+    assert LOADER_TEXT.count(b"\n") > 1  # indented: there are line ends to convert
+    ref = boson_ref(tmp_path)
+    outputs = []
+    for newline in (b"\n", b"\r\n"):
+        directory = tmp_path / f"d{len(outputs)}"
+        directory.mkdir()
+        (directory / "x.json").write_bytes(LOADER_TEXT.replace(b"\n", newline))
+        arg = directory / "x.json" if route == "--target" else directory
+        code = main(["complexity", "--reference", ref, route, str(arg)])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0

@@ -430,6 +430,21 @@ def test_lorentz_rk_steps_are_capped_integers(rk_steps, message):
         lorentz_geodesic((0.5, 0.0), (1.0, 0.0), rk_steps=rk_steps)
 
 
+@pytest.mark.parametrize("drift_tol", [np.nan, -1.0, -np.inf])
+def test_lorentz_drift_tol_must_not_be_nan_or_negative(drift_tol):
+    # a nan drift_tol skipped the check silently; a negative one always raised StepTooCoarse
+    with pytest.raises(ValidationError, match="drift_tol must be >= 0"):
+        lorentz_geodesic((0.5, 0.0), (1.0, 0.3), drift_tol=drift_tol)
+
+
+def test_lorentz_infinite_drift_tol_skips_the_check():
+    # 8 steps over a unit arc drift past the default tolerance
+    with pytest.raises(StepTooCoarse):
+        lorentz_geodesic((0.5, 0.0), (1.0, 0.3), length=1.0, rk_steps=8)
+    path = lorentz_geodesic((0.5, 0.0), (1.0, 0.3), length=1.0, rk_steps=8, drift_tol=np.inf)
+    assert path.samples.shape == (9, 2)
+
+
 def reference_rhs(state, a):
     """The array-state right-hand side the float integrator replaced, kept verbatim."""
     def metric_phiphi_dr(r):

@@ -360,6 +360,35 @@ def test_state_from_dict_schema_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "tol,message",
+    [(np.nan, "tol must be finite"), (np.inf, "tol must be finite"), (-1.0, "tol must be positive"),
+     (0.0, "tol must be positive")],
+)
+def test_tol_must_be_finite_and_positive(tol, message):
+    # a nan or negative tol named the wrong cause (NotPure on a pure state); 0 and inf passed
+    good = {"kind": "boson", "n_modes": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+    with pytest.raises(ValidationError, match=f"^{message}$") as err:
+        state_from_dict(good, tol=tol)
+    assert type(err.value) is ValidationError
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        GaussianState(standard_symplectic_form(1), StateKind.FERMION, tol=tol)
+
+
+def test_parse_state_dict_takes_a_state_kind_member():
+    # StateKind(kind) takes a member as well as a value, and so does the kind lookup
+    sigma = [[2.0, 0.0], [0.0, 0.5]]
+    for kind in (StateKind.BOSON, "boson"):
+        got_kind, got_sigma, _ = phase_space.parse_state_dict(
+            {"kind": kind, "n_modes": 1, "sigma": sigma}
+        )
+        assert got_kind is StateKind.BOSON
+        assert np.array_equal(got_sigma, sigma)
+    assert state_from_dict({"kind": StateKind.BOSON, "n_modes": 1, "sigma": sigma}).kind is (
+        StateKind.BOSON
+    )
+
+
 def test_covariance_of_reference_is_identity():
     for kind in StateKind:
         assert np.allclose(covariance_of(reference_state(kind, 2)), np.eye(4))

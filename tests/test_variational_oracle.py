@@ -257,6 +257,57 @@ def _central_difference(v, count, seed, eps=3e-5):
     return np.array(out)
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"segments": 4.5}, "segments must be an integer"),
+        ({"segments": True}, "segments must be an integer"),
+        ({"restarts": 2.0}, "restarts must be an integer"),
+        ({"restarts": True}, "restarts must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": np.True_}, "seed must be an integer"),
+    ],
+)
+def test_oracle_integer_arguments_are_validation_errors(kwargs, message):
+    # numpy's own errors at the parent: a float is not an index, SeedSequence wants an int
+    ref = reference_state(StateKind.BOSON, 1)
+    with pytest.raises(ValidationError, match=message):
+        minimize_to_target(ref, ref, **kwargs)
+
+
+def test_oracle_takes_numpy_integer_arguments():
+    ref = reference_state(StateKind.BOSON, 1)
+    path, length = minimize_to_target(
+        ref, ref, segments=np.int64(4), restarts=np.int32(1), seed=np.uint8(2)
+    )
+    assert path.segments == 4
+    assert length < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"perturbation_count": 0}, "perturbation_count must be >= 1"),
+        ({"perturbation_count": -1}, "perturbation_count must be >= 1"),
+        ({"perturbation_count": 2.5}, "perturbation_count must be an integer"),
+        ({"perturbation_count": True}, "perturbation_count must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 0.5}, "seed must be an integer"),
+    ],
+)
+def test_stationarity_check_arguments_are_validation_errors(kwargs, message):
+    v = LieAlgebraElement(np.diag([0.6, -0.6]), LieAlgebra.SP)
+    with pytest.raises(ValidationError, match=message):
+        check_stabilizer_geodesic(v, **kwargs)
+
+
+def test_stationarity_check_takes_numpy_integer_arguments():
+    v = LieAlgebraElement(np.diag([0.6, -0.6]), LieAlgebra.SP)
+    report = check_stabilizer_geodesic(v, perturbation_count=np.int64(3), seed=np.int64(1))
+    assert report.derivatives.shape == (3,)
+    assert report.passed
+
+
 @pytest.mark.parametrize("v,seed", _stationarity_cases())
 def test_stationarity_derivatives_match_central_difference(v, seed):
     got = check_stabilizer_geodesic(v, perturbation_count=10, seed=seed).derivatives
