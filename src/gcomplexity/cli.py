@@ -304,7 +304,7 @@ def _group_results(reference, kind, sigmas, displaced, tol) -> list:
     """
     states = state_stack(kind, sigmas, tol)
     results = list(states.errors)
-    displaced = displaced[states.index] | bool(np.any(reference.z != 0.0))
+    displaced = displaced[states.index]
     for i in states.index[displaced]:
         results[i] = DisplacementPresent(
             "complexity requires zero displacements; use the coherent command "
@@ -314,8 +314,8 @@ def _group_results(reference, kind, sigmas, displaced, tol) -> list:
     if not len(live):
         return results
     try:
-        pencil, errors = relative_stack(reference, kind, states.j[~displaced])
-    except (ValidationError, NumericDomainError) as exc:  # the whole group: kind, N or sigma_R
+        pencil, errors = relative_stack(reference, kind, states.sigma[~displaced])
+    except (ValidationError, NumericDomainError) as exc:  # the whole group: the reference
         for i in live:
             results[i] = exc
         return results

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity_core import relative_complex_structure
-from .errors import DisplacementPresent, KindMismatch, NumericDomainError
+from .errors import KindMismatch, NumericDomainError
 from .lie_numerics import SpdPencil, matrix_exp
 from .phase_space import GaussianState, GaussianTransformation, StateKind
 
@@ -59,8 +59,6 @@ def coherent_geodesic(reference: GaussianState, target: GaussianState) -> Cohere
     """Build Delta, N and G for a (possibly displaced) bosonic target."""
     if reference.kind is not StateKind.BOSON or target.kind is not StateKind.BOSON:
         raise KindMismatch("coherent geodesics are defined for bosons only")
-    if np.any(reference.z != 0.0):
-        raise DisplacementPresent("reference displacement must be zero")
     pencil = relative_complex_structure(reference, target)
     z_t = np.asarray(target.z, dtype=float)
     n_matrix = pencil.apply(_n_of_log_spectrum)

@@ -24,16 +24,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, DisplacementPresent, KindMismatch
 from .lie_numerics import SpdPencil, matrix_exp, rotation_pencil_stack, spd_pencil_stack
-from .phase_space import (
-    GaussianState,
-    GaussianTransformation,
-    StateKind,
-    boson_covariance,
-    covariance_of,
-)
+from .phase_space import GaussianState, GaussianTransformation, StateKind
 
 
 def _check_pair(reference: GaussianState, kind: StateKind, n_modes: int):
+    """The checks every pencil makes of its reference: zero z, then kind and N."""
+    if np.any(reference.z != 0.0):
+        raise DisplacementPresent("reference displacement must be zero")
     if reference.kind is not kind:
         raise KindMismatch(f"reference kind {reference.kind} != target kind {kind}")
     if reference.n_modes != n_modes:
@@ -42,30 +39,32 @@ def _check_pair(reference: GaussianState, kind: StateKind, n_modes: int):
         )
 
 
-def relative_stack(reference: GaussianState, kind: StateKind, j_targets: np.ndarray):
-    """Delta = J_T J_R^{-1} for a stack (B, 2N, 2N) of J_T, as one pencil.
+def relative_stack(reference: GaussianState, kind: StateKind, sigmas: np.ndarray):
+    """Delta = J_T J_R^{-1} for a stack (B, 2N, 2N) of checked target rows, as one pencil.
 
-    Returns (pencil, errors): pencil is the SpdPencil of the whole stack,
-    and errors[i] is the NumericDomainError of target i or None; the rows
-    of a failed target are not meaningful.  The whole stack is
-    decomposed with one stacked eigh.  For bosons Delta equals
-    sigma_T sigma_R^{-1} and the pencil whitens sigma_R once; a target
-    whose whitened covariance is not positive-definite fails.  For
-    fermions Delta is special orthogonal and the pencil diagonalizes its
-    Cayley transform; a target fails with BranchCut when a rotation
-    angle reaches pi.  Raises what holds for the whole stack: KindMismatch
-    or DimensionMismatch against the reference, or a sigma_R that is not
-    positive-definite.
+    The rows are what GaussianState.sigma and StateStack.sigma hold:
+    sigma_T for bosons, J_T for fermions.  Returns (pencil, errors):
+    pencil is the SpdPencil of the whole stack, and errors[i] is the
+    NumericDomainError of target i or None; the rows of a failed target
+    are not meaningful.  The whole stack is decomposed with one stacked
+    eigh.  For bosons Delta equals sigma_T sigma_R^{-1} and the pencil
+    whitens sigma_R once; a target whose whitened covariance is not
+    positive-definite fails.  For fermions Delta is special orthogonal
+    and the pencil diagonalizes its Cayley transform; a target fails
+    with BranchCut when a rotation angle reaches pi.  Raises what holds
+    for the whole stack: DisplacementPresent for a displaced reference,
+    KindMismatch or DimensionMismatch against the reference, or a
+    sigma_R that is not positive-definite.
     """
-    _check_pair(reference, kind, j_targets.shape[-1] // 2)
+    _check_pair(reference, kind, sigmas.shape[-1] // 2)
     if kind is StateKind.FERMION:
-        return rotation_pencil_stack(j_targets @ (-reference.j))
-    return spd_pencil_stack(boson_covariance(j_targets), covariance_of(reference))
+        return rotation_pencil_stack(sigmas @ -reference.j)
+    return spd_pencil_stack(sigmas, reference.sigma)
 
 
 def relative_complex_structure(reference: GaussianState, target: GaussianState) -> SpdPencil:
     """The pencil of Delta = J_T J_R^{-1} for one target: relative_stack's row 0."""
-    pencil, errors = relative_stack(reference, target.kind, target.j[None])
+    pencil, errors = relative_stack(reference, target.kind, target.sigma[None])
     if errors[0] is not None:
         raise errors[0]
     return pencil[0]
@@ -78,7 +77,7 @@ def state_complexity(reference: GaussianState, target: GaussianState) -> float:
     handled by the coherent module.  The metric is g_1 at the covariance
     of the reference, the inner product the geodesic formula is derived in.
     """
-    if np.any(reference.z != 0.0) or np.any(target.z != 0.0):
+    if np.any(target.z != 0.0):
         raise DisplacementPresent(
             "state_complexity requires zero displacements; use the coherent "
             "module for displaced targets"

@@ -216,20 +216,22 @@ def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray):
     None, or a NumericDomainError where its whitened covariance is not
     positive-definite; the rows of such a target are not meaningful.
     sigma_R is decomposed once for the stack into the pencil's frame
-    H = sigma_R^{1/2}, exactly 1 for the vacuum.  Raises NumericDomainError
-    when sigma_R itself is not positive-definite.
+    H = sigma_R^{1/2}, exactly 1 for the vacuum.  Both are taken by their
+    symmetric parts, so the checked rows of a state file, symmetric only
+    to rounding, are passed as they are.  Raises NumericDomainError when
+    sigma_R itself is not positive-definite.
 
     The large eigenvalues of a symmetric matrix carry full relative
     precision, so this route stays accurate at strong squeezing where a
     dense logarithm does not.
     """
-    # halves first, here and for w: no sum of two finite entries overflows
+    # halves first, for sigma_R, sigma_T and w: no sum of two finite entries overflows
     wr, ur = np.linalg.eigh(0.5 * sigma_R + 0.5 * sigma_R.T)
     if not wr.min() > 0.0:
         raise NumericDomainError("sigma_R is not positive-definite")
     half = (ur * np.sqrt(wr)) @ ur.T
     inv_half = (ur / np.sqrt(wr)) @ ur.T
-    w_mid = inv_half @ sigma_T @ inv_half
+    w_mid = inv_half @ (0.5 * sigma_T + 0.5 * sigma_T.mT) @ inv_half
     w, u = np.linalg.eigh(0.5 * w_mid + 0.5 * w_mid.mT)
     positive = w.min(axis=-1) > 0.0
     errors = [None] * len(w)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,21 +174,23 @@ class GaussianState:
     """Pure Gaussian state (J, z) of one kind; z is zero for fermions.
 
     The constructor checks that j is 2N x 2N, then runs state_stack on
-    its one covariance sigma = -J Omega_N (bosons) or form J (fermions)
-    and raises the first error; the loader builds its states through
-    this constructor, so a state built in code and one read from a file
-    pass and fail the same checks with the same messages.  Then z is
-    checked.  ``tol`` bounds the purity and fermion antisymmetry
-    residuals and must be finite and positive (ValidationError
-    otherwise, before any other check); a state keeps the tolerance it
-    was accepted at, so apply_transformation checks its image at that
-    tolerance too.
+    its one "sigma" (the state file's matrix): the covariance
+    sigma = -J Omega_N for bosons, the form J for fermions, and raises
+    the first error; the loader builds its states through this
+    constructor, so a state built in code and one read from a file pass
+    and fail the same checks with the same messages.  Then z is checked.
+    The checked matrix is kept, read-only, as ``sigma``.  ``tol`` bounds
+    the purity and fermion antisymmetry residuals and must be finite and
+    positive (ValidationError otherwise, before any other check); a
+    state keeps the tolerance it was accepted at, so
+    apply_transformation checks its image at that tolerance too.
     """
 
     j: np.ndarray
     kind: StateKind
     z: np.ndarray = None
     tol: float = DEFAULT_TOL
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:  # a nan tol fails this too
@@ -206,6 +208,7 @@ class GaussianState:
             raise DisplacementPresent("fermion states carry no displacement")
         object.__setattr__(self, "j", _freeze(m))
         object.__setattr__(self, "z", _freeze(z))
+        object.__setattr__(self, "sigma", _freeze(sigma) if boson else self.j)
 
     @property
     def n_modes(self) -> int:
@@ -399,12 +402,13 @@ class StateStack:
     """States of one kind and N validated together.
 
     ``errors[i]`` is the first ValidationError of input i, or None.
-    ``index`` lists the inputs that passed, and ``j`` (len(index), 2N,
-    2N) holds their complex structures.
+    ``index`` lists the inputs that passed, and ``sigma`` (len(index),
+    2N, 2N) holds their input rows as they were checked: covariances for
+    bosons, forms J for fermions.
     """
 
     index: np.ndarray
-    j: np.ndarray
+    sigma: np.ndarray
     errors: list
 
 
@@ -416,6 +420,8 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -
     purity J^2 = -1 of J = sigma Omega_N.  Fermions: finiteness,
     antisymmetry and |det| = 1 of the form, which is J, then purity.
     ``tol`` bounds the purity residual and the fermion antisymmetry.
+    The rows that pass are returned as given, sigmas[index]; J is formed
+    only for the checks.
 
     Positivity is the Cholesky of (sigma + sigma^{-1})/2, with sigma^{-1}
     = -Omega sigma Omega = -Omega J (exact for a pure sigma, and only a
@@ -441,7 +447,7 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -
             _check_finite(c, "omega")
             _check_form(c, tol)
         _check_pure(c, tol)
-    return StateStack(c.index, c.m, c.errors)
+    return StateStack(c.index, sigmas[c.index], c.errors)
 
 
 def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
@@ -460,26 +466,8 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
 
 
 def state_to_dict(state: GaussianState) -> dict:
-    """Inverse of state_from_dict."""
-    n = state.n_modes
-    if state.kind is StateKind.FERMION:
-        sig = state.j
-        return {"kind": "fermion", "n_modes": n, "sigma": sig.tolist()}
-    sig = -state.j @ standard_symplectic_form(n)
-    out = {"kind": "boson", "n_modes": n, "sigma": sig.tolist()}
+    """Inverse of state_from_dict: the state's checked "sigma", and z when nonzero."""
+    out = {"kind": state.kind.value, "n_modes": state.n_modes, "sigma": state.sigma.tolist()}
     if np.any(state.z != 0.0):
         out["z"] = state.z.tolist()
     return out
-
-
-def boson_covariance(j: np.ndarray) -> np.ndarray:
-    """Symmetrized boson covariance -J Omega_N of J, or of each J of a stack (..., 2N, 2N)."""
-    sig = -j @ standard_symplectic_form(j.shape[-1] // 2)
-    return 0.5 * sig + 0.5 * sig.mT  # halves first: no sum of two finite entries overflows
-
-
-def covariance_of(state: GaussianState) -> np.ndarray:
-    """Covariance matrix of a state: -J Omega for bosons, identity for fermions."""
-    if state.kind is StateKind.FERMION:
-        return np.eye(2 * state.n_modes)
-    return boson_covariance(state.j)

@@ -244,6 +244,39 @@ def test_complexity_rejects_displaced_target(tmp_path, capsys):
     assert results[1]["complexity"] == pytest.approx(0.8, abs=1e-12)
 
 
+REFERENCE_DISPLACED = "DisplacementPresent: reference displacement must be zero"
+TARGET_DISPLACED = (
+    "DisplacementPresent: complexity requires zero displacements; "
+    "use the coherent command for displaced targets"
+)
+
+
+@pytest.mark.parametrize("command", ["complexity", "weyl", "coherent", "oracle-verify"])
+def test_a_displaced_reference_is_blamed_on_the_reference(tmp_path, capsys, command):
+    ref = squeezed(tmp_path, 0.0, z=[0.3, 0.0], name="ref.json")
+    target = squeezed(tmp_path, 0.4)
+    extra = {"weyl": ["--omega", "const:0.1"], "oracle-verify": ["--segments", "4"]}
+    argv = [command, "--reference", ref, "--target", target, *extra.get(command, [])]
+    want = json.dumps({"error": REFERENCE_DISPLACED}) + "\n"
+    assert (main(argv), capsys.readouterr()) == (3, (want, ""))
+
+
+def test_a_displaced_reference_leaves_a_displaced_target_its_own_error(tmp_path, capsys):
+    ref = squeezed(tmp_path, 0.0, z=[0.3, 0.0], name="ref.json")
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    squeezed(batch, 0.4, z=[0.3, 0.0], name="a_displaced.json")
+    squeezed(batch, 0.8, name="b_good.json")
+    code = main(["complexity", "--reference", ref, "--batch", str(batch)])
+    want = {
+        "results": [
+            {"file": "a_displaced.json", "error": TARGET_DISPLACED},
+            {"file": "b_good.json", "error": REFERENCE_DISPLACED},
+        ]
+    }
+    assert (code, capsys.readouterr()) == (3, (json.dumps(want) + "\n", ""))
+
+
 # A strongly squeezed off-axis boson (r = 10, axis at 0.5 rad): it passes
 # validation, but the pencil eigh rounds its small eigenvalue to <= 0.
 OFF_AXIS_R10 = [

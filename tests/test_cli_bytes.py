@@ -28,6 +28,14 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
         assert [c["index"] for c in recorded] == list(range(len(expected)))
         for call, spec in zip(recorded, expected):
             assert call["seed"] == 1 and call["argv"][0] == spec.argv[0]
+        # each call with a reference is run again against the squeezed one, in the same argv
+        again = [c for c in calls if c["workload"] == name + "@squeezed"]
+        with_ref = [c for c in recorded if "--reference" in c["argv"]]
+        assert again and [(c["seed"], c["index"], c["argv"]) for c in again] == [
+            (c["seed"], c["index"], c["argv"]) for c in with_ref
+        ]
+        # the reference file was replaced: no call prints what it printed against the vacuum
+        assert all(a["stdout"] != c["stdout"] for a, c in zip(again, with_ref))
     small = [c for c in calls if c["workload"] == "batch_small"]
     for call in small:
         assert call["argv"][0] == "complexity"

@@ -78,7 +78,7 @@ def test_pencil_is_delta_kind_and_log_for_a_stack_and_each_row(kind):
         refs.append(apply_transformation(refs[0], random_transformation(kind, 2, rng)))
     for ref in refs:
         targets = [apply_transformation(ref, random_transformation(kind, 2, rng)) for _ in range(4)]
-        pencil, errors = relative_stack(ref, kind, np.stack([t.j for t in targets]))
+        pencil, errors = relative_stack(ref, kind, np.stack([t.sigma for t in targets]))
         assert errors == [None] * 4
         assert pencil.kind is kind
         log_delta = pencil.log_delta

@@ -153,6 +153,24 @@ def test_spd_pencil_whitens_a_sigma_R_within_1e_13_of_the_identity():
         spd_pencil(sigma_T, sigma_R)
 
 
+def test_spd_pencil_takes_the_symmetric_part_of_sigma_T():
+    # a sigma_T asymmetric by 1e-12 against a squeezed sigma_R gives the bits of its symmetric part
+    rng = np.random.default_rng(33)
+    om = standard_symplectic_form(3)
+    squeeze = [scipy.linalg.expm(om @ (a + a.T)) for a in rng.normal(scale=0.3, size=(2, 6, 6))]
+    sigma_R, sigma_T = (m @ m.T for m in squeeze)
+    sigma_T = np.stack([sigma_T, sigma_T])
+    sigma_T[:, 0, 1] += 1e-12
+    sigma_T[1, 4, 2] -= 1e-12
+    symmetric = 0.5 * sigma_T + 0.5 * sigma_T.mT
+    assert not np.array_equal(sigma_T, symmetric)
+    pencil, errors = spd_pencil_stack(sigma_T, sigma_R)
+    same, same_errors = spd_pencil_stack(symmetric, sigma_R)
+    assert errors == same_errors == [None, None]
+    for name in ("logs", "u", "half", "inv_half"):
+        assert getattr(pencil, name).tobytes() == getattr(same, name).tobytes()
+
+
 def pencil_sqrt(sigma_T, sigma_R=None):
     return spd_pencil(sigma_T, sigma_R).apply(lambda s: np.exp(0.5 * s))
 

@@ -17,7 +17,6 @@ from gcomplexity import (
     StateKind,
     ValidationError,
     apply_transformation,
-    covariance_of,
     reference_state,
     single_mode_squeezing,
     standard_symplectic_form,
@@ -183,7 +182,8 @@ def test_positivity_rejects_only_states_the_pencil_rejects():
         try:
             GaussianState(j, StateKind.BOSON)
         except SingularInput:
-            _, errors = spd_pencil_stack(phase_space.boson_covariance(j)[None], np.eye(len(j)))
+            sigma = -j @ standard_symplectic_form(len(j) // 2)
+            _, errors = spd_pencil_stack(sigma[None], np.eye(len(j)))
             assert errors[0] is not None
 
 
@@ -389,17 +389,44 @@ def test_parse_state_dict_takes_a_state_kind_member():
     )
 
 
-def test_covariance_of_reference_is_identity():
-    for kind in StateKind:
-        assert np.allclose(covariance_of(reference_state(kind, 2)), np.eye(4))
+def test_reference_sigma_is_identity_or_the_form():
+    assert np.array_equal(reference_state(StateKind.BOSON, 2).sigma, np.eye(4))
+    assert np.array_equal(reference_state(StateKind.FERMION, 2).sigma, standard_symplectic_form(2))
 
 
-def test_covariance_roundtrip_boson():
+def test_sigma_roundtrip_boson():
     rng = np.random.default_rng(4)
     state = random_target(StateKind.BOSON, 2, rng)
-    sigma = covariance_of(state)
-    j = state_from_dict({"kind": "boson", "n_modes": 2, "sigma": sigma}).j
-    assert np.allclose(j, state.j, atol=1e-10)
+    j = state_from_dict({"kind": "boson", "n_modes": 2, "sigma": state.sigma}).j
+    assert np.array_equal(j, state.j)
+
+
+@pytest.mark.parametrize("kind", list(StateKind))
+def test_sigma_is_the_read_only_checked_matrix(kind):
+    # the file's "sigma" comes back bit for bit; a fermion's is its form J
+    data = state_to_dict(random_target(kind, 2, np.random.default_rng(31)))
+    loaded = np.array(data["sigma"])
+    state = state_from_dict(data)
+    assert state.sigma.tobytes() == loaded.tobytes()
+    if kind is StateKind.FERMION:
+        assert state.sigma.tobytes() == state.j.tobytes()
+    assert not state.sigma.flags.writeable
+    with pytest.raises(ValueError):
+        state.sigma[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        state.sigma = loaded
+
+
+def test_state_stack_keeps_the_surviving_input_rows_in_order():
+    rng = np.random.default_rng(32)
+    for kind in StateKind:
+        rows = [state_to_dict(random_target(kind, 2, rng))["sigma"] for _ in range(5)]
+        sigmas = np.array(rows)
+        sigmas[2, 0, 1] += 0.5  # fails symmetry (bosons) or antisymmetry (fermions)
+        stack = phase_space.state_stack(kind, sigmas)
+        assert [e is None for e in stack.errors] == [True, True, False, True, True]
+        assert stack.index.tolist() == [0, 1, 3, 4]
+        assert stack.sigma.tobytes() == sigmas[[0, 1, 3, 4]].tobytes()
 
 
 def test_random_transformations_preserve_purity():

@@ -9,7 +9,11 @@ in a temporary directory and runs each call through <tree>'s own
 invoker (``Runner.invoke`` of <tree>/bench/run.py), so a call is made
 exactly as the benchmark makes it.  The temporary directory is written
 as ``<root>`` in the argv and stdout it keeps, so the records of two
-trees are equal exactly when their output is.  ``compare`` lists the
+trees are equal exactly when their output is.  Every benchmark reference
+is the vacuum, so ``record`` then runs each call that has --reference
+again against a fixed non-vacuum reference of the same kind and N
+(squeezed_reference), written over the reference file, and labels those
+records ``<workload>@squeezed``.  ``compare`` lists the
 calls whose exit code or stdout differ, or that only one record has, and
 exits 1 if there are any; for a stdout difference it prints the first
 differing byte offset and about 40 bytes of each side around it.  Nothing is written under bench/.
@@ -23,8 +27,33 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import scipy.linalg
+
 ROOT = "<root>"
 CONTEXT = 40  # bytes of each stdout shown around the first difference
+
+
+def squeezed_reference(kind: str, n: int) -> dict:
+    """A fixed non-vacuum reference state file of a kind and N.
+
+    G is a fixed normal draw (seed N, scale 0.3 / sqrt(2N)).  Bosons:
+    sigma_R = M M^T with M = e^{Omega A}, A = G + G^T symmetric, so M is
+    symplectic.  Fermions: the form O Omega O^T with O = e^B,
+    B = G - G^T antisymmetric.  Omega is the standard block form.  The
+    matrix is written as computed: M M^T is exactly symmetric, the form
+    antisymmetric only to rounding.
+    """
+    d = 2 * n
+    om = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    g = np.random.default_rng(n).normal(scale=0.3 / np.sqrt(d), size=(d, d))
+    if kind == "boson":
+        m = scipy.linalg.expm(om @ (g + g.T))
+        sigma = m @ m.T
+    else:
+        o = scipy.linalg.expm(g - g.T)
+        sigma = o @ om @ o.T
+    return {"kind": kind, "n_modes": n, "sigma": sigma.tolist()}
 
 
 def record(tree: Path, seeds) -> list:
@@ -42,16 +71,26 @@ def record(tree: Path, seeds) -> list:
             with tempfile.TemporaryDirectory() as tmp:
                 inputs = workloads.build(name, seed, Path(tmp))
                 runner = run.Runner(cli, inputs)
-                for index, call in enumerate(inputs.calls):
-                    _, code, out = runner.invoke(call.argv)
+
+                def invoke(label, index, argv):
+                    _, code, out = runner.invoke(argv)
                     calls.append({
-                        "workload": name,
+                        "workload": label,
                         "seed": seed,
                         "index": index,
-                        "argv": [a.replace(tmp, ROOT) for a in call.argv],
+                        "argv": [a.replace(tmp, ROOT) for a in argv],
                         "exit": code,
                         "stdout": out.replace(tmp, ROOT),
                     })
+
+                for index, call in enumerate(inputs.calls):
+                    invoke(name, index, call.argv)
+                for index, call in enumerate(inputs.calls):
+                    if "--reference" in call.argv:
+                        ref = Path(call.argv[call.argv.index("--reference") + 1])
+                        state = json.loads(ref.read_text())
+                        ref.write_text(json.dumps(squeezed_reference(state["kind"], state["n_modes"])))
+                        invoke(name + "@squeezed", index, call.argv)
     return calls
 
 
