@@ -471,7 +471,7 @@ def cmd_nonrev(args) -> int:
 def cmd_oracle_verify(args) -> int:
     reference = _load_state(args.reference, args.tol)
     target = _load_state(args.target, args.tol)
-    if np.any(target.z != 0.0) or np.any(reference.z != 0.0):
+    if np.any(target.z != 0.0):
         geo = coherent_geodesic(reference, target)
         closed = coherent_complexity(geo)
     else:

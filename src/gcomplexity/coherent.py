@@ -34,8 +34,8 @@ import numpy as np
 
 from .complexity_core import relative_complex_structure
 from .errors import KindMismatch, NumericDomainError
-from .lie_numerics import SpdPencil, matrix_exp
-from .phase_space import GaussianState, GaussianTransformation, StateKind
+from .lie_numerics import SpdPencil
+from .phase_space import GaussianState, StateKind
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,3 @@ def coherent_complexity(geo: CoherentGeodesic) -> float:
     if not np.isfinite(c):
         raise NumericDomainError("coherent complexity overflows: displacement too large")
     return c
-
-
-def coherent_geodesic_point(geo: CoherentGeodesic, tau: float) -> GaussianTransformation:
-    """Circuit point (z(tau), M(tau)), one exponential of the affine generator.
-
-    z(tau) solves x' = (log Delta / 2) x + N z_T / 2 from x(0) = 0, and
-    M(tau) = e^{tau log(Delta)/2} is the linear part of that flow.
-    """
-    d = geo.z_target.shape[0]
-    generator = np.zeros((d + 1, d + 1))
-    generator[:d, :d] = 0.5 * geo.delta.log_delta
-    generator[:d, d] = 0.5 * geo.n_matrix @ geo.z_target
-    flow = matrix_exp(tau * generator)
-    return GaussianTransformation(flow[:d, d], flow[:d, :d], StateKind.BOSON)

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, DisplacementPresent, KindMismatch
-from .lie_numerics import SpdPencil, matrix_exp, rotation_pencil_stack, spd_pencil_stack
-from .phase_space import GaussianState, GaussianTransformation, StateKind
+from .lie_numerics import SpdPencil, rotation_pencil_stack, spd_pencil_stack
+from .phase_space import GaussianState, StateKind
 
 
 def _check_pair(reference: GaussianState, kind: StateKind, n_modes: int):
@@ -93,10 +93,3 @@ def complexity_from_relative(pencil: SpdPencil):
     r = pencil.radial_exponents
     c = 0.5 * np.sqrt(np.vecdot(r, r))
     return float(c) if r.ndim == 1 else c
-
-
-def geodesic_point(delta: SpdPencil, tau: float) -> GaussianTransformation:
-    """Point M(tau) = e^{tau log(Delta)/2} on the optimal circuit."""
-    m = matrix_exp(0.5 * tau * delta.log_delta)
-    d = m.shape[0]
-    return GaussianTransformation(np.zeros(d), m, delta.kind)

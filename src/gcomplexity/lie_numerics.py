@@ -36,7 +36,6 @@ from .errors import (
     BranchCut,
     DimensionMismatch,
     GroupViolation,
-    NonFinite,
     NumericDomainError,
 )
 from .phase_space import (
@@ -99,14 +98,6 @@ def _mat(x) -> np.ndarray:
     if isinstance(x, LieAlgebraElement):
         return x.v
     return np.asarray(x, dtype=float)
-
-
-def matrix_exp(v: np.ndarray) -> np.ndarray:
-    """Matrix exponential e^V, from the same kernel as ``matrix_exp_batch``."""
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise NonFinite("matrix_exp input contains non-finite entries")
-    return matrix_exp_batch(v[None])[0]
 
 
 _TAYLOR_THETA = 0.5

@@ -38,6 +38,7 @@ from .errors import (
     StepTooCoarse,
     ValidationError,
 )
+from .phase_space import _freeze
 
 CHART_EPS = 1e-12
 MAX_STEPS = 1 << 20  # cap on rk_steps and quad_steps, checked before anything is allocated
@@ -218,24 +219,17 @@ class DiscretizedPath:
             raise ValidationError("params must lie in [0, 1]")
         if np.any(s[:, 0] < 0.0):
             raise ValidationError("radial coordinate must be nonnegative")
-        s = np.ascontiguousarray(s)
-        s.setflags(write=False)
-        p = np.ascontiguousarray(p)
-        p.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "samples", _freeze(s))
+        object.__setattr__(self, "params", _freeze(p))
         if self.velocities is not None:
-            v = np.ascontiguousarray(np.asarray(self.velocities, dtype=float))
+            v = _freeze(self.velocities)
             if v.shape != s.shape:
                 raise ValidationError("velocities shape must match samples")
-            v.setflags(write=False)
             object.__setattr__(self, "velocities", v)
 
     def reversed(self) -> "DiscretizedPath":
         v = None if self.velocities is None else -self.velocities[::-1]
-        return DiscretizedPath(
-            self.samples[::-1].copy(), (1.0 - self.params[::-1]).copy(), v
-        )
+        return DiscretizedPath(self.samples[::-1], 1.0 - self.params[::-1], v)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is raised in-band below
@@ -410,9 +404,9 @@ def lorentz_geodesic(
         vphi += sixth * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
         if r < CHART_EPS:
             partial = DiscretizedPath(
-                traj[: i + 1, :2].copy(),
+                traj[: i + 1, :2],
                 np.linspace(0.0, i * h / length, i + 1),
-                traj[: i + 1, 2:].copy(),
+                traj[: i + 1, 2:],
             ) if i > 0 else None
             raise ChartBoundary(
                 f"trajectory reached r = 0 after arc length {i * h:.6g}",
@@ -433,5 +427,5 @@ def lorentz_geodesic(
                 f"speed drift {drift:.3e} exceeds tolerance {drift_tol:.3e}; "
                 "increase rk_steps"
             )
-    return DiscretizedPath(traj[:, :2].copy(), np.linspace(0.0, 1.0, n + 1), traj[:, 2:].copy())
+    return DiscretizedPath(traj[:, :2], np.linspace(0.0, 1.0, n + 1), traj[:, 2:])
 

@@ -80,7 +80,8 @@ def _as_vector(a, d, name):
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(a)
+    """A read-only C-ordered float copy of a: the caller's array stays its own."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

@@ -43,6 +43,7 @@ from .complexity_core import relative_complex_structure
 from .errors import ValidationError
 from .lie_numerics import LieAlgebraElement, algebra_basis, algebra_of_kind, matrix_exp_batch
 from .phase_space import GaussianState, StateKind, group_inverse, standard_symplectic_form
+from .phase_space import _freeze
 
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -81,33 +82,17 @@ class GroupPath:
     constraint_residual: float = 0.0
 
     def __post_init__(self):
-        inc = np.ascontiguousarray(np.asarray(self.increments, dtype=float))
+        inc = _freeze(self.increments)
         if inc.ndim != 3 or inc.shape[1] != inc.shape[2]:
             raise ValidationError("increments must have shape (K, 2N, 2N)")
         if inc.shape[0] < 4:
             raise ValidationError("a path needs at least K = 4 segments")
-        inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
         if self.displacement_increments is not None:
-            u = np.ascontiguousarray(np.asarray(self.displacement_increments, float))
+            u = _freeze(self.displacement_increments)
             if u.shape != inc.shape[:2]:
                 raise ValidationError("displacement increments must have shape (K, 2N)")
-            u.setflags(write=False)
             object.__setattr__(self, "displacement_increments", u)
-
-    @property
-    def segments(self) -> int:
-        return self.increments.shape[0]
-
-
-def path_length(path: GroupPath) -> float:
-    """Sum of per-segment g_1 norms of the (vacuum-frame) increments."""
-    v = path.increments
-    sq = 0.5 * np.einsum("kij,kij->k", v, v)
-    if path.displacement_increments is not None:
-        u = path.displacement_increments
-        sq = sq + np.einsum("ki,ki->k", u, u)
-    return float(np.sum(np.sqrt(np.maximum(sq, 0.0))))
 
 
 def _norm_exponent(m):
@@ -178,7 +163,7 @@ class _Problem:
         self.K = segments
         self.basis = algebra_basis(algebra_of_kind(self.kind), reference.n_modes)
         self.D = len(self.basis)
-        self.displaced = bool(np.any(target.z != 0.0) or np.any(reference.z != 0.0))
+        self.displaced = bool(np.any(target.z != 0.0))
         geo = coherent_geodesic(reference, target) if self.displaced else None
         pencil = relative_complex_structure(reference, target) if geo is None else geo.delta
         fermion = self.kind is StateKind.FERMION

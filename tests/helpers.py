@@ -13,7 +13,7 @@ from gcomplexity import (
     algebra_basis,
     algebra_of_kind,
     apply_transformation,
-    matrix_exp,
+    matrix_exp_batch,
     reference_state,
 )
 
@@ -32,7 +32,7 @@ def random_algebra_matrix(kind: StateKind, n_modes: int, rng, scale: float = 0.5
 
 
 def random_transformation(kind: StateKind, n_modes: int, rng, scale: float = 0.5):
-    m = matrix_exp(random_algebra_matrix(kind, n_modes, rng, scale))
+    m = matrix_exp_batch(random_algebra_matrix(kind, n_modes, rng, scale)[None])[0]
     return GaussianTransformation(None, m, kind)
 
 

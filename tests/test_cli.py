@@ -261,6 +261,17 @@ def test_a_displaced_reference_is_blamed_on_the_reference(tmp_path, capsys, comm
     assert (main(argv), capsys.readouterr()) == (3, (want, ""))
 
 
+@pytest.mark.parametrize("command", ["complexity", "weyl", "oracle-verify"])
+def test_a_displaced_reference_is_blamed_before_a_fermion_target(tmp_path, capsys, command):
+    # the reference's error comes before the kind check of the pair
+    ref = squeezed(tmp_path, 0.0, z=[0.3, 0.0], name="ref.json")
+    target = write_state(tmp_path, "ft.json", {"kind": "fermion", "n_modes": 1, "sigma": [[0, 1], [-1, 0]]})
+    extra = {"weyl": ["--omega", "const:0.1"], "oracle-verify": ["--segments", "4"]}
+    argv = [command, "--reference", ref, "--target", target, *extra.get(command, [])]
+    want = json.dumps({"error": REFERENCE_DISPLACED}) + "\n"
+    assert (main(argv), capsys.readouterr()) == (3, (want, ""))
+
+
 def test_a_displaced_reference_leaves_a_displaced_target_its_own_error(tmp_path, capsys):
     ref = squeezed(tmp_path, 0.0, z=[0.3, 0.0], name="ref.json")
     batch = tmp_path / "batch"

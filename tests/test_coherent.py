@@ -8,20 +8,27 @@ from gcomplexity import (
     DisplacementPresent,
     GaussianState,
     GaussianTransformation,
-    GroupPath,
     KindMismatch,
     StateKind,
     apply_transformation,
     coherent_complexity,
     coherent_geodesic,
-    coherent_geodesic_point,
-    group_path_length,
     reference_state,
     single_mode_squeezing,
     state_complexity,
     state_from_dict,
 )
 from helpers import displaced_target, passive, random_target
+
+
+def coherent_geodesic_point(geo, tau):
+    """Circuit point (z(tau), M(tau)): scipy's expm of tau [[log(Delta)/2, N z_T/2], [0, 0]]."""
+    d = geo.z_target.shape[0]
+    generator = np.zeros((d + 1, d + 1))
+    generator[:d, :d] = 0.5 * geo.delta.log_delta
+    generator[:d, d] = 0.5 * geo.n_matrix @ geo.z_target
+    flow = scipy.linalg.expm(tau * generator)
+    return GaussianTransformation(flow[:d, d], flow[:d, :d], StateKind.BOSON)
 
 
 def test_pure_displacement_345():
@@ -92,11 +99,8 @@ def test_closed_form_is_an_upper_bound_on_displaced_targets(z):
     assert np.abs(legs[2].m @ legs[0].m - np.eye(2)).max() <= 1e-12
     assert np.abs(state.j - target.j).max() <= 1e-12
     assert np.abs(state.z - target.z).max() <= 1e-12
-    # the same legs as the oracle's path increments, two segments each, in its metric
-    increments = np.stack([-q, -q, 0.0 * q, 0.0 * q, q, q]) * (0.5 * r)
-    du = np.zeros((6, 2))
-    du[2:4] = 0.5 * shift
-    length = group_path_length(GroupPath(increments, StateKind.BOSON, du))
+    # the legs' g_1 lengths: sqrt(1/2 Tr(V V^T)) for the squeezes V = -+r Q, |u| for the shift
+    length = 2.0 * np.sqrt(0.5 * np.sum((r * q) ** 2)) + np.linalg.norm(shift)
     assert length == pytest.approx(2.0 + 2.0 * np.log(z / 2.0), rel=1e-12)
     closed = coherent_complexity(coherent_geodesic(vacuum, target))
     assert closed == pytest.approx(z, rel=1e-12)

@@ -12,9 +12,8 @@ from gcomplexity import (
     StateKind,
     apply_transformation,
     complexity_from_relative,
-    geodesic_point,
     inner_product_identity,
-    matrix_exp,
+    matrix_exp_batch,
     reference_state,
     relative_complex_structure,
     single_mode_squeezing,
@@ -23,6 +22,12 @@ from gcomplexity import (
 )
 from gcomplexity.complexity_core import relative_stack
 from helpers import random_target, random_transformation
+
+
+def geodesic_point(pencil, tau):
+    """M(tau) = e^{tau log(Delta)/2} on the optimal circuit, by scipy's expm."""
+    m = scipy.linalg.expm(0.5 * tau * pencil.log_delta)
+    return GaussianTransformation(None, m, pencil.kind)
 
 
 def squeezed(r, phi=0.0):
@@ -124,7 +129,7 @@ def test_complement_direction_complexity_closed_form(kind, n):
         v = sum(c * b.v for c, b in zip(coeffs, basis.complement))
         v = v * (0.8 / np.linalg.norm(v))
         assert np.linalg.norm(v @ ref.j + ref.j @ v) <= 1e-10
-        t = GaussianTransformation(None, matrix_exp(v), kind)
+        t = GaussianTransformation(None, matrix_exp_batch(v[None])[0], kind)
         got = state_complexity(ref, apply_transformation(ref, t))
         assert got == pytest.approx(np.sqrt(inner_product_identity(v, v)), abs=1e-10)
 
@@ -146,7 +151,7 @@ def test_stabilizer_action_is_trivial():
     rng = np.random.default_rng(23)
     m = random_transformation(StateKind.BOSON, 2, rng)
     s = GaussianTransformation(
-        None, matrix_exp(0.7 * basis.elements[2].v), StateKind.BOSON
+        None, matrix_exp_batch(0.7 * basis.elements[2].v[None])[0], StateKind.BOSON
     )
     direct = apply_transformation(ref, m)
     via_sta = apply_transformation(apply_transformation(ref, s), m)

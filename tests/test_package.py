@@ -68,6 +68,39 @@ def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
 
 
+# exported functions that nothing in src/ calls: the acceptance criteria's
+# constructions and checks, and the state-file writer
+NO_SRC_CALLER = {
+    "apply_transformation",
+    "check_stabilizer_geodesic",
+    "inner_product_identity",
+    "reference_state",
+    "single_mode_squeezing",
+    "stabilizer_basis",
+    "state_to_dict",
+}
+
+
+def _names_read(path):
+    """Every name a module reads, as a bare name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_exported_function_has_a_caller_in_src():
+    # library code with no caller in src/ or the CLI is deleted; the list
+    # above is exactly what is kept without one
+    read = set()
+    for path in Path(gcomplexity.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= _names_read(path)
+    exported = [getattr(gcomplexity, name) for name in gcomplexity.__all__]
+    functions = {f.__name__ for f in exported if inspect.isfunction(f)}
+    assert sorted(functions - read) == sorted(NO_SRC_CALLER)
+
+
 def _fresh_main(*argv):
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
@@ -102,7 +135,7 @@ def files(tmp_path):
         "coh": _state(tmp_path, "coh.json", "boson", squeeze, z=[0.3, -0.4]),
         "fref": _state(tmp_path, "fref.json", "fermion", jr),
         "ft": _state(
-            tmp_path, "ft.json", "fermion", gcomplexity.matrix_exp(b + jr @ b @ jr) @ jr
+            tmp_path, "ft.json", "fermion", gcomplexity.matrix_exp_batch((b + jr @ b @ jr)[None])[0] @ jr
         ),
         "table:": f"table:{table}",
     }

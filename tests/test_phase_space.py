@@ -5,11 +5,15 @@ import pytest
 
 from gcomplexity import (
     DimensionMismatch,
+    DiscretizedPath,
     DisplacementPresent,
     GaussianState,
     GaussianTransformation,
+    GroupPath,
     GroupViolation,
     KindMismatch,
+    LieAlgebra,
+    LieAlgebraElement,
     NonFinite,
     NotPure,
     SchemaError,
@@ -415,6 +419,30 @@ def test_sigma_is_the_read_only_checked_matrix(kind):
         state.sigma[0, 0] = 2.0
     with pytest.raises(AttributeError):
         state.sigma = loaded
+
+
+def test_value_classes_keep_a_read_only_copy_and_leave_the_callers_array_alone():
+    j, z = np.array(standard_symplectic_form(1)), np.array([0.1, -0.2])
+    v, m = np.array([0.3, 0.0]), np.eye(2)
+    alg = np.diag([0.5, -0.5])
+    samples, params, vel = np.array([[1.0, 0.0], [1.5, 0.2]]), np.array([0.0, 1.0]), np.ones((2, 2))
+    inc, du = np.zeros((4, 2, 2)), np.zeros((4, 2))
+    built = [
+        (GaussianState(j, StateKind.BOSON, z), {"j": j, "z": z}),
+        (GaussianTransformation(v, m, StateKind.BOSON), {"v": v, "m": m}),
+        (LieAlgebraElement(alg, LieAlgebra.SP), {"v": alg}),
+        (DiscretizedPath(samples, params, vel), {"samples": samples, "params": params, "velocities": vel}),
+        (GroupPath(inc, StateKind.BOSON, du), {"increments": inc, "displacement_increments": du}),
+    ]
+    for obj, given in built:
+        for name, a in given.items():
+            kept = getattr(obj, name)
+            assert a.flags.writeable, (type(obj).__name__, name)
+            assert not np.shares_memory(kept, a), (type(obj).__name__, name)
+            assert not kept.flags.writeable, (type(obj).__name__, name)
+            assert kept.tobytes() == a.tobytes()
+    j[0, 1] = 7.0  # the caller may write to its array; the state is unchanged
+    assert built[0][0].j[0, 1] == 1.0
 
 
 def test_state_stack_keeps_the_surviving_input_rows_in_order():
