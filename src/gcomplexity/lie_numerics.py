@@ -28,6 +28,7 @@ rotation angles.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,8 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
     and its result squared s times, with s chosen per matrix.
     The polynomial is evaluated by Paterson-Stockmeyer: X^2, X^3, X^4,
     then Horner in X^4 over three cubic blocks, 5 matrix products in all.
+    A stack whose every norm is below theta (every s = 0) is neither
+    scaled nor squared.  Each matrix gets the bits it gets alone.
     """
     vs = np.asarray(vs, dtype=float)
     lead = vs.shape[:-2]
@@ -126,11 +129,16 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
     flat = vs.reshape(-1, d, d)
     n = flat.shape[0]
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
-    # 2^-s ||X||_1 < theta; multiplying by 2^-s is exact
-    s = np.maximum(np.frexp(norms / _TAYLOR_THETA)[1], 0)[:, None, None]
     powers = np.empty((5, n, d, d))
-    powers[0] = np.eye(d)
-    np.multiply(flat, np.ldexp(1.0, -s), out=powers[1])
+    powers[0] = _identity(d)
+    squarings = 0
+    if norms.max(initial=0.0) < _TAYLOR_THETA:
+        powers[1] = flat  # s = 0 for every matrix
+    else:
+        # 2^-s ||X||_1 < theta; multiplying by 2^-s is exact
+        s = np.maximum(np.frexp(norms / _TAYLOR_THETA)[1], 0)[:, None, None]
+        squarings = int(s.max())
+        np.multiply(flat, np.ldexp(1.0, -s), out=powers[1])
     np.matmul(powers[1], powers[1], out=powers[2])
     np.matmul(powers[2], powers[1], out=powers[3])
     np.matmul(powers[2], powers[2], out=powers[4])
@@ -139,10 +147,19 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
     out += blocks[1]
     out = powers[4] @ out
     out += blocks[0]
+    # square each matrix s times: np.where keeps the rows with s <= j;
     # squaring only the rows with s > j gives the same bits, but is slower on the oracle's stacks
-    for j in range(int(s.max(initial=0))):
+    for j in range(squarings):
         out = np.where(s > j, out @ out, out)
     return out.reshape(*lead, d, d)
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, read-only, built once per d."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,12 @@ forward-mode Jacobian; there is no projection step.  All restarts run
 the penalty stages as one stack of paths, and each stacked evaluation
 of the line search tries LINE_SEARCH_CANDIDATES step sizes of every
 restart still searching; each restart takes exactly the steps it would
-take alone.  At most MAX_RESTARTS restarts and MAX_STACK_SEGMENTS
-segments over all restarts are taken, which bounds the stack's memory.
+take alone.  A line search ends as soon as every restart still trying
+has accepted a step, which in most iterations is after its first
+stacked evaluation.  Overflow and invalid-value warnings are silenced
+once per penalty search, over its gradients as well as its trial
+steps.  At most MAX_RESTARTS restarts and MAX_STACK_SEGMENTS segments
+over all restarts are taken, which bounds the stack's memory.
 Both derivatives come from the block-triangular identity
 exp([[X, Y], [0, X]]) = [[e^X, L_exp(X, Y)], [0, e^X]] (Najfeld and
 Havel 1995; Al-Mohy and Higham 2009) and read the same prefix and
@@ -132,12 +136,13 @@ class _Forward(NamedTuple):
     ginv: np.ndarray
     resid: np.ndarray
 
-    def take(self, index):
-        return _Forward(*(f[index] for f in self))
-
-    def put(self, index, src):
-        for f, s in zip(self, src):
-            f[index] = s
+    def put(self, index, src, pick):
+        """Overwrite the paths ``index`` with the paths ``pick`` of ``src``."""
+        self.a[index] = src.a[pick]
+        self.e[index] = src.e[pick]
+        self.pre[index] = src.pre[pick]
+        self.ginv[index] = src.ginv[pick]
+        self.resid[index] = src.resid[pick]
 
 
 class _Problem:
@@ -227,11 +232,13 @@ class _Problem:
         mm = pre[..., -1, :d, :d]
         r = resid[..., : d * d].reshape(mm.shape)
         # d/dM of w ||M J_R G(M) - J_T||^2; G is self-adjoint in tr(X^T Y)
-        gm = np.zeros(pre.shape[:-3] + self.eye.shape)
-        gm[..., :d, :d] = (2.0 * w) * (
+        gm = (2.0 * w) * (
             r @ ginv.mT @ self.jr.T + group_inverse(self.jr.T @ mm.mT @ r, self.kind)
         )
         if self.displaced:
+            # the affine block [[G_M, 2 w (z - z_T)], [0, 0]]
+            lin, gm = gm, np.zeros(pre.shape[:-3] + self.eye.shape)
+            gm[..., :d, :d] = lin
             gm[..., :d, d] = (2.0 * w) * resid[..., d * d :]
         # G_{E_k} = S_k^T G_M P_k^T
         ge = self._suffixes(e).mT @ gm[..., None, :, :] @ pre[..., :-1, :, :].mT
@@ -262,19 +269,24 @@ class _Problem:
         search.  A path whose gradient vanishes or that accepts no step
         is masked out of the search for the rest of the stage, its row
         left as it is, and searches again at the next stage; every path
-        takes the steps it would take alone.
+        takes the steps it would take alone.  A line search ends once
+        every path still trying has taken a step.  Overflow and invalid
+        values are ignored over the whole search, the first evaluation
+        and every gradient included: a trial step too long for exp gives
+        an infinite or NaN objective, which the line search rejects.
         """
         x = x0.copy()
-        fwd = self._forward(x)
         step = np.full(len(x), 0.1)
-        for w, max_iter in zip(PENALTY_SCHEDULE, STAGE_ITERATIONS):
-            f = self.total(x, w, fwd)
-            searching = np.ones(len(x), dtype=bool)
-            for _ in range(max_iter):
-                g = self.gradient(x, w, fwd)
-                searching = self._line_search(x, fwd, f, step, g, w, searching)
-                if not searching.any():
-                    break
+        with np.errstate(over="ignore", invalid="ignore"):
+            fwd = self._forward(x)
+            for w, max_iter in zip(PENALTY_SCHEDULE, STAGE_ITERATIONS):
+                f = self.total(x, w, fwd)
+                searching = np.ones(len(x), dtype=bool)
+                for _ in range(max_iter):
+                    g = self.gradient(x, w, fwd)
+                    searching = self._line_search(x, fwd, f, step, g, w, searching)
+                    if not searching.any():
+                        break
         return x
 
     def _line_search(self, x, fwd, f, step, g, w, searching):
@@ -285,33 +297,41 @@ class _Problem:
         ..., LINE_SEARCH_TRIES - 1, LINE_SEARCH_CANDIDATES values of j
         per stacked evaluation, and take the first step that lowers the
         objective by at least 1e-4 * step * g.g, which is the step halving
-        one at a time would take.  x, fwd, f and step are overwritten on
-        the paths that take a step; returns their mask.
+        one at a time would take.  When every path tries, the stack reads
+        x by a slice; when every path still trying accepts a step, the
+        search ends with no more bookkeeping.  x, fwd, f and step are
+        overwritten on the paths that take a step; returns their mask.
         """
         gn2 = (g * g).reshape(len(g), -1).sum(axis=1)
         trial = step * 2.0
         steep = gn2 > 100.0
         trial[steep] = np.minimum(trial[steep], 10.0 / np.sqrt(gn2[steep]))
         moved = np.zeros(len(x), dtype=bool)
-        idx = np.flatnonzero(searching & (gn2 >= 1e-20))  # the paths still trying
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(0, LINE_SEARCH_TRIES, LINE_SEARCH_CANDIDATES):
-                if not len(idx):
-                    break
-                cand = trial[idx, None] * _HALVINGS[: LINE_SEARCH_TRIES - j]
-                xn = x[idx, None] - cand[..., None, None] * g[idx, None]
-                fwd_n = self._forward(xn)
-                fn = self.total(xn, w, fwd_n)
-                ok = fn < f[idx, None] - 1e-4 * cand * gn2[idx, None]
-                first = ok.argmax(axis=1)
-                hit = ok.any(axis=1)
-                pick = np.flatnonzero(hit), first[hit]
-                rows = idx[hit]
-                x[rows], f[rows], step[rows] = xn[pick], fn[pick], cand[pick]
-                fwd.put(rows, fwd_n.take(pick))
-                moved[rows] = True
-                idx = idx[~hit]
-                trial *= 0.5**LINE_SEARCH_CANDIDATES
+        trying = np.flatnonzero(searching & (gn2 >= 1e-20))  # the paths still trying
+        # a slice while every path tries, so that the stack reads x without a copy
+        idx = slice(None) if len(trying) == len(x) else trying
+        for j in range(0, LINE_SEARCH_TRIES, LINE_SEARCH_CANDIDATES):
+            if not len(trying):
+                break
+            cand = trial[idx, None] * _HALVINGS[: LINE_SEARCH_TRIES - j]
+            xn = x[idx, None] - cand[..., None, None] * g[idx, None]
+            fwd_n = self._forward(xn)
+            fn = self.total(xn, w, fwd_n)
+            ok = fn < f[idx, None] - 1e-4 * cand * gn2[idx, None]
+            first = ok.argmax(axis=1)
+            hit = ok.any(axis=1)
+            done = hit.all()
+            if done:
+                pick, rows = (np.arange(len(hit)), first), idx
+            else:
+                pick, rows = (np.flatnonzero(hit), first[hit]), trying[hit]
+            x[rows], f[rows], step[rows] = xn[pick], fn[pick], cand[pick]
+            fwd.put(rows, fwd_n, pick)
+            moved[rows] = True
+            if done:
+                break
+            idx = trying = trying[~hit]
+            trial *= 0.5**LINE_SEARCH_CANDIDATES
         return moved
 
     def restore(self, x):

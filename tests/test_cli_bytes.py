@@ -36,6 +36,18 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
         ]
         # the reference file was replaced: no call prints what it printed against the vacuum
         assert all(a["stdout"] != c["stdout"] for a, c in zip(again, with_ref))
+        # each oracle call is run once more at the CLI's defaults, against the vacuum again
+        defaults = [c for c in calls if c["workload"] == name + "@defaults"]
+        oracle = [c for c in recorded if c["argv"][0] == "oracle-verify"]
+        assert bool(oracle) == (name == "oracle")
+        assert [(c["seed"], c["index"], c["argv"]) for c in defaults] == [
+            (c["seed"], c["index"], c["argv"][: -len(workloads.ORACLE_ARGS)]) for c in oracle
+        ]
+        for default, bench in zip(defaults, oracle):
+            assert "--segments" not in default["argv"] and "--restarts" not in default["argv"]
+            at_defaults, at_bench = json.loads(default["stdout"]), json.loads(bench["stdout"])
+            assert (at_defaults["segments"], at_defaults["restarts"]) == (16, 5)
+            assert at_defaults["closed_form"] == at_bench["closed_form"]
     small = [c for c in calls if c["workload"] == "batch_small"]
     for call in small:
         assert call["argv"][0] == "complexity"

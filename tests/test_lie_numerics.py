@@ -75,14 +75,17 @@ def test_matrix_exp_batch_edge_shapes():
     assert np.array_equal(out.reshape(6, 4, 4), matrix_exp_batch(vs.reshape(6, 4, 4)))
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 10])
 def test_matrix_exp_batch_squares_each_matrix_on_its_own(d):
     # norms from 1e-3 to 30 take 0 to 6 squarings; a matrix must not be
-    # squared more because a larger one shares its batch
-    rng = np.random.default_rng([14, d])
-    vs = random_with_norm1(rng, np.geomspace(1e-3, 30.0, 16), d)
-    for v, e in zip(vs, matrix_exp_batch(vs)):
-        assert np.array_equal(e, matrix_exp_batch(v[None])[0])
+    # squared more because a larger one shares its batch.  So too in a
+    # stack where every matrix is scaled (norms 1 to 30, s >= 1) and in
+    # one where none is (norms below theta = 1/2, s = 0)
+    for seed, low, high in [(14, 1e-3, 30.0), (15, 1.0, 30.0), (16, 1e-3, 0.49)]:
+        rng = np.random.default_rng([seed, d])
+        vs = random_with_norm1(rng, np.geomspace(low, high, 16), d)
+        for v, e in zip(vs, matrix_exp_batch(vs)):
+            assert np.array_equal(e, matrix_exp_batch(v[None])[0])
 
 
 def spd_pencil(sigma_T, sigma_R=None):

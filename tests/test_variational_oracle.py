@@ -25,6 +25,7 @@ from gcomplexity import (
     standard_symplectic_form,
     state_complexity,
 )
+from gcomplexity import variational_oracle
 from gcomplexity.variational_oracle import (
     PENALTY_SCHEDULE,
     STAGE_ITERATIONS,
@@ -183,6 +184,37 @@ def test_oracle_is_deterministic():
     path_b, len_b = minimize_to_target(ref, target, segments=8, restarts=2, seed=7)
     assert len_a == len_b
     assert np.array_equal(path_a.increments, path_b.increments)
+
+
+def _candidate_grouping_runs():
+    """minimize_to_target on three targets at K = 8, R = 3, seed 1: increment bytes and length."""
+    rng = np.random.default_rng(56)
+    cases = [
+        (StateKind.BOSON, 1, random_target(StateKind.BOSON, 1, rng)),
+        (StateKind.BOSON, 2, displaced_target(2, rng)),
+        (StateKind.FERMION, 2, random_target(StateKind.FERMION, 2, rng)),
+    ]
+    runs = []
+    for kind, n, target in cases:
+        path, length = minimize_to_target(reference_state(kind, n), target, segments=8, restarts=3, seed=1)
+        u = path.displacement_increments
+        runs.append((path.increments.tobytes(), None if u is None else u.tobytes(), length))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def halving_one_at_a_time():
+    with mock.patch.object(variational_oracle, "LINE_SEARCH_CANDIDATES", 1), \
+            mock.patch.object(variational_oracle, "_HALVINGS", 0.5 ** np.arange(1)):
+        return _candidate_grouping_runs()
+
+
+@pytest.mark.parametrize("candidates", [2, 3, 5, 40])
+def test_line_search_candidate_grouping_never_changes_a_step(candidates, halving_one_at_a_time, monkeypatch):
+    # how many halvings one stacked evaluation tries is a speed choice only
+    monkeypatch.setattr(variational_oracle, "LINE_SEARCH_CANDIDATES", candidates)
+    monkeypatch.setattr(variational_oracle, "_HALVINGS", 0.5 ** np.arange(candidates))
+    assert _candidate_grouping_runs() == halving_one_at_a_time
 
 
 def test_refining_segments_does_not_lengthen():

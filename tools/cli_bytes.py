@@ -13,7 +13,11 @@ trees are equal exactly when their output is.  Every benchmark reference
 is the vacuum, so ``record`` then runs each call that has --reference
 again against a fixed non-vacuum reference of the same kind and N
 (squeezed_reference), written over the reference file, and labels those
-records ``<workload>@squeezed``.  ``compare`` lists the
+records ``<workload>@squeezed``.  The benchmark runs oracle-verify below
+the CLI's defaults (workloads.ORACLE_ARGS), so ``record`` last puts the
+vacuum reference back and runs each oracle-verify call once more without
+those arguments, at the defaults, labelled ``<workload>@defaults``.
+``compare`` lists the
 calls whose exit code or stdout differ, or that only one record has, and
 exits 1 if there are any; for a stdout difference it prints the first
 differing byte offset and about 40 bytes of each side around it.  Nothing is written under bench/.
@@ -85,12 +89,21 @@ def record(tree: Path, seeds) -> list:
 
                 for index, call in enumerate(inputs.calls):
                     invoke(name, index, call.argv)
+                vacuum = {}
                 for index, call in enumerate(inputs.calls):
                     if "--reference" in call.argv:
                         ref = Path(call.argv[call.argv.index("--reference") + 1])
-                        state = json.loads(ref.read_text())
+                        state = json.loads(vacuum.setdefault(ref, ref.read_text()))
                         ref.write_text(json.dumps(squeezed_reference(state["kind"], state["n_modes"])))
                         invoke(name + "@squeezed", index, call.argv)
+                for ref, text in vacuum.items():
+                    ref.write_text(text)
+                tail = len(workloads.ORACLE_ARGS)
+                for index, call in enumerate(inputs.calls):
+                    if call.argv[0] == "oracle-verify":
+                        if call.argv[-tail:] != workloads.ORACLE_ARGS:
+                            raise SystemExit(f"{name} call {index} does not end with ORACLE_ARGS")
+                        invoke(name + "@defaults", index, call.argv[:-tail])
     return calls
 
 
