@@ -38,7 +38,7 @@ from .lie_numerics import SpdPencil
 from .phase_space import GaussianState, StateKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentGeodesic:
     """Geodesic data for a displaced bosonic target; ``delta`` is the pencil of Delta."""
 

@@ -59,7 +59,7 @@ def algebra_of_kind(kind: StateKind) -> LieAlgebra:
     return LieAlgebra.SP if kind is StateKind.BOSON else LieAlgebra.SO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraElement:
     """Real 2N x 2N matrix tagged with its algebra membership."""
 
@@ -87,7 +87,7 @@ class LieAlgebraElement:
         return self.v.shape[0] // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizerBasis:
     """g_1-orthonormal bases of sta(N) and of its orthogonal complement."""
 
@@ -162,7 +162,7 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpdPencil:
     r"""One eigen-decomposition of Delta, or of each of a stack, in its frame H.
 

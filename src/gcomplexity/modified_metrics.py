@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import cosh, sinh
 
 from .errors import (
     ChartBoundary,
@@ -198,7 +199,7 @@ class VectorPotential:
         return VectorPotential(a_r, f_rphi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedPath:
     """Sampled chart trajectory: samples[i] = (r_i, phi_i) at params[i]."""
 
@@ -286,7 +287,7 @@ def nonreversible_cost_profile(
     return out
 
 
-def _lorentz_acceleration(r, phi, vr, vphi, field, sinh=np.sinh, cosh=np.cosh):
+def _lorentz_acceleration(r, phi, vr, vphi, field):
     """Lorentz-force acceleration (a_r, a_phi) at one state, on Python floats.
 
     The velocity half of an RK4 slope is the state's own (vr, vphi), so
@@ -298,9 +299,7 @@ def _lorentz_acceleration(r, phi, vr, vphi, field, sinh=np.sinh, cosh=np.cosh):
     pow does and overflows to inf where a float ** would raise.
     ``field`` is None for a curl-free potential, whose F_rphi is +0.0
     everywhere.  A radial state (vphi == 0) has no g_phiphi term, also
-    where g_phiphi overflowed (inf * 0 would be nan).  ``sinh`` and
-    ``cosh`` are numpy's, bound once at definition so that a stage does
-    not look them up; no caller passes them.
+    where g_phiphi overflowed (inf * 0 would be nan).
     """
     r2 = 2.0 * r
     sh2 = float(sinh(r) ** 2)

@@ -170,7 +170,7 @@ def _check_pure(c: _Checked, tol: float):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Pure Gaussian state (J, z) of one kind; z is zero for fermions.
 
@@ -191,7 +191,7 @@ class GaussianState:
     kind: StateKind
     z: np.ndarray = None
     tol: float = DEFAULT_TOL
-    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:  # a nan tol fails this too
@@ -216,7 +216,7 @@ class GaussianState:
         return self.j.shape[0] // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianTransformation:
     """Affine phase-space map (v, M) with M in Sp(2N, R) or SO(2N)."""
 
@@ -398,7 +398,7 @@ def parse_state_dict(data: dict):
     return kind, sig, z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateStack:
     """States of one kind and N validated together.
 

@@ -15,8 +15,8 @@ target is (H^{-1} J_T H, H^{-1} z_T) and g_1 is the Frobenius form
 frame.  The length is minimized subject to the endpoint
 constraint by penalty stages with an increasing weight schedule (plain
 gradient descent with backtracking line search on the exact
-reverse-mode gradient), then one Levenberg-Marquardt restore on the
-forward-mode Jacobian; there is no projection step.  All restarts run
+gradient), then one Levenberg-Marquardt restore on the exact Jacobian
+of the endpoint residual; there is no projection step.  All restarts run
 the penalty stages as one stack of paths, and each stacked evaluation
 of the line search tries LINE_SEARCH_CANDIDATES step sizes of every
 restart still searching; each restart takes exactly the steps it would
@@ -26,13 +26,16 @@ stacked evaluation.  Overflow and invalid-value warnings are silenced
 once per penalty search, over its gradients as well as its trial
 steps.  At most MAX_RESTARTS restarts and MAX_STACK_SEGMENTS segments
 over all restarts are taken, which bounds the stack's memory.
-Both derivatives come from the block-triangular identity
+One reverse sweep differentiates the residual: it pulls a residual
+cotangent back through the prefix and suffix products and the adjoint
+Frechet derivative of exp, from the block-triangular identity
 exp([[X, Y], [0, X]]) = [[e^X, L_exp(X, Y)], [0, e^X]] (Najfeld and
-Havel 1995; Al-Mohy and Higham 2009) and read the same prefix and
-suffix products.  The stationarity check of one-parameter subgroups
-differentiates its discretized length exactly through the same
-identity; the module takes no matrix logarithm.  Everything is seeded
-and deterministic.
+Havel 1995; Al-Mohy and Higham 2009).  The gradient is the sweep of
+the residual itself, and the restore's Jacobian the sweep of one unit
+cotangent per residual entry.  The stationarity check of
+one-parameter subgroups differentiates its discretized length exactly
+through the same identity; the module takes no matrix logarithm.
+Everything is seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ STATIONARITY_SEGMENTS = 8
 STATIONARITY_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupPath:
     """Discretized group trajectory given by Lie-algebra increments.
 
@@ -154,12 +157,13 @@ class _Problem:
     Coordinate c of segment k moves the generator A_k along dirs[c]: the
     algebra basis, plus for a displaced target the unit displacement
     columns of the affine generator [[V, u], [0, 0]].  Derivatives are
-    exact: the gradient pulls the penalty back through the adjoint
-    Frechet derivative of exp, the restore Jacobian pushes every
-    coordinate forward through the Frechet derivative.  A path is x of
-    shape (K, ncoord); ``_forward``, ``total``, ``length`` and
-    ``gradient`` take a stack of them, shape (..., K, ncoord), and treat
-    each path as they would alone, bit for bit.
+    exact and come from one reverse sweep, ``_pullback``, through the
+    adjoint Frechet derivative of exp: the gradient pulls back the
+    penalty's residual, the restore Jacobian one unit cotangent per
+    residual entry.  A path is x of shape (K, ncoord); ``_forward``,
+    ``total``, ``length`` and ``gradient`` take a stack of them, shape
+    (..., K, ncoord), and treat each path as they would alone, bit for
+    bit; ``total`` and ``gradient`` read the stack's ``_forward(x)``.
     """
 
     def __init__(self, reference, target, segments):
@@ -217,50 +221,44 @@ class _Problem:
     def length(self, x):
         return np.sum(np.sqrt(np.maximum(((x @ self.gram) * x).sum(axis=-1), 0.0)), axis=-1)
 
-    def total(self, x, w, fwd=None):
-        r = (self._forward(x) if fwd is None else fwd).resid
-        return self.length(x) + w * np.vecdot(r, r)
+    def total(self, x, w, fwd):
+        return self.length(x) + w * np.vecdot(fwd.resid, fwd.resid)
 
-    def gradient(self, x, w, fwd=None):
-        """Exact gradient of length + w * residual^2, by reverse mode.
+    def _pullback(self, fwd, scale, rbar):
+        """scale * J^T rbar, shape (..., K, ncoord), by reverse mode.
 
-        ``fwd`` is ``_forward(x)`` when the caller already has it; its
-        endpoint residual and group inverse are used as they are.
+        J is the Jacobian of the residual vector in x at the paths ``fwd``;
+        ``rbar`` is a stack of residual cotangents (..., m), whose leading
+        axes broadcast against the paths'.
         """
-        a, e, pre, ginv, resid = self._forward(x) if fwd is None else fwd
+        a, e, pre, ginv, _ = fwd
         d = self.d
         mm = pre[..., -1, :d, :d]
-        r = resid[..., : d * d].reshape(mm.shape)
-        # d/dM of w ||M J_R G(M) - J_T||^2; G is self-adjoint in tr(X^T Y)
-        gm = (2.0 * w) * (
-            r @ ginv.mT @ self.jr.T + group_inverse(self.jr.T @ mm.mT @ r, self.kind)
-        )
+        r = rbar[..., : d * d].reshape(*rbar.shape[:-1], d, d)
+        # d/dM of <rbar, M J_R G(M) - J_T>; G is self-adjoint in tr(X^T Y)
+        gm = scale * (r @ ginv.mT @ self.jr.T + group_inverse(self.jr.T @ mm.mT @ r, self.kind))
         if self.displaced:
-            # the affine block [[G_M, 2 w (z - z_T)], [0, 0]]
-            lin, gm = gm, np.zeros(pre.shape[:-3] + self.eye.shape)
+            # the affine block [[G_M, scale * rbar_z], [0, 0]]
+            lin, gm = gm, np.zeros(gm.shape[:-2] + self.eye.shape)
             gm[..., :d, :d] = lin
-            gm[..., :d, d] = (2.0 * w) * resid[..., d * d :]
+            gm[..., :d, d] = scale * rbar[..., d * d :]
         # G_{E_k} = S_k^T G_M P_k^T
         ge = self._suffixes(e).mT @ gm[..., None, :, :] @ pre[..., :-1, :, :].mT
         ga = _frechet_exp(a.mT, ge)
-        g = ga.reshape(*x.shape[:-1], -1) @ self.dirs_flat.T
+        return ga.reshape(*ga.shape[:-2], -1) @ self.dirs_flat.T
+
+    def gradient(self, x, w, fwd):
+        """Exact gradient of length + w * residual^2 at the paths ``fwd = _forward(x)``."""
+        g = self._pullback(fwd, 2.0 * w, fwd.resid)
         # length term; 0 on a zero segment, where the norm has a kink
         gx = x @ self.gram
         root = np.sqrt(np.maximum((gx * x).sum(axis=-1), 0.0))[..., None]
         return g + np.divide(gx, root, out=np.zeros_like(gx), where=root > 0.0)
 
     def _jacobian(self, fwd):
-        """Jacobian of the residual vector of one path in x, by forward mode."""
-        a, e, pre, ginv, _ = fwd
-        de = _frechet_exp(a[:, None], self.dirs[None])
-        dm = self._suffixes(e)[:, None] @ de @ pre[:-1, None]
-        mm = pre[-1][: self.d, : self.d]
-        dmm = dm[..., : self.d, : self.d]
-        dr = dmm @ (self.jr @ ginv) + (mm @ self.jr) @ group_inverse(dmm, self.kind)
-        cols = dr.reshape(self.K, self.ncoord, -1)
-        if self.displaced:
-            cols = np.concatenate([cols, dm[..., : self.d, self.d]], axis=2)
-        return cols.reshape(self.K * self.ncoord, -1).T
+        """Jacobian of one path's residual vector in x: the pullback of each unit cotangent."""
+        m = fwd.resid.shape[-1]
+        return self._pullback(fwd, 1.0, np.eye(m)).reshape(m, -1)
 
     def minimize(self, x0):
         """Penalty stages on a stack of starts x0 (R, K, ncoord), all at once.
@@ -345,9 +343,9 @@ class _Problem:
         endpoint Jacobian (the endpoint cannot leave the orbit of the
         reference complex structure).  Each path of the stack x
         (R, K, ncoord) is restored on its own: it takes 2-3 iterations,
-        and a stacked Jacobian would hold R K ncoord Frechet blocks at
-        once.  Returns the restored stack and the norm of each path's
-        residual vector.
+        and a stacked Jacobian would hold R K m Frechet blocks at once,
+        for m residual entries.  Returns the restored stack and the norm
+        of each path's residual vector.
         """
         out = np.empty_like(x)
         norms = np.empty(len(x))
@@ -463,7 +461,7 @@ def minimize_to_target(
     return prob.to_path(x[best], float(resid[best])), float(length[best])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationarityReport:
     """Directional-derivative magnitudes for endpoint-fixing perturbations."""
 

@@ -56,12 +56,22 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
         assert "results" in json.loads(call["stdout"])
     assert _tool("compare", out, out).returncode == 0
 
-    first, last = small[0], small[-1]
+    # a changed number reports its relative change; a renamed key, the structure
+    first, renamed, last = small[0], small[1], small[-1]
     before = first["stdout"].encode()
-    at = before.index(b"1")
-    first["stdout"] = first["stdout"].replace("1", "2", 1)
+    key = b'"complexity": '
+    at = before.index(key) + len(key)
+    old = before[at : before.index(b",", at)].decode()
+    new = repr(1.5 * float(old))
+    first["stdout"] = first["stdout"].replace(key.decode() + old, key.decode() + new, 1)
     after = first["stdout"].encode()
+    at += next(i for i, (p, q) in enumerate(zip(old, new)) if p != q)
     start = max(0, at - 20)
+    rel = abs(float(new) - float(old)) / max(abs(float(new)), abs(float(old)))
+    renamed_before = renamed["stdout"].encode()
+    renamed["stdout"] = renamed["stdout"].replace('"complexity"', '"Complexity"', 1)
+    renamed_at = renamed_before.index(b'"complexity"') + 1
+    renamed_start = max(0, renamed_at - 20)
     changed = tmp_path / "b.json"
     changed.write_text(json.dumps([c for c in calls if c is not last]))
     proc = _tool("compare", out, changed)
@@ -70,6 +80,11 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
         "batch_small seed=1 call=0 " + " ".join(first["argv"]) + f": stdout differs at byte {at}",
         f"  a: {before[start : start + 40]!r}",
         f"  b: {after[start : start + 40]!r}",
+        f"  largest relative change {rel:.3g} at $.results[0].complexity",
+        "batch_small seed=1 call=1 " + " ".join(renamed["argv"]) + f": stdout differs at byte {renamed_at}",
+        f"  a: {renamed_before[renamed_start : renamed_start + 40]!r}",
+        f"  b: {renamed['stdout'].encode()[renamed_start : renamed_start + 40]!r}",
+        "  JSON structure differs at $.results[0]",
         f"batch_small seed=1 call={last['index']}: only in a",
-        f"2 of {len(calls)} calls differ",
+        f"3 of {len(calls)} calls differ",
     ]

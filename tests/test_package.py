@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import json
 import subprocess
@@ -9,6 +10,22 @@ import numpy as np
 import pytest
 
 import gcomplexity
+from gcomplexity import (
+    DiscretizedPath,
+    GaussianState,
+    GroupPath,
+    LieAlgebra,
+    LieAlgebraElement,
+    StateKind,
+    StationarityReport,
+    apply_transformation,
+    coherent_geodesic,
+    reference_state,
+    relative_complex_structure,
+    single_mode_squeezing,
+    stabilizer_basis,
+)
+from gcomplexity.phase_space import state_stack
 from helpers import src_first_env
 
 # Runs cli.main in a fresh interpreter and reports, as its last stdout line,
@@ -99,6 +116,37 @@ def test_every_exported_function_has_a_caller_in_src():
     exported = [getattr(gcomplexity, name) for name in gcomplexity.__all__]
     functions = {f.__name__ for f in exported if inspect.isfunction(f)}
     assert sorted(functions - read) == sorted(NO_SRC_CALLER)
+
+
+# one instance of each value class that holds arrays
+VACUUM = reference_state(StateKind.BOSON, 1)
+VALUE_CLASSES = {
+    "GaussianState": lambda: reference_state(StateKind.BOSON, 1),
+    "GaussianTransformation": lambda: single_mode_squeezing(0.4, 0.3),
+    "StateStack": lambda: state_stack(StateKind.BOSON, np.eye(2)[None]),
+    "LieAlgebraElement": lambda: LieAlgebraElement(np.zeros((2, 2)), LieAlgebra.SP),
+    "StabilizerBasis": lambda: stabilizer_basis(VACUUM),
+    "SpdPencil": lambda: relative_complex_structure(
+        VACUUM, apply_transformation(VACUUM, single_mode_squeezing(0.4, 0.3))
+    ),
+    "CoherentGeodesic": lambda: coherent_geodesic(
+        VACUUM, GaussianState(VACUUM.j, StateKind.BOSON, z=[0.5, 0.1])
+    ),
+    "GroupPath": lambda: GroupPath(np.zeros((4, 2, 2)), StateKind.BOSON),
+    "StationarityReport": lambda: StationarityReport(np.zeros(3), 1e-6),
+    "DiscretizedPath": lambda: DiscretizedPath([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_CLASSES.values(), ids=VALUE_CLASSES.keys())
+def test_value_classes_compare_and_hash_by_identity(make):
+    # by identity: a field-wise __eq__ over ndarray fields raises on ==, hash() and `in`
+    a = make()
+    assert a == a
+    assert a != copy.copy(a)
+    assert a in [copy.copy(a), a]
+    assert isinstance(hash(a), int)
+    assert {a: 1}[a] == 1
 
 
 def _fresh_main(*argv):

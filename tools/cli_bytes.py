@@ -20,13 +20,17 @@ those arguments, at the defaults, labelled ``<workload>@defaults``.
 ``compare`` lists the
 calls whose exit code or stdout differ, or that only one record has, and
 exits 1 if there are any; for a stdout difference it prints the first
-differing byte offset and about 40 bytes of each side around it.  Nothing is written under bench/.
+differing byte offset and about 40 bytes of each side around it and,
+when both stdouts are JSON, the largest relative change over their
+numbers and where it is, or where their structure differs.  Nothing is
+written under bench/.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -107,12 +111,58 @@ def record(tree: Path, seeds) -> list:
     return calls
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def largest_change(a, b, path="$"):
+    """(|x - y| / max(|x|, |y|), JSON path) of the largest change over paired numbers.
+
+    a and b are parsed JSON values walked in parallel; the first pair of
+    largest change wins, and a pair that differs where either is NaN or
+    infinite counts as inf.  Raises ValueError with the path of the
+    first place where a and b differ other than in a number: a type, a
+    key, a length or any other value.
+    """
+    if _is_number(a) and _is_number(b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0, path
+        rel = abs(a - b) / max(abs(a), abs(b))
+        return (math.inf if math.isnan(rel) else rel), path
+    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        pairs = [(a[k], b[k], f"{path}.{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif type(a) is type(b) and a == b:
+        return 0.0, path
+    else:
+        raise ValueError(path)
+    changes = [largest_change(x, y, at) for x, y, at in pairs]
+    return max(changes, key=lambda c: c[0], default=(0.0, path))
+
+
+def _change_line(a: str, b: str):
+    """The report line on the size of a stdout difference, or None when either is not JSON."""
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except json.JSONDecodeError:
+        return None
+    try:
+        rel, at = largest_change(x, y)
+    except ValueError as err:
+        return f"  JSON structure differs at {err}"
+    return f"  largest relative change {rel:.3g} at {at}"
+
+
 def compare(a: list, b: list) -> list:
     """One report per call whose exit code or stdout differ, or that one record lacks.
 
     A report is one line, except for a stdout difference: its line names
-    the first byte offset where the two differ, and two more lines show
-    the bytes around it from a and from b.
+    the first byte offset where the two differ, two more lines show the
+    bytes around it from a and from b, and when both stdouts parse as
+    JSON a last line gives the largest relative change over their
+    numbers with its JSON path, or the path where their structure
+    differs.
     """
     def by_key(calls):
         return {(c["workload"], c["seed"], c["index"]): c for c in calls}
@@ -130,10 +180,12 @@ def compare(a: list, b: list) -> list:
             a, b = x["stdout"].encode(), y["stdout"].encode()
             at = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
             start = max(0, at - CONTEXT // 2)
+            change = _change_line(x["stdout"], y["stdout"])
             lines.append(
                 f"{label} {' '.join(x['argv'])}: stdout differs at byte {at}\n"
                 f"  a: {a[start : start + CONTEXT]!r}\n"
                 f"  b: {b[start : start + CONTEXT]!r}"
+                + ("" if change is None else "\n" + change)
             )
     return lines
 
