@@ -15,7 +15,8 @@ stacked and validated together (phase_space.state_stack), and decomposed
 by one stacked eigh for either kind (complexity_core.relative_stack).  A
 single --target is the one-file case of the same program, and --batch
 reports each file's first error in-band, as the single-file run would
-raise it; the two flags exclude each other.  The floats of a group's entries come from one tolist, and
+raise it; the two flags exclude each other, checked before the reference
+is read.  The floats of a group's entries come from one tolist, and
 each --batch entry is one % of a template cached per N.
 
 Exit codes: 0 success, 2 numeric-domain error, 3 validation error,
@@ -297,27 +298,25 @@ def _delta_eigenvalues(pencil) -> np.ndarray:
 def _group_results(reference, kind, sigmas, displaced, tol) -> list:
     """(layout, row) or error for each target of one kind and N, the same as one run each.
 
-    displaced flags the targets with a nonzero z.  layout is the
-    payload's (key, shape) pairs in output order, and row the target's
-    floats in that order, row-major; the rows of the group come from one
-    tolist.
+    displaced flags the targets with a nonzero z.  One StateStack takes
+    each target's first error, from the checks, z or the pencil.  layout
+    is the payload's (key, shape) pairs in output order, and row the
+    target's floats in that order, row-major, from one tolist.
     """
     states = state_stack(kind, sigmas, tol)
-    results = list(states.errors)
-    displaced = displaced[states.index]
-    for i in states.index[displaced]:
-        results[i] = DisplacementPresent(
+    states.require(
+        ~displaced[states.index],
+        lambda k: DisplacementPresent(
             "complexity requires zero displacements; use the coherent command "
             "for displaced targets"
-        )
-    live = states.index[~displaced]
-    if not len(live):
-        return results
+        ),
+    )
     try:
-        pencil, errors = relative_stack(reference, kind, states.sigma[~displaced])
+        pencil = relative_stack(reference, kind, states)
     except (ValidationError, NumericDomainError) as exc:  # the whole group: the reference
-        for i in live:
-            results[i] = exc
+        states.require(np.zeros(len(states.index), dtype=bool), lambda k: exc)
+    results = states.errors
+    if not len(states.index):  # every target failed
         return results
     fields = {
         "complexity": complexity_from_relative(pencil),
@@ -325,9 +324,9 @@ def _group_results(reference, kind, sigmas, displaced, tol) -> list:
         "delta_eigenvalues": _delta_eigenvalues(pencil),
     }
     layout = tuple((key, a.shape[1:]) for key, a in fields.items())
-    rows = np.concatenate([a.reshape(len(live), -1) for a in fields.values()], axis=1).tolist()
-    for k, i in enumerate(live):
-        results[i] = errors[k] if errors[k] is not None else (layout, rows[k])
+    rows = np.concatenate([a.reshape(len(a), -1) for a in fields.values()], axis=1).tolist()
+    for i, row in zip(states.index, rows):
+        results[i] = (layout, row)
     return results
 
 
@@ -357,12 +356,12 @@ def _complexity_results(reference, paths, tol) -> list:
 
 
 def cmd_complexity(args) -> int:
-    reference = _load_state(args.reference, args.tol)
     if args.target is not None and args.batch is not None:
         raise ValidationError("either --target or --batch is required, not both")
+    if not (args.batch or args.target):
+        raise ValidationError("either --target or --batch is required")
+    reference = _load_state(args.reference, args.tol)
     if not args.batch:
-        if not args.target:
-            raise ValidationError("either --target or --batch is required")
         (result,) = _complexity_results(reference, [args.target], args.tol)
         if isinstance(result, Exception):
             raise result

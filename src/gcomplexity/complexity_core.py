@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DisplacementPresent, KindMismatch
 from .lie_numerics import SpdPencil, rotation_pencil_stack, spd_pencil_stack
-from .phase_space import GaussianState, StateKind
+from .phase_space import GaussianState, StateKind, StateStack
 
 
 def _check_pair(reference: GaussianState, kind: StateKind, n_modes: int):
@@ -39,34 +39,35 @@ def _check_pair(reference: GaussianState, kind: StateKind, n_modes: int):
         )
 
 
-def relative_stack(reference: GaussianState, kind: StateKind, sigmas: np.ndarray):
-    """Delta = J_T J_R^{-1} for a stack (B, 2N, 2N) of checked target rows, as one pencil.
+def relative_stack(reference: GaussianState, kind: StateKind, targets: StateStack) -> SpdPencil:
+    """Delta = J_T J_R^{-1} for the carrier's checked target rows, as one pencil.
 
-    The rows are what GaussianState.sigma and StateStack.sigma hold:
-    sigma_T for bosons, J_T for fermions.  Returns (pencil, errors):
-    pencil is the SpdPencil of the whole stack, and errors[i] is the
-    NumericDomainError of target i or None; the rows of a failed target
-    are not meaningful.  The whole stack is decomposed with one stacked
-    eigh.  For bosons Delta equals sigma_T sigma_R^{-1} and the pencil
-    whitens sigma_R once; a target whose whitened covariance is not
-    positive-definite fails.  For fermions Delta is special orthogonal
-    and the pencil diagonalizes its Cayley transform; a target fails
-    with BranchCut when a rotation angle reaches pi.  Raises what holds
-    for the whole stack: DisplacementPresent for a displaced reference,
-    KindMismatch or DimensionMismatch against the reference, or a
-    sigma_R that is not positive-definite.
+    The rows are what GaussianState.sigma and state_stack's carrier
+    hold: sigma_T for bosons, J_T for fermions.  Returns the SpdPencil
+    of the rows that pass, decomposed with one stacked eigh; a target
+    that fails leaves ``targets`` with its error (StateStack.require).
+    For bosons Delta equals sigma_T sigma_R^{-1} and the pencil whitens
+    sigma_R once; a target whose whitened covariance is not
+    positive-definite fails with NumericDomainError.  For fermions Delta
+    is special orthogonal and the pencil diagonalizes its Cayley
+    transform; a target fails with BranchCut when a rotation angle
+    reaches pi.  Raises what holds for the whole stack:
+    DisplacementPresent for a displaced reference, KindMismatch or
+    DimensionMismatch against the reference, or a sigma_R that is not
+    positive-definite.
     """
-    _check_pair(reference, kind, sigmas.shape[-1] // 2)
+    _check_pair(reference, kind, targets.sigma.shape[-1] // 2)
     if kind is StateKind.FERMION:
-        return rotation_pencil_stack(sigmas @ -reference.j)
-    return spd_pencil_stack(sigmas, reference.sigma)
+        return rotation_pencil_stack(targets, reference.j)
+    return spd_pencil_stack(targets, reference.sigma)
 
 
 def relative_complex_structure(reference: GaussianState, target: GaussianState) -> SpdPencil:
-    """The pencil of Delta = J_T J_R^{-1} for one target: relative_stack's row 0."""
-    pencil, errors = relative_stack(reference, target.kind, target.sigma[None])
-    if errors[0] is not None:
-        raise errors[0]
+    """The pencil of Delta = J_T J_R^{-1} for one target: relative_stack's one-row case."""
+    targets = StateStack(target.sigma[None])
+    pencil = relative_stack(reference, target.kind, targets)
+    if targets.errors[0] is not None:
+        raise targets.errors[0]
     return pencil[0]
 
 

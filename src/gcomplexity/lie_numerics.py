@@ -22,7 +22,8 @@ Both pencils diagonalize a Hermitian matrix similar to Delta (a
 symmetric positive-definite one for bosons, -i times the antisymmetric
 Cayley transform for fermions) instead of taking a dense logarithm; this
 keeps full relative precision on strongly squeezed states and at tiny
-rotation angles.
+rotation angles.  Both take the targets as a phase_space.StateStack and
+return the pencil of the rows that pass; a failing row leaves the stack.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .phase_space import (
     DEFAULT_TOL,
     GaussianState,
     StateKind,
+    StateStack,
     standard_symplectic_form,
 )
 from .phase_space import _QUIET, _as_matrix, _freeze, _frobenius, _rel
@@ -217,17 +219,17 @@ NOT_A_PURE_PAIR = (
 )
 
 
-def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray):
-    """Decompose Delta = sigma_T sigma_R^{-1} for a stack (B, d, d) of sigma_T.
+def spd_pencil_stack(targets: StateStack, sigma_R: np.ndarray) -> SpdPencil:
+    """Decompose Delta = sigma_T sigma_R^{-1} for the carrier's rows sigma_T, (B, d, d).
 
-    Returns (pencil, errors): the stacked SpdPencil, and for each target
-    None, or a NumericDomainError where its whitened covariance is not
-    positive-definite; the rows of such a target are not meaningful.
-    sigma_R is decomposed once for the stack into the pencil's frame
-    H = sigma_R^{1/2}, exactly 1 for the vacuum.  Both are taken by their
-    symmetric parts, so the checked rows of a state file, symmetric only
-    to rounding, are passed as they are.  Raises NumericDomainError when
-    sigma_R itself is not positive-definite.
+    Returns the stacked SpdPencil of the rows that pass: a target whose
+    whitened covariance is not positive-definite leaves ``targets`` with
+    a NumericDomainError (StateStack.require).  sigma_R is decomposed
+    once for the stack into the pencil's frame H = sigma_R^{1/2},
+    exactly 1 for the vacuum.  Both are taken by their symmetric parts,
+    so the checked rows of a state file, symmetric only to rounding, are
+    passed as they are.  Raises NumericDomainError when sigma_R itself
+    is not positive-definite.
 
     The large eigenvalues of a symmetric matrix carry full relative
     precision, so this route stays accurate at strong squeezing where a
@@ -239,50 +241,45 @@ def spd_pencil_stack(sigma_T: np.ndarray, sigma_R: np.ndarray):
         raise NumericDomainError("sigma_R is not positive-definite")
     half = (ur * np.sqrt(wr)) @ ur.T
     inv_half = (ur / np.sqrt(wr)) @ ur.T
-    w_mid = inv_half @ (0.5 * sigma_T + 0.5 * sigma_T.mT) @ inv_half
+    w_mid = inv_half @ (0.5 * targets.sigma + 0.5 * targets.sigma.mT) @ inv_half
     w, u = np.linalg.eigh(0.5 * w_mid + 0.5 * w_mid.mT)
-    positive = w.min(axis=-1) > 0.0
-    errors = [None] * len(w)
-    for i in np.flatnonzero(~positive):
-        errors[i] = NumericDomainError(NOT_A_PURE_PAIR)
-    # a target that fails gets logs 0 (Delta = 1), so arithmetic on the stack stays finite
-    logs = np.log(np.where(positive[..., None], w, 1.0))
-    return SpdPencil(logs, u, half, inv_half), errors
+    w, u = targets.require(
+        w.min(axis=-1) > 0.0, lambda k: NumericDomainError(NOT_A_PURE_PAIR), w, u
+    )
+    return SpdPencil(np.log(w), u, half, inv_half)
 
 
-def rotation_pencil_stack(delta: np.ndarray):
-    """Decompose a stack (B, 2N, 2N) of rotations Delta in SO(2N) by one stacked eigh.
+def rotation_pencil_stack(targets: StateStack, j_R: np.ndarray) -> SpdPencil:
+    """Decompose Delta = J_T J_R^{-1} in SO(2N) for the carrier's rows J_T by one stacked eigh.
 
     The Cayley transform C = (Delta + 1)^{-1} (Delta - 1), which equals
     (Delta - 1)(Delta + 1)^{-1}, is antisymmetric with eigenvalues
     i tan(theta/2) for the rotation angles theta of Delta, so the
     Hermitian -i C = V diag(t) V^H gives the principal log
     Delta = V diag(2i arctan t) V^H: the pencil's log-spectrum is
-    i theta = 2i arctan t, and its frame H is 1, as sigma_R = 1.  Returns
-    (pencil, errors), with errors[i] None or the BranchCut of target i: a
+    i theta = 2i arctan t, and its frame H is 1, as sigma_R = 1.  A
     rotation angle within BRANCH_CUT_MARGIN of pi, or an eigenvalue -1,
-    has no principal log.  Such targets are found before the solve, from
-    the eigenvalues cos(theta) of (Delta + Delta^T)/2, and their rows are
-    solved at Delta = 1, so one singular Delta + 1 does not fail the stack.
+    has no principal log: such a target leaves ``targets`` with its
+    BranchCut (StateStack.require) before the solve, found from the
+    eigenvalues cos(theta) of (Delta + Delta^T)/2, so one singular
+    Delta + 1 does not fail the stack.  Returns the SpdPencil of the
+    rows that pass.
     """
+    delta = targets.sigma @ -j_R
     eye = np.eye(delta.shape[-1])
     cos_min = np.linalg.eigvalsh(0.5 * (delta + delta.mT))[..., 0]
-    cut = cos_min < -np.cos(BRANCH_CUT_MARGIN)
-    errors = [None] * len(delta)
-    for i in np.flatnonzero(cut):
-        if cos_min[i] > -1.0:
-            theta = np.arccos(cos_min[i])
-            errors[i] = BranchCut(
-                f"rotation angle {theta:.6g} within the branch-cut margin of pi"
+
+    def cut(k):
+        if cos_min[k] > -1.0:
+            return BranchCut(
+                f"rotation angle {np.arccos(cos_min[k]):.6g} within the branch-cut margin of pi"
             )
-        else:
-            errors[i] = BranchCut(
-                "eigenvalue -1 encountered; target lies on the branch cut"
-            )
-    delta = np.where(cut[:, None, None], eye, delta)
+        return BranchCut("eigenvalue -1 encountered; target lies on the branch cut")
+
+    (delta,) = targets.require(cos_min >= -np.cos(BRANCH_CUT_MARGIN), cut, delta)
     c = np.linalg.solve(delta + eye, delta - eye)
     t, v = np.linalg.eigh(-0.5j * (c - c.mT))
-    return SpdPencil(2j * np.arctan(t), v, eye, eye), errors
+    return SpdPencil(2j * np.arctan(t), v, eye, eye)
 
 
 def inner_product_identity(v, w) -> float:

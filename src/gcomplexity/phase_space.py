@@ -17,7 +17,9 @@ block-diagonal with 2x2 blocks [[0, 1], [-1, 0]].
 A state is checked in one place: state_stack runs the check list on a
 stack (B, 2N, 2N) of states of one kind and N, and a GaussianState is
 its one-row case, whether built in code or loaded by state_from_dict.
-A residual that overflows to inf or nan fails its check.
+A residual that overflows to inf or nan fails its check.  It returns a
+StateStack, the one carrier of failed rows: the pencils of lie_numerics
+take it and require their own conditions on the same rows.
 """
 
 from __future__ import annotations
@@ -97,37 +99,41 @@ def _rel(num, scale):
     return _frobenius(num) / (1.0 + scale)
 
 
-class _Checked:
-    """A stack of matrices checked invariant by invariant.
+class StateStack:
+    """A stack of rows checked condition by condition: the one carrier of failed rows.
 
-    An item leaves the stack at its first failed check; ``errors`` keeps
-    that error at the item's input position and ``index`` the input
-    positions of the items still in ``m``.
+    A row leaves the stack at its first failed condition, a state check
+    or a pencil's; ``errors`` keeps that error at the row's input
+    position, ``index`` the input positions of the rows still in ``sigma``.
     """
 
-    def __init__(self, m):
-        self.m = m
-        self.index = np.arange(len(m))
-        self.errors = [None] * len(m)
+    def __init__(self, sigma):
+        self.sigma = sigma
+        self.index = np.arange(len(sigma))
+        self.errors = [None] * len(sigma)
 
-    def require(self, ok, error):
-        """Drop the items where ok is False; error(k) builds the exception of row k."""
+    def require(self, ok, error, *rows):
+        """Drop the rows where ok is False (error(k) builds row k's exception).
+
+        Returns the row-aligned arrays ``rows`` with the same rows dropped."""
         if not ok.all():
             for k in np.flatnonzero(~ok):
                 self.errors[self.index[k]] = error(k)
-            self.m, self.index = self.m[ok], self.index[ok]
+            self.sigma, self.index = self.sigma[ok], self.index[ok]
+            rows = tuple(r[ok] for r in rows)
+        return rows
 
 
-def _check_finite(c: _Checked, name: str):
+def _check_finite(c: StateStack, name: str):
     c.require(
-        np.isfinite(c.m).all(axis=(1, 2)),
+        np.isfinite(c.sigma).all(axis=(1, 2)),
         lambda k: NonFinite(f"{name} contains non-finite entries"),
     )
 
 
-def _check_symmetric(c: _Checked):
+def _check_symmetric(c: StateStack):
     """sigma symmetric at DEFAULT_TOL."""
-    m = c.m
+    m = c.sigma
     c.require(
         _rel(m - m.mT, _frobenius(m)) <= DEFAULT_TOL,
         lambda k: GroupViolation("sigma is not symmetric"),
@@ -145,22 +151,21 @@ def _cholesky_succeeds(m) -> np.ndarray:
         return np.concatenate([_cholesky_succeeds(x[None]) for x in m])
 
 
-def _check_form(c: _Checked, tol: float):
+def _check_form(c: StateStack, tol: float):
     """Omega antisymmetric (at tol) with |det Omega| = 1."""
-    m = c.m
+    m = c.sigma
     c.require(
         _rel(m + m.mT, _frobenius(m)) <= tol,
         lambda k: GroupViolation("omega is not antisymmetric"),
     )
     c.require(
-        np.abs(np.abs(np.linalg.det(c.m)) - 1.0) <= 1e-8,
+        np.abs(np.abs(np.linalg.det(c.sigma)) - 1.0) <= 1e-8,
         lambda k: GroupViolation("omega must have |det| = 1 in the standard basis"),
     )
 
 
-def _check_pure(c: _Checked, tol: float):
-    """J^2 = -1 up to a relative residual tol."""
-    j = c.m
+def _check_pure(c: StateStack, j, tol: float):
+    """J^2 = -1 up to a relative residual tol, for the row-aligned complex structures j."""
     resid = _rel(j @ j + np.eye(j.shape[-1]), _frobenius(j) ** 2)
     c.require(
         resid <= tol,
@@ -398,21 +403,6 @@ def parse_state_dict(data: dict):
     return kind, sig, z
 
 
-@dataclass(frozen=True, eq=False)
-class StateStack:
-    """States of one kind and N validated together.
-
-    ``errors[i]`` is the first ValidationError of input i, or None.
-    ``index`` lists the inputs that passed, and ``sigma`` (len(index),
-    2N, 2N) holds their input rows as they were checked: covariances for
-    bosons, forms J for fermions.
-    """
-
-    index: np.ndarray
-    sigma: np.ndarray
-    errors: list
-
-
 def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -> StateStack:
     """Validate a stack (B, 2N, 2N) of "sigma" entries of one kind: the one check list.
 
@@ -421,8 +411,8 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -
     purity J^2 = -1 of J = sigma Omega_N.  Fermions: finiteness,
     antisymmetry and |det| = 1 of the form, which is J, then purity.
     ``tol`` bounds the purity residual and the fermion antisymmetry.
-    The rows that pass are returned as given, sigmas[index]; J is formed
-    only for the checks.
+    Returns the carrier: the rows that pass are kept as given,
+    sigmas[index]; J is formed only for the checks.
 
     Positivity is the Cholesky of (sigma + sigma^{-1})/2, with sigma^{-1}
     = -Omega sigma Omega = -Omega J (exact for a pure sigma, and only a
@@ -430,25 +420,26 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -
     cosh 2r_i >= 1, where sigma's own e^{-2r_i} round to zero or below at
     strong off-axis squeezing; sigma = -1 still fails.
     """
-    c = _Checked(sigmas)
+    c = StateStack(sigmas)
     with np.errstate(**_QUIET):
         if kind is StateKind.BOSON:
             om = standard_symplectic_form(sigmas.shape[1] // 2)
             _check_finite(c, "sigma")
             _check_symmetric(c)
-            sigma = c.m
-            c.m = sigma @ om  # J = sigma Omega_N
+            j = c.sigma @ om  # J = sigma Omega_N
             # sigma^{-1} = -Omega J; halves taken first: no sum of two finite entries overflows
-            c.require(
-                _cholesky_succeeds(0.5 * sigma - 0.5 * (om @ c.m)),
+            (j,) = c.require(
+                _cholesky_succeeds(0.5 * c.sigma - 0.5 * (om @ j)),
                 lambda k: SingularInput("sigma is not positive-definite"),
+                j,
             )
         else:
             # sigma = 1, so J = Omega sigma^{-1} is the state's own form
             _check_finite(c, "omega")
             _check_form(c, tol)
-        _check_pure(c, tol)
-    return StateStack(c.index, sigmas[c.index], c.errors)
+            j = c.sigma
+        _check_pure(c, j, tol)
+    return c
 
 
 def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:

@@ -24,6 +24,7 @@ from gcomplexity import (
 )
 from gcomplexity.cli import _delta_eigenvalues, _emit, _read_state_file, _render, main
 from gcomplexity.errors import SchemaError
+from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN
 from helpers import random_target, reference_render, src_first_env
 
 
@@ -486,6 +487,52 @@ def test_complexity_refuses_both_target_and_batch(tmp_path, capsys):
     assert code == 3
     assert out == '{"error": "ValidationError: either --target or --batch is required, not both"}\n'
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "flags,error",
+    [
+        ([], "either --target or --batch is required"),
+        (["--target", "t.json", "--batch", "."], "either --target or --batch is required, not both"),
+    ],
+    ids=["neither", "both"],
+)
+def test_target_and_batch_are_checked_before_the_reference_is_read(tmp_path, capsys, flags, error):
+    missing = str(tmp_path / "missing.json")
+    code, out = run_cli(capsys, "complexity", "--reference", missing, *flags)
+    assert (code, out) == (3, json.dumps({"error": "ValidationError: " + error}) + "\n")
+
+
+def test_batch_whose_group_fails_whole_in_the_pencil_equals_one_run_per_file(tmp_path, capsys):
+    # every file of the fermion N = 1 group leaves the stack at the branch cut, so the
+    # group's pencil holds no row; the boson file is its own group (a KindMismatch here)
+    om = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    theta = np.pi - 0.5 * BRANCH_CUT_MARGIN
+    near = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]) @ om
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_state(batch, "a_flipped.json", {"kind": "fermion", "n_modes": 1, "sigma": (-om).tolist()})
+    write_state(batch, "b_near_cut.json", {"kind": "fermion", "n_modes": 1, "sigma": near.tolist()})
+    squeezed(batch, 0.5, name="c_boson.json")
+    ref = write_state(tmp_path, "fref.json", {"kind": "fermion", "n_modes": 1, "sigma": om.tolist()})
+    tol = ["--tol", "1e-6"]  # the near-cut form is antisymmetric to about 6e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", str(batch), *tol)
+        singles = [
+            run_cli(capsys, "complexity", "--reference", ref, "--target", str(f), *tol)
+            for f in sorted(batch.glob("*.json"))
+        ]
+    assert code == 2 and [c for c, _ in singles] == [2, 2, 3]
+    errors = [json.loads(text)["error"] for _, text in singles]
+    assert errors[0] == "BranchCut: eigenvalue -1 encountered; target lies on the branch cut"
+    assert errors[1] == "BranchCut: rotation angle 3.14159 within the branch-cut margin of pi"
+    assert errors[2].startswith("KindMismatch:")
+    entries = [
+        '{"file": ' + json.dumps(f.name) + ", " + text[1:-1]
+        for f, (_, text) in zip(sorted(batch.glob("*.json")), singles)
+    ]
+    assert out == '{"results": [' + ", ".join(entries) + "]}\n"
 
 
 def test_coherent_345(tmp_path, capsys):

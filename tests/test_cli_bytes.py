@@ -18,6 +18,11 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
     proc = _tool("record", ROOT, out, "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(out.read_text())
+    # a crash is recorded as a "crash: ..." string: every call, under every label, exits in band
+    for call in calls:
+        assert type(call["exit"]) is int and call["exit"] in (0, 2, 3, 4), (
+            call["workload"], call["index"], call["exit"]
+        )
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import workloads
 

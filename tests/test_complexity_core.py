@@ -21,6 +21,7 @@ from gcomplexity import (
     state_complexity,
 )
 from gcomplexity.complexity_core import relative_stack
+from gcomplexity.phase_space import StateStack
 from helpers import random_target, random_transformation
 
 
@@ -83,8 +84,9 @@ def test_pencil_is_delta_kind_and_log_for_a_stack_and_each_row(kind):
         refs.append(apply_transformation(refs[0], random_transformation(kind, 2, rng)))
     for ref in refs:
         targets = [apply_transformation(ref, random_transformation(kind, 2, rng)) for _ in range(4)]
-        pencil, errors = relative_stack(ref, kind, np.stack([t.sigma for t in targets]))
-        assert errors == [None] * 4
+        stack = StateStack(np.stack([t.sigma for t in targets]))
+        pencil = relative_stack(ref, kind, stack)
+        assert stack.errors == [None] * 4
         assert pencil.kind is kind
         log_delta = pencil.log_delta
         assert log_delta.shape == (4, 4, 4)

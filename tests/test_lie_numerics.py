@@ -21,6 +21,7 @@ from gcomplexity import (
     standard_symplectic_form,
 )
 from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN, rotation_pencil_stack, spd_pencil_stack
+from gcomplexity.phase_space import StateStack
 from helpers import random_target, random_with_norm1
 
 
@@ -93,9 +94,10 @@ def spd_pencil(sigma_T, sigma_R=None):
     sigma_T = np.asarray(sigma_T, dtype=float)
     if sigma_R is None:
         sigma_R = np.eye(len(sigma_T))
-    pencil, errors = spd_pencil_stack(sigma_T[None], sigma_R)
-    if errors[0] is not None:
-        raise errors[0]
+    targets = StateStack(sigma_T[None])
+    pencil = spd_pencil_stack(targets, sigma_R)
+    if targets.errors[0] is not None:
+        raise targets.errors[0]
     return pencil[0]
 
 
@@ -166,9 +168,10 @@ def test_spd_pencil_takes_the_symmetric_part_of_sigma_T():
     sigma_T[1, 4, 2] -= 1e-12
     symmetric = 0.5 * sigma_T + 0.5 * sigma_T.mT
     assert not np.array_equal(sigma_T, symmetric)
-    pencil, errors = spd_pencil_stack(sigma_T, sigma_R)
-    same, same_errors = spd_pencil_stack(symmetric, sigma_R)
-    assert errors == same_errors == [None, None]
+    targets, same_targets = StateStack(sigma_T), StateStack(symmetric)
+    pencil = spd_pencil_stack(targets, sigma_R)
+    same = spd_pencil_stack(same_targets, sigma_R)
+    assert targets.errors == same_targets.errors == [None, None]
     for name in ("logs", "u", "half", "inv_half"):
         assert getattr(pencil, name).tobytes() == getattr(same, name).tobytes()
 
@@ -190,11 +193,21 @@ def test_sqrt_spd_pencil():
     assert np.linalg.norm(root @ root - delta) <= 1e-10 * np.linalg.norm(delta)
 
 
+def rotation_stack(deltas):
+    """rotation_pencil_stack of rotations Delta, as targets J_T = Delta J_R of J_R = Omega_N.
+
+    Omega_N is a signed permutation, so the kernel's J_T J_R^{-1} is each Delta exactly.
+    """
+    om = standard_symplectic_form(deltas.shape[-1] // 2)
+    targets = StateStack(deltas @ om)
+    return rotation_pencil_stack(targets, om), targets
+
+
 def rotation_log(delta):
     """Principal log and angles of one rotation from the stacked kernel; raises its BranchCut."""
-    pencil, errors = rotation_pencil_stack(np.asarray(delta, dtype=float)[None])
-    if errors[0] is not None:
-        raise errors[0]
+    pencil, targets = rotation_stack(np.asarray(delta, dtype=float)[None])
+    if targets.errors[0] is not None:
+        raise targets.errors[0]
     return pencil.apply(lambda s: s)[0], pencil.radial_exponents[0]
 
 
@@ -268,18 +281,19 @@ def test_rotation_stack_reports_cut_targets_in_band():
     stack = np.stack([good[0], near, good[1], flipped, good[2], good[3]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pencil, errors = rotation_pencil_stack(stack)
+        pencil, targets = rotation_stack(stack)
         logs = pencil.apply(lambda s: s)
-    cut = [1, 3]
+    cut, errors = [1, 3], targets.errors
     assert [i for i, e in enumerate(errors) if e is not None] == cut
     assert all(isinstance(errors[i], BranchCut) for i in cut)
     assert "within the branch-cut margin of pi" in str(errors[1])
     assert "eigenvalue -1" in str(errors[3])
     assert np.all(np.isfinite(logs)) and np.all(np.isfinite(pencil.radial_exponents))
-    for i, delta in zip([0, 2, 4, 5], good):
+    assert targets.index.tolist() == [0, 2, 4, 5]
+    for k, delta in enumerate(good):  # row k of the pencil is input targets.index[k]
         log_one, radial_one = rotation_log(delta)
-        assert np.array_equal(logs[i], log_one)
-        assert np.array_equal(pencil.radial_exponents[i], radial_one)
+        assert np.array_equal(logs[k], log_one)
+        assert np.array_equal(pencil.radial_exponents[k], radial_one)
 
 
 def test_inner_product_identity_canonical():

@@ -187,8 +187,9 @@ def test_positivity_rejects_only_states_the_pencil_rejects():
             GaussianState(j, StateKind.BOSON)
         except SingularInput:
             sigma = -j @ standard_symplectic_form(len(j) // 2)
-            _, errors = spd_pencil_stack(sigma[None], np.eye(len(j)))
-            assert errors[0] is not None
+            targets = phase_space.StateStack(sigma[None])
+            spd_pencil_stack(targets, np.eye(len(j)))
+            assert targets.errors[0] is not None
 
 
 @pytest.mark.parametrize(
@@ -211,7 +212,9 @@ def test_state_from_dict_checks_each_state_once(monkeypatch):
     data.append(state_to_dict(random_target(StateKind.FERMION, 2, np.random.default_rng(8))))
     check = phase_space._check_pure
     calls = []
-    monkeypatch.setattr(phase_space, "_check_pure", lambda c, tol: calls.append(1) or check(c, tol))
+    monkeypatch.setattr(
+        phase_space, "_check_pure", lambda c, j, tol: calls.append(1) or check(c, j, tol)
+    )
     for d in data:
         calls.clear()
         state_from_dict(d)
