@@ -20,7 +20,8 @@ is read.  The floats of a group's entries come from one tolist, and
 each --batch entry is one % of a template cached per N.
 
 Exit codes: 0 success, 2 numeric-domain error, 3 validation error,
-4 oracle non-convergence.
+4 oracle non-convergence; one map (_exit_code) gives an error's code,
+in main and in each --batch entry.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .modified_metrics import (
     path_length,
     weyl_complexity,
 )
-from .phase_space import StateKind, parse_state_dict, state_from_dict, state_stack
+from .phase_space import DEFAULT_TOL, StateKind, parse_state_dict, state_from_dict, state_stack
 from .variational_oracle import minimize_to_target
 
 EXIT_OK = 0
@@ -131,8 +132,8 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _fail(exc: Exception) -> dict:
-    return {"error": _error_text(exc)}
+def _exit_code(exc: Exception) -> int:
+    return EXIT_NUMERIC if isinstance(exc, NumericDomainError) else EXIT_VALIDATION
 
 
 def _read_state_file(path: str):
@@ -169,6 +170,13 @@ def _read_state_file(path: str):
 
 def _load_state(path: str, tol: float):
     return state_from_dict(_read_state_file(path), tol=tol)
+
+
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"{what} needs a number, got {text!r}")
 
 
 def _parse_pair(text: str, what: str):
@@ -218,15 +226,9 @@ def _parse_omega(spec: str) -> WeylFactor:
     """Weyl factor grammar: const:c | linear:beta | table:file.csv."""
     head, _, arg = spec.partition(":")
     if head == "const":
-        try:
-            return WeylFactor.constant(float(arg))
-        except ValueError:
-            raise ValidationError(f"const factor needs a number, got {arg!r}")
+        return WeylFactor.constant(_number(arg, "const factor"))
     if head == "linear":
-        try:
-            return WeylFactor.linear(float(arg))
-        except ValueError:
-            raise ValidationError(f"linear factor needs a number, got {arg!r}")
+        return WeylFactor.linear(_number(arg, "linear factor"))
     if head == "table":
         try:
             rows = [
@@ -257,10 +259,7 @@ def _parse_potential(spec: str) -> VectorPotential:
         return VectorPotential.none()
     head, _, arg = spec.partition(":")
     if head == "const":
-        try:
-            return VectorPotential.constant(float(arg))
-        except ValueError:
-            raise ValidationError(f"const potential needs a number, got {arg!r}")
+        return VectorPotential.constant(_number(arg, "const potential"))
     if head == "grad":
         if not arg.startswith("h="):
             raise ValidationError("gradient potential must be written grad:h=<poly>")
@@ -358,10 +357,10 @@ def _complexity_results(reference, paths, tol) -> list:
 def cmd_complexity(args) -> int:
     if args.target is not None and args.batch is not None:
         raise ValidationError("either --target or --batch is required, not both")
-    if not (args.batch or args.target):
+    if args.target is None and args.batch is None:
         raise ValidationError("either --target or --batch is required")
     reference = _load_state(args.reference, args.tol)
-    if not args.batch:
+    if args.batch is None:
         (result,) = _complexity_results(reference, [args.target], args.tol)
         if isinstance(result, Exception):
             raise result
@@ -370,9 +369,9 @@ def cmd_complexity(args) -> int:
         parts = np.split(np.array(row), ends[:-1])
         _emit({key: p.reshape(shape) for (key, shape), p in zip(layout, parts)}, args.format)
         return EXIT_OK
-    base = str(Path(args.batch))
-    if not os.path.isdir(base):
+    if not os.path.isdir(args.batch):  # before Path, which makes '' the current directory
         raise ValidationError(f"batch path {args.batch} is not a directory")
+    base = str(Path(args.batch))
     try:
         names = sorted(n for n in os.listdir(base) if n.endswith(".json"))
     except OSError as exc:
@@ -386,8 +385,7 @@ def cmd_complexity(args) -> int:
     worst = EXIT_OK
     for name, result in zip(names, _complexity_results(reference, paths, args.tol)):
         if isinstance(result, Exception):
-            code = EXIT_NUMERIC if isinstance(result, NumericDomainError) else EXIT_VALIDATION
-            worst = worst or code
+            worst = worst or _exit_code(result)
             entries.append(_ERROR_ENTRY % (_quote(name), _quote(_error_text(result))))
         else:
             layout, row = result
@@ -503,7 +501,7 @@ def cmd_oracle_verify(args) -> int:
 @functools.cache  # built by the first main call, reused by the rest
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10, help="validation tolerance")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="validation tolerance")
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
@@ -570,18 +568,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if not (np.isfinite(args.tol) and args.tol > 0.0):
-        need = "positive" if np.isfinite(args.tol) else "finite"
-        _emit(_fail(ValidationError(f"--tol must be {need}")), "json")
-        return EXIT_VALIDATION
     try:
+        if not (np.isfinite(args.tol) and args.tol > 0.0):
+            need = "positive" if np.isfinite(args.tol) else "finite"
+            raise ValidationError(f"--tol must be {need}")
         return args.func(args)
-    except ValidationError as exc:
-        _emit(_fail(exc), "json")
-        return EXIT_VALIDATION
-    except NumericDomainError as exc:
-        _emit(_fail(exc), "json")
-        return EXIT_NUMERIC
+    except (ValidationError, NumericDomainError) as exc:
+        _emit({"error": _error_text(exc)}, "json")
+        return _exit_code(exc)
 
 
 def run():

@@ -298,7 +298,10 @@ def algebra_basis(algebra: LieAlgebra, n_modes: int) -> np.ndarray:
     """Canonical basis of sp(2N, R) (V = Omega S, S symmetric elementary)
     or so(2N) (elementary antisymmetric), one per upper-triangle entry
     (i, j) in row-major order, as a read-only stack (D, 2N, 2N).  It is
-    g_1-orthogonal: sp's Omega S_ii have norm sqrt(2), the rest norm 1."""
+    g_1-orthogonal: sp's Omega S_ii have norm sqrt(2), the rest norm 1.
+    DimensionMismatch unless n_modes >= 1."""
+    if n_modes < 1:
+        raise DimensionMismatch("n_modes must be >= 1")
     d = 2 * n_modes
     sp = algebra is LieAlgebra.SP
     rows, cols = np.triu_indices(d, k=0 if sp else 1)

@@ -39,7 +39,7 @@ from .errors import (
     StepTooCoarse,
     ValidationError,
 )
-from .phase_space import _freeze
+from .phase_space import _freeze, _require_int
 
 CHART_EPS = 1e-12
 MAX_STEPS = 1 << 20  # cap on rk_steps and quad_steps, checked before anything is allocated
@@ -105,17 +105,16 @@ def _simpson(values: np.ndarray, step: float) -> float:
 def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -> float:
     r"""Deformed complexity r * Integral_0^1 e^{omega(tau r)} d tau.
 
-    Raises NonFiniteFactor where e^omega is not finite, and
+    ``quad_steps`` must be an even integer in [2, MAX_STEPS] (not bool)
+    and ``base_complexity`` nonnegative, not nan (ValidationError
+    otherwise).  Raises NonFiniteFactor where e^omega is not finite, and
     NumericDomainError where the integral overflows.
     """
-    if not isinstance(quad_steps, (int, np.integer)) or quad_steps < 2:
-        raise ValidationError("quad_steps must be an integer >= 2")
-    if quad_steps > MAX_STEPS:
-        raise ValidationError(f"quad_steps must be <= {MAX_STEPS}")
+    _require_int("quad_steps", quad_steps, 2, MAX_STEPS)
     if quad_steps % 2 != 0:
         raise ValidationError("quad_steps must be even for Simpson quadrature")
     r = float(base_complexity)
-    if r < 0.0:
+    if not r >= 0.0:  # a nan fails this too
         raise ValidationError("base_complexity must be nonnegative")
     if r == 0.0:
         return 0.0
@@ -325,8 +324,8 @@ def lorentz_geodesic(
     """Integrate the Lorentz-force geodesic with fixed-step classic RK4.
 
     ``start`` is an (r, phi) pair with r >= 0; start, velocity and length
-    must be finite and ``rk_steps`` an integer in [8, MAX_STEPS]
-    (ValidationError otherwise, before anything is allocated).  The
+    must be finite and ``rk_steps`` an integer in [8, MAX_STEPS], not
+    bool (ValidationError otherwise, before anything is allocated).  The
     state is four Python floats, advanced in numpy's operation order
     with numpy's sinh/cosh (see _lorentz_acceleration), so each sample
     has the bits of the same RK4 run on numpy arrays.  Each stage's
@@ -346,12 +345,7 @@ def lorentz_geodesic(
     a = a or VectorPotential.none()
     r0, phi0 = map(float, start)
     vr0, vphi0 = map(float, initial_velocity)
-    if not isinstance(rk_steps, (int, np.integer)):
-        raise ValidationError("rk_steps must be an integer")
-    if rk_steps < 8:
-        raise ValidationError("rk_steps must be >= 8")
-    if rk_steps > MAX_STEPS:
-        raise ValidationError(f"rk_steps must be <= {MAX_STEPS}")
+    _require_int("rk_steps", rk_steps, 8, MAX_STEPS)
     if not np.all(np.isfinite([r0, phi0, vr0, vphi0, length])):
         raise ValidationError("start, velocity and length must be finite")
     if not drift_tol >= 0.0:  # a nan drift_tol fails this too

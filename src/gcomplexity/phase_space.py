@@ -81,6 +81,16 @@ def _as_vector(a, d, name):
     return v
 
 
+def _require_int(name, value, low, high=None):
+    """ValidationError unless value is an integer (Python or numpy, not bool) in [low, high]."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name} must be <= {high}")
+
+
 def _freeze(a):
     """A read-only C-ordered float copy of a: the caller's array stays its own."""
     a = np.array(a, dtype=float, order="C")
@@ -315,7 +325,7 @@ def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:
     has the closed form cosh(r) 1 + sinh(r) g(phi).
     """
     if r < 0.0:
-        raise ValueError("squeezing magnitude r must be nonnegative")
+        raise ValidationError("squeezing magnitude r must be nonnegative")
     g = np.array([[np.cos(phi), np.sin(phi)], [np.sin(phi), -np.cos(phi)]])
     m = np.cosh(r) * np.eye(2) + np.sinh(r) * g
     return GaussianTransformation(np.zeros(2), m, StateKind.BOSON)

@@ -50,7 +50,7 @@ from .complexity_core import relative_complex_structure
 from .errors import ValidationError
 from .lie_numerics import LieAlgebraElement, algebra_basis, algebra_of_kind, matrix_exp_batch
 from .phase_space import GaussianState, StateKind, group_inverse, standard_symplectic_form
-from .phase_space import _freeze
+from .phase_space import _freeze, _require_int
 
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -404,13 +404,6 @@ class _Problem:
         )
 
 
-def _require_integers(**values):
-    """ValidationError naming the first value that is not an integer (numpy's pass, bool not)."""
-    for name, value in values.items():
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be an integer")
-
-
 def minimize_to_target(
     reference: GaussianState,
     target: GaussianState,
@@ -427,25 +420,21 @@ def minimize_to_target(
     restart still descending, and then one Levenberg-Marquardt restore
     each; there is no projection step.  At most MAX_RESTARTS restarts,
     and MAX_STACK_SEGMENTS segments over all restarts, are taken, which
-    bounds the stack's memory; ``segments``, ``restarts`` and ``seed``
-    must be integers (ValidationError otherwise).  Among the attempts
-    that meet the constraint residual the shortest wins; when none
-    does, the one with the smallest residual is returned with
-    ``converged = False``.  Ties keep the earlier restart.
+    bounds the stack's memory.  ``segments`` (>= 4), ``restarts`` (>= 1)
+    and ``seed`` (>= 0) must be integers, not bool, checked in that
+    order with the segment cap before ``seed`` (ValidationError
+    otherwise).  Among the attempts that meet the constraint residual
+    the shortest wins; when none does, the one with the smallest
+    residual is returned with ``converged = False``.  Ties keep the
+    earlier restart.
     """
     if reference.n_modes > 2:
         raise ValidationError("the oracle is capped at N <= 2")
-    _require_integers(segments=segments, restarts=restarts, seed=seed)
-    if segments < 4:
-        raise ValidationError("segments must be >= 4")
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
-    if restarts > MAX_RESTARTS:
-        raise ValidationError(f"restarts must be <= {MAX_RESTARTS}")
+    _require_int("segments", segments, 4)
+    _require_int("restarts", restarts, 1, MAX_RESTARTS)
     if restarts * segments > MAX_STACK_SEGMENTS:
         raise ValidationError(f"restarts * segments must be <= {MAX_STACK_SEGMENTS}")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    _require_int("seed", seed, 0)
     prob = _Problem(reference, target, segments)
     rng = np.random.default_rng(seed)
     x0 = np.concatenate([
@@ -496,14 +485,11 @@ def check_stabilizer_geodesic(
     L_exp(X^T, W) = X (L_exp(X^T, .) is the Frobenius adjoint of
     L_exp(X, .)).  No logarithm is taken, so the last increment stays on
     the branch through X however large V is.  ``perturbation_count``
-    must be an integer >= 1 and ``seed`` one >= 0 (ValidationError
-    otherwise).
+    must be an integer >= 1 and ``seed`` one >= 0, neither a bool
+    (ValidationError otherwise).
     """
-    _require_integers(perturbation_count=perturbation_count, seed=seed)
-    if perturbation_count < 1:
-        raise ValidationError("perturbation_count must be >= 1")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    _require_int("perturbation_count", perturbation_count, 1)
+    _require_int("seed", seed, 0)
     k_seg = STATIONARITY_SEGMENTS
     x = v.v / k_seg
     d = x.shape[0]

@@ -12,6 +12,8 @@ import pytest
 import scipy.linalg
 
 from gcomplexity import (
+    BranchCut,
+    GaussianState,
     StateKind,
     coherent_complexity,
     coherent_geodesic,
@@ -19,6 +21,7 @@ from gcomplexity import (
     minimize_to_target,
     reference_state,
     relative_complex_structure,
+    state_complexity,
     state_from_dict,
     state_to_dict,
 )
@@ -503,19 +506,69 @@ def test_target_and_batch_are_checked_before_the_reference_is_read(tmp_path, cap
     assert (code, out) == (3, json.dumps({"error": "ValidationError: " + error}) + "\n")
 
 
-def test_batch_whose_group_fails_whole_in_the_pencil_equals_one_run_per_file(tmp_path, capsys):
-    # every file of the fermion N = 1 group leaves the stack at the branch cut, so the
-    # group's pencil holds no row; the boson file is its own group (a KindMismatch here)
+def test_an_empty_target_is_given_and_cannot_be_read(tmp_path, capsys):
+    ref = boson_ref(tmp_path)
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--target", "")
+    error = "SchemaError: cannot read state file : [Errno 2] No such file or directory: ''"
+    assert (code, out) == (3, json.dumps({"error": error}) + "\n")
+
+
+def test_an_empty_batch_is_not_the_current_directory(tmp_path, capsys, monkeypatch):
+    # Path('') is '.', which holds a valid state file here
+    monkeypatch.chdir(tmp_path)
+    ref = boson_ref(tmp_path)
+    code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", "")
+    error = "ValidationError: batch path  is not a directory"
+    assert (code, out) == (3, json.dumps({"error": error}) + "\n")
+
+
+def fermion_cut_forms():
+    """The N = 1 fermion form Omega, -Omega (Delta = -1) and the form at angle pi - margin / 2.
+
+    The last is antisymmetric only to about 6e-7, so it loads at tol 1e-6.
+    """
     om = np.array([[0.0, 1.0], [-1.0, 0.0]])
     theta = np.pi - 0.5 * BRANCH_CUT_MARGIN
     near = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]) @ om
+    return om, -om, near
+
+
+CUT_ERRORS = [
+    "BranchCut: eigenvalue -1 encountered; target lies on the branch cut",
+    "BranchCut: rotation angle 3.14159 within the branch-cut margin of pi",
+]
+
+
+def test_one_target_at_the_branch_cut_raises_what_the_cli_prints(tmp_path, capsys):
+    # the one-row pencil raises the target's error for state_complexity, and so
+    # for complexity --target, weyl and oracle-verify alike
+    om, flipped, near = fermion_cut_forms()
+    ref = write_state(tmp_path, "fref.json", {"kind": "fermion", "n_modes": 1, "sigma": om.tolist()})
+    outs = [json.dumps({"error": error}) + "\n" for error in CUT_ERRORS]
+    for form, out in zip((flipped, near), outs):
+        with pytest.raises(BranchCut) as err:
+            state_complexity(
+                GaussianState(om, StateKind.FERMION), GaussianState(form, StateKind.FERMION, tol=1e-6)
+            )
+        assert json.dumps({"error": f"BranchCut: {err.value}"}) + "\n" == out
+        target = write_state(tmp_path, "t.json", {"kind": "fermion", "n_modes": 1, "sigma": form.tolist()})
+        assert run_cli(capsys, "complexity", "--reference", ref, "--target", target, "--tol", "1e-6") == (2, out)
+    target = write_state(tmp_path, "t.json", {"kind": "fermion", "n_modes": 1, "sigma": flipped.tolist()})
+    for argv in (["weyl", "--omega", "const:0"], ["oracle-verify", "--segments", "4", "--restarts", "1"]):
+        assert run_cli(capsys, *argv, "--reference", ref, "--target", target) == (2, outs[0])
+
+
+def test_batch_whose_group_fails_whole_in_the_pencil_equals_one_run_per_file(tmp_path, capsys):
+    # every file of the fermion N = 1 group leaves the stack at the branch cut, so the
+    # group's pencil holds no row; the boson file is its own group (a KindMismatch here)
+    om, flipped, near = fermion_cut_forms()
     batch = tmp_path / "batch"
     batch.mkdir()
-    write_state(batch, "a_flipped.json", {"kind": "fermion", "n_modes": 1, "sigma": (-om).tolist()})
+    write_state(batch, "a_flipped.json", {"kind": "fermion", "n_modes": 1, "sigma": flipped.tolist()})
     write_state(batch, "b_near_cut.json", {"kind": "fermion", "n_modes": 1, "sigma": near.tolist()})
     squeezed(batch, 0.5, name="c_boson.json")
     ref = write_state(tmp_path, "fref.json", {"kind": "fermion", "n_modes": 1, "sigma": om.tolist()})
-    tol = ["--tol", "1e-6"]  # the near-cut form is antisymmetric to about 6e-7
+    tol = ["--tol", "1e-6"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run_cli(capsys, "complexity", "--reference", ref, "--batch", str(batch), *tol)
@@ -525,8 +578,7 @@ def test_batch_whose_group_fails_whole_in_the_pencil_equals_one_run_per_file(tmp
         ]
     assert code == 2 and [c for c, _ in singles] == [2, 2, 3]
     errors = [json.loads(text)["error"] for _, text in singles]
-    assert errors[0] == "BranchCut: eigenvalue -1 encountered; target lies on the branch cut"
-    assert errors[1] == "BranchCut: rotation angle 3.14159 within the branch-cut margin of pi"
+    assert errors[:2] == CUT_ERRORS
     assert errors[2].startswith("KindMismatch:")
     entries = [
         '{"file": ' + json.dumps(f.name) + ", " + text[1:-1]

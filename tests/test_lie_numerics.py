@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcomplexity import (
     BranchCut,
+    DimensionMismatch,
     GroupViolation,
     LieAlgebra,
     LieAlgebraElement,
@@ -301,6 +302,14 @@ def test_inner_product_identity_canonical():
     assert inner_product_identity(v, v) == pytest.approx(0.5 * 15.0, abs=1e-14)
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert inner_product_identity(v, w) == pytest.approx(0.5 * 5.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n_modes", [0, -1])
+@pytest.mark.parametrize("algebra", list(LieAlgebra), ids=lambda a: a.name)
+def test_algebra_basis_needs_a_mode(algebra, n_modes):
+    # so(0) gave an empty stack, and N = -1 numpy's ValueError for either algebra
+    with pytest.raises(DimensionMismatch, match="^n_modes must be >= 1$"):
+        algebra_basis(algebra, n_modes)
 
 
 def test_algebra_basis_dimensions():

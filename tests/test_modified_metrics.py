@@ -107,15 +107,22 @@ def test_weyl_quad_steps_validation():
 @pytest.mark.parametrize(
     "quad_steps, message",
     [
-        (16.0, "quad_steps must be an integer >= 2"),
-        (np.nan, "quad_steps must be an integer >= 2"),
+        (16.0, "quad_steps must be an integer"),
+        (np.nan, "quad_steps must be an integer"),
         (MAX_STEPS + 2, f"quad_steps must be <= {MAX_STEPS}"),
         (10**12, f"quad_steps must be <= {MAX_STEPS}"),
+        (True, "quad_steps must be an integer$"),
     ],
 )
 def test_weyl_quad_steps_are_capped_integers(quad_steps, message):
     with pytest.raises(ValidationError, match=message):
         weyl_complexity(1.0, WeylFactor.constant(0.0), quad_steps)
+
+
+def test_weyl_rejects_a_nan_base_complexity():
+    # a nan passed the r < 0 check and was reported as an overflow
+    with pytest.raises(ValidationError, match="^base_complexity must be nonnegative$"):
+        weyl_complexity(np.nan, WeylFactor.constant(0.0), 4)
 
 
 def test_weyl_overflow_raises():
@@ -423,6 +430,7 @@ def test_ripple_potential_accepts_the_edges_of_its_domain():
         (7, "rk_steps must be >= 8"),
         (np.int64(MAX_STEPS + 1), f"rk_steps must be <= {MAX_STEPS}"),
         (10**12, f"rk_steps must be <= {MAX_STEPS}"),
+        (True, "rk_steps must be an integer"),
     ],
 )
 def test_lorentz_rk_steps_are_capped_integers(rk_steps, message):

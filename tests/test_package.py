@@ -1,5 +1,7 @@
 import ast
+import builtins
 import copy
+import importlib
 import inspect
 import json
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 import gcomplexity
 from gcomplexity import (
     DiscretizedPath,
+    GaussianComplexityError,
     GaussianState,
     GroupPath,
     LieAlgebra,
@@ -116,6 +119,42 @@ def test_every_exported_function_has_a_caller_in_src():
     exported = [getattr(gcomplexity, name) for name in gcomplexity.__all__]
     functions = {f.__name__ for f in exported if inspect.isfunction(f)}
     assert sorted(functions - read) == sorted(NO_SRC_CALLER)
+
+
+# raises in src/ of a class outside GaussianComplexityError: a programming error,
+# and an OSError raised again with its file name, which the outer except wraps
+NOT_LIBRARY_ERRORS = {
+    ("cli.py", "_render", "TypeError"),
+    ("cli.py", "_read_state_file", "IsADirectoryError"),
+}
+
+
+def _raised_classes(tree):
+    """(enclosing function, class) of each ``raise C(...)`` in a module; re-raises are skipped."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                found.append((function, ast.unparse(child.exc.func)))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_src_raises_only_library_errors():
+    raised = set()
+    for path in sorted(Path(gcomplexity.__file__).parent.glob("*.py")):
+        found = _raised_classes(ast.parse(path.read_text(encoding="utf-8")))
+        if not found:  # __main__ runs the CLI when imported
+            continue
+        namespace = vars(importlib.import_module(f"gcomplexity.{path.stem}"))
+        for function, name in found:
+            cls = namespace.get(name, getattr(builtins, name, None))
+            if not (isinstance(cls, type) and issubclass(cls, GaussianComplexityError)):
+                raised.add((path.name, function, name))
+    assert raised == NOT_LIBRARY_ERRORS
 
 
 # one instance of each value class that holds arrays

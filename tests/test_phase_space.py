@@ -325,7 +325,7 @@ def test_single_mode_squeezing_closed_form():
     # one-parameter group property along a fixed direction
     a = single_mode_squeezing(0.3, phi).m @ single_mode_squeezing(0.6, phi).m
     assert np.allclose(a, single_mode_squeezing(0.9, phi).m, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="squeezing magnitude r must be nonnegative"):
         single_mode_squeezing(-0.1, 0.0)
 
 

@@ -21,6 +21,7 @@ from gcomplexity import (
     coherent_geodesic,
     minimize_to_target,
     reference_state,
+    single_mode_squeezing,
     stabilizer_basis,
     standard_symplectic_form,
     state_complexity,
@@ -28,6 +29,7 @@ from gcomplexity import (
 from gcomplexity import variational_oracle
 from gcomplexity.variational_oracle import (
     PENALTY_SCHEDULE,
+    RESTORE_TOL,
     STAGE_ITERATIONS,
     STATIONARITY_SEGMENTS,
     _frechet_exp,
@@ -522,3 +524,20 @@ def test_gradient_vanishes_at_the_self_target(kind, n):
     g = prob.gradient(x, 1e6, prob._forward(x))
     assert np.all(np.isfinite(g))
     assert np.all(g == 0.0)
+
+
+def test_restore_never_raises_a_residual_and_leaves_a_restored_path_alone():
+    # starts far off the constraint, where some Levenberg-Marquardt steps are
+    # rejected and the damping raised; the second start stays above RESTORE_TOL,
+    # at 7.7 from 628 (19.4 if a rejected step left the damping as it was)
+    ref = reference_state(StateKind.BOSON, 1)
+    prob = _Problem(ref, apply_transformation(ref, single_mode_squeezing(0.7, 0.3)), 8)
+    x0 = np.random.default_rng(1).normal(scale=0.5, size=(4, 8, prob.ncoord))
+    before = np.array([np.linalg.norm(prob._forward(x).resid) for x in x0])
+    x, norms = prob.restore(x0)
+    assert np.all(norms <= before)
+    done = norms < RESTORE_TOL
+    assert done.tolist() == [True, False, True, True] and norms[1] < 10.0
+    again, norms_again = prob.restore(x)
+    assert np.array_equal(again[done], x[done])
+    assert np.array_equal(norms_again[done], norms[done])
