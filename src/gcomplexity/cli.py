@@ -55,6 +55,7 @@ from .modified_metrics import (
     weyl_complexity,
 )
 from .phase_space import DEFAULT_TOL, StateKind, parse_state_dict, state_from_dict, state_stack
+from .phase_space import _require_real
 from .variational_oracle import minimize_to_target
 
 EXIT_OK = 0
@@ -569,9 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if not (np.isfinite(args.tol) and args.tol > 0.0):
-            need = "positive" if np.isfinite(args.tol) else "finite"
-            raise ValidationError(f"--tol must be {need}")
+        if not _require_real("--tol", args.tol) > 0.0:
+            raise ValidationError(f"--tol must be positive, got {args.tol}")
         return args.func(args)
     except (ValidationError, NumericDomainError) as exc:
         _emit({"error": _error_text(exc)}, "json")

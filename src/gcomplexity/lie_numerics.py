@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     GroupViolation,
     NumericDomainError,
+    ValidationError,
 )
 from .phase_space import (
     DEFAULT_TOL,
@@ -48,6 +49,7 @@ from .phase_space import (
     standard_symplectic_form,
 )
 from .phase_space import _QUIET, _as_matrix, _freeze, _frobenius, _rel
+from .phase_space import _KINDS, _members, _real_array, _require_int, _require_member
 
 BRANCH_CUT_MARGIN = 1e-6
 
@@ -57,8 +59,12 @@ class LieAlgebra(enum.Enum):
     SO = "so"
 
 
+_ALGEBRAS = _members(LieAlgebra)
+
+
 def algebra_of_kind(kind: StateKind) -> LieAlgebra:
-    return LieAlgebra.SP if kind is StateKind.BOSON else LieAlgebra.SO
+    boson = _require_member("kind", kind, _KINDS) is StateKind.BOSON
+    return LieAlgebra.SP if boson else LieAlgebra.SO
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +75,7 @@ class LieAlgebraElement:
     algebra: LieAlgebra
 
     def __post_init__(self):
+        object.__setattr__(self, "algebra", _require_member("algebra", self.algebra, _ALGEBRAS))
         m = _as_matrix(self.v, "algebra element")
         # an overflowing residual is inf or nan, and fails the check
         with np.errstate(**_QUIET):
@@ -97,10 +104,10 @@ class StabilizerBasis:
     complement: tuple
 
 
-def _mat(x) -> np.ndarray:
+def _mat(x, name) -> np.ndarray:
     if isinstance(x, LieAlgebraElement):
         return x.v
-    return np.asarray(x, dtype=float)
+    return _real_array(x, name)
 
 
 _TAYLOR_THETA = 0.5
@@ -125,9 +132,13 @@ def matrix_exp_batch(vs: np.ndarray) -> np.ndarray:
     A stack whose every norm is below theta (every s = 0) is neither
     scaled nor squared.  Each matrix gets the bits it gets alone.
     """
-    vs = np.asarray(vs, dtype=float)
-    lead = vs.shape[:-2]
-    d = vs.shape[-1]
+    try:
+        vs = np.asarray(vs, dtype=float)
+        *lead, rows, d = vs.shape  # a ValueError below two axes
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("vs must be a real array of shape (..., d, d)")
+    if rows != d:
+        raise DimensionMismatch(f"vs must be a stack of square matrices, got shape {vs.shape}")
     flat = vs.reshape(-1, d, d)
     n = flat.shape[0]
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
@@ -287,8 +298,8 @@ def inner_product_identity(v, w) -> float:
 
     For a reference sigma_R = H^2, pass the whitened H^{-1} V H and H^{-1} W H.
     """
-    vm = _mat(v)
-    wm = _mat(w)
+    vm = _mat(v, "v")
+    wm = _mat(w, "w")
     if vm.shape != wm.shape:
         raise DimensionMismatch(f"shapes differ: {vm.shape} vs {wm.shape}")
     return 0.5 * float(np.tensordot(vm, wm, axes=2))
@@ -299,11 +310,11 @@ def algebra_basis(algebra: LieAlgebra, n_modes: int) -> np.ndarray:
     or so(2N) (elementary antisymmetric), one per upper-triangle entry
     (i, j) in row-major order, as a read-only stack (D, 2N, 2N).  It is
     g_1-orthogonal: sp's Omega S_ii have norm sqrt(2), the rest norm 1.
-    DimensionMismatch unless n_modes >= 1."""
-    if n_modes < 1:
-        raise DimensionMismatch("n_modes must be >= 1")
+    ``algebra`` is a LieAlgebra or its value and ``n_modes`` an integer
+    >= 1, not bool (ValidationError otherwise)."""
+    sp = _require_member("algebra", algebra, _ALGEBRAS) is LieAlgebra.SP
+    _require_int("n_modes", n_modes, 1)
     d = 2 * n_modes
-    sp = algebra is LieAlgebra.SP
     rows, cols = np.triu_indices(d, k=0 if sp else 1)
     k = np.arange(len(rows))
     out = np.zeros((len(rows), d, d))

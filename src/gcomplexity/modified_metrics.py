@@ -39,7 +39,7 @@ from .errors import (
     StepTooCoarse,
     ValidationError,
 )
-from .phase_space import _freeze, _require_int
+from .phase_space import _freeze, _real_array, _require_int, _require_real
 
 CHART_EPS = 1e-12
 MAX_STEPS = 1 << 20  # cap on rk_steps and quad_steps, checked before anything is allocated
@@ -47,7 +47,7 @@ MAX_STEPS = 1 << 20  # cap on rk_steps and quad_steps, checked before anything i
 
 def metric_phiphi(r):
     """g_phiphi = cosh(2r) sinh^2(r) on the single-mode chart."""
-    r = np.asarray(r, dtype=float)
+    r = _real_array(r, "r")
     return np.cosh(2.0 * r) * np.sinh(r) ** 2
 
 
@@ -59,22 +59,18 @@ class WeylFactor:
 
     @staticmethod
     def constant(c: float) -> "WeylFactor":
-        c = float(c)
-        if not np.isfinite(c):
-            raise ValidationError(f"constant factor must be finite, got {c}")
+        c = _require_real("constant factor", c)
         return WeylFactor(lambda r: np.full_like(np.asarray(r, dtype=float), c))
 
     @staticmethod
     def linear(beta: float) -> "WeylFactor":
-        beta = float(beta)
-        if not np.isfinite(beta):
-            raise ValidationError(f"linear factor must be finite, got {beta}")
+        beta = _require_real("linear factor", beta)
         return WeylFactor(lambda r: beta * np.asarray(r, dtype=float))
 
     @staticmethod
     def tabulated(r_values, omega_values) -> "WeylFactor":
-        r_values = np.asarray(r_values, dtype=float)
-        omega_values = np.asarray(omega_values, dtype=float)
+        r_values = _real_array(r_values, "r_values")
+        omega_values = _real_array(omega_values, "omega_values")
         if r_values.ndim != 1 or r_values.shape != omega_values.shape:
             raise ValidationError("tabulated factor needs matching 1-d r and omega")
         if len(r_values) < 2 or np.any(np.diff(r_values) <= 0.0):
@@ -106,16 +102,14 @@ def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -
     r"""Deformed complexity r * Integral_0^1 e^{omega(tau r)} d tau.
 
     ``quad_steps`` must be an even integer in [2, MAX_STEPS] (not bool)
-    and ``base_complexity`` nonnegative, not nan (ValidationError
+    and ``base_complexity`` a finite nonnegative real (ValidationError
     otherwise).  Raises NonFiniteFactor where e^omega is not finite, and
     NumericDomainError where the integral overflows.
     """
     _require_int("quad_steps", quad_steps, 2, MAX_STEPS)
     if quad_steps % 2 != 0:
         raise ValidationError("quad_steps must be even for Simpson quadrature")
-    r = float(base_complexity)
-    if not r >= 0.0:  # a nan fails this too
-        raise ValidationError("base_complexity must be nonnegative")
+    r = _require_real("base_complexity", base_complexity, nonnegative=True)
     if r == 0.0:
         return 0.0
     tau = np.linspace(0.0, 1.0, quad_steps + 1)
@@ -150,18 +144,14 @@ class VectorPotential:
 
     @staticmethod
     def constant(f0: float) -> "VectorPotential":
-        f0 = float(f0)
-        if not np.isfinite(f0):
-            raise ValidationError(f"constant potential must be finite, got {f0}")
-        if f0 < 0.0:
-            raise ValidationError("f must be nonnegative")
+        f0 = _require_real("constant potential", f0, nonnegative=True)
         a_r = lambda r, phi: np.full_like(np.asarray(r, dtype=float), -f0)
         return VectorPotential(a_r, _zero)
 
     @staticmethod
     def gradient(h_coeffs) -> "VectorPotential":
         """A = -dh for a polynomial h(r) = sum_k c_k r^k, coefficients by power."""
-        c = np.asarray(h_coeffs, dtype=float)
+        c = _real_array(h_coeffs, "h_coeffs")
         if c.ndim != 1 or not np.all(np.isfinite(c)):
             raise ValidationError("polynomial coefficients must be finite reals")
         with np.errstate(over="ignore"):  # an inf coefficient is PotentialTooLarge where A is used
@@ -179,14 +169,8 @@ class VectorPotential:
 
         f0 >= 0 and |eps| <= 1, both finite, keep f >= 0 everywhere.
         """
-        f0 = float(f0)
-        eps = float(eps)
-        if not np.isfinite(f0):
-            raise ValidationError(f"ripple f0 must be finite, got {f0}")
-        if not np.isfinite(eps):
-            raise ValidationError(f"ripple eps must be finite, got {eps}")
-        if f0 < 0.0:
-            raise ValidationError(f"ripple f0 must be nonnegative, got {f0}")
+        f0 = _require_real("ripple f0", f0, nonnegative=True)
+        eps = _require_real("ripple eps", eps)
         if abs(eps) > 1.0:
             raise ValidationError(f"ripple eps must lie in [-1, 1], got {eps}")
         a_r = lambda r, phi: -f0 * (1.0 + eps * np.cos(phi)) * np.ones_like(
@@ -207,8 +191,8 @@ class DiscretizedPath:
     velocities: np.ndarray = None
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        p = np.asarray(self.params, dtype=float)
+        s = _real_array(self.samples, "samples")
+        p = _real_array(self.params, "params")
         if s.ndim != 2 or s.shape[1] != 2 or s.shape[0] < 2:
             raise ValidationError("samples must be an (n >= 2, 2) array")
         if p.shape != (s.shape[0],):
@@ -222,7 +206,7 @@ class DiscretizedPath:
         object.__setattr__(self, "samples", _freeze(s))
         object.__setattr__(self, "params", _freeze(p))
         if self.velocities is not None:
-            v = _freeze(self.velocities)
+            v = _freeze(self.velocities, "velocities")
             if v.shape != s.shape:
                 raise ValidationError("velocities shape must match samples")
             object.__setattr__(self, "velocities", v)
@@ -286,6 +270,14 @@ def nonreversible_cost_profile(
     return out
 
 
+def _require_pair(name, value, nonnegative=False):
+    try:
+        r, phi = value
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an (r, phi) pair, got {value!r}")
+    return _require_real(f"{name} r", r, nonnegative), _require_real(f"{name} phi", phi)
+
+
 def _lorentz_acceleration(r, phi, vr, vphi, field):
     """Lorentz-force acceleration (a_r, a_phi) at one state, on Python floats.
 
@@ -324,8 +316,8 @@ def lorentz_geodesic(
     """Integrate the Lorentz-force geodesic with fixed-step classic RK4.
 
     ``start`` is an (r, phi) pair with r >= 0; start, velocity and length
-    must be finite and ``rk_steps`` an integer in [8, MAX_STEPS], not
-    bool (ValidationError otherwise, before anything is allocated).  The
+    must be finite reals and ``rk_steps`` an integer in [8, MAX_STEPS],
+    not bool (ValidationError otherwise, before anything is allocated).  The
     state is four Python floats, advanced in numpy's operation order
     with numpy's sinh/cosh (see _lorentz_acceleration), so each sample
     has the bits of the same RK4 run on numpy arrays.  Each stage's
@@ -335,25 +327,20 @@ def lorentz_geodesic(
     parametrized by arc length and covers the requested length.  The
     conserved speed is monitored; drift beyond ``drift_tol`` raises
     StepTooCoarse (pass a larger value for deliberate coarse-step
-    convergence studies, or inf to skip the check; a nan or negative
-    drift_tol is a ValidationError); a nan or inf speed,
+    convergence studies, or inf to skip the check; a drift_tol that is
+    not a nonnegative real is a ValidationError); a nan or inf speed,
     where g_phiphi overflowed (r above about 178), raises
     NumericDomainError instead.  A trajectory reaching r = 0 (an inward
     radial launch included) raises ChartBoundary carrying the partial
     path.
     """
     a = a or VectorPotential.none()
-    r0, phi0 = map(float, start)
-    vr0, vphi0 = map(float, initial_velocity)
+    r0, phi0 = _require_pair("start", start, nonnegative=True)
+    vr0, vphi0 = _require_pair("initial_velocity", initial_velocity)
+    length = _require_real("length", length, nonnegative=True)
     _require_int("rk_steps", rk_steps, 8, MAX_STEPS)
-    if not np.all(np.isfinite([r0, phi0, vr0, vphi0, length])):
-        raise ValidationError("start, velocity and length must be finite")
-    if not drift_tol >= 0.0:  # a nan drift_tol fails this too
-        raise ValidationError("drift_tol must be >= 0, or inf to skip the drift check")
-    if r0 < 0.0:
-        raise ValidationError("radial coordinate must be nonnegative")
-    if length < 0.0:
-        raise ValidationError("length must be nonnegative")
+    if not (isinstance(drift_tol, float) and drift_tol == np.inf):  # inf skips the drift check
+        _require_real("drift_tol", drift_tol, nonnegative=True)
     n = int(rk_steps)
     if r0 < CHART_EPS:
         # the chart is degenerate at the origin: only radial launches

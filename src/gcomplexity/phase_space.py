@@ -47,6 +47,7 @@ DEFAULT_TOL = 1e-10
 # Residuals of overflowing input come out inf or nan and fail their check
 # (``not resid <= tol``), so the arithmetic that makes them stays quiet.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
+_NUMBERS = (int, float, np.integer, np.floating)  # Python and numpy reals; bool is tested apart
 
 
 class StateKind(enum.Enum):
@@ -54,9 +55,19 @@ class StateKind(enum.Enum):
     FERMION = "fermion"
 
 
+def _real_array(a, name, copy=False):
+    """a as a float array, a C-ordered copy if asked; a ValidationError names a non-numeric a."""
+    try:
+        return np.array(a, dtype=float, order="C") if copy else np.asarray(a, dtype=float)
+    except OverflowError:  # an integer past the float range
+        raise NonFinite(f"{name} contains non-finite entries")
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of real numbers")
+
+
 def _as_square(a, name):
     """a as a float 2N x 2N matrix, N >= 1, with any entries."""
-    m = np.asarray(a, dtype=float)
+    m = _real_array(a, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[0] % 2 != 0 or m.shape[0] == 0:
@@ -73,7 +84,7 @@ def _as_matrix(a, name):
 
 def _as_vector(a, d, name):
     """a as a float vector of length d, zeros for None."""
-    v = np.zeros(d) if a is None else np.asarray(a, dtype=float)
+    v = np.zeros(d) if a is None else _real_array(a, name)
     if v.shape != (d,):
         raise DimensionMismatch(f"{name} must have shape ({d},), got {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -91,9 +102,41 @@ def _require_int(name, value, low, high=None):
         raise ValidationError(f"{name} must be <= {high}")
 
 
-def _freeze(a):
+def _require_real(name, value, nonnegative=False):
+    """float(value); ValidationError unless a finite real (not bool), >= 0 if nonnegative."""
+    if not isinstance(value, _NUMBERS) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        x = np.inf if value > 0 else -np.inf
+    if not -np.inf < x < np.inf:  # a nan fails this too
+        raise ValidationError(f"{name} must be finite, got {x}")
+    if nonnegative and x < 0.0:
+        raise ValidationError(f"{name} must be nonnegative, got {x}")
+    return x
+
+
+def _members(cls):
+    """An enum's members by value and by themselves, as cls(value) takes them: one dict lookup."""
+    return {**{m.value: m for m in cls}, **{m: m for m in cls}}
+
+
+def _require_member(name, value, members):
+    """members[value], the enum member that value is or names; ValidationError otherwise."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value, such as a list
+        names = " or ".join(repr(k) for k in members if isinstance(k, str))
+        raise ValidationError(f"{name} must be {names}, got {value!r}")
+
+
+_KINDS = _members(StateKind)
+
+
+def _freeze(a, name="array"):
     """A read-only C-ordered float copy of a: the caller's array stays its own."""
-    a = np.array(a, dtype=float, order="C")
+    a = _real_array(a, name, copy=True)
     a.setflags(write=False)
     return a
 
@@ -200,6 +243,7 @@ class GaussianState:
     positive (ValidationError otherwise, before any other check); a
     state keeps the tolerance it was accepted at, so
     apply_transformation checks its image at that tolerance too.
+    ``kind`` is a StateKind or its value, and is kept as the member.
     """
 
     j: np.ndarray
@@ -209,9 +253,9 @@ class GaussianState:
     sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.tol < np.inf:  # a nan tol fails this too
-            need = "positive" if np.isfinite(self.tol) else "finite"
-            raise ValidationError(f"tol must be {need}")
+        if not _require_real("tol", self.tol) > 0.0:
+            raise ValidationError(f"tol must be positive, got {self.tol}")
+        object.__setattr__(self, "kind", _require_member("kind", self.kind, _KINDS))
         m = _as_square(self.j, "j")
         boson = self.kind is StateKind.BOSON
         with np.errstate(**_QUIET):
@@ -240,6 +284,7 @@ class GaussianTransformation:
     kind: StateKind
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _require_member("kind", self.kind, _KINDS))
         m = _as_matrix(self.m, "m")
         d = m.shape[0]
         v = _as_vector(self.v, d, "v")
@@ -276,10 +321,9 @@ _STANDARD_FORMS = {}
 
 def standard_symplectic_form(n_modes: int) -> np.ndarray:
     """Omega_N, N blocks [[0, 1], [-1, 0]] on the diagonal: one read-only array per N."""
+    _require_int("n_modes", n_modes, 1)
     om = _STANDARD_FORMS.get(n_modes)
     if om is None:
-        if n_modes < 1:
-            raise DimensionMismatch("n_modes must be >= 1")
         block = np.array([[0.0, 1.0], [-1.0, 0.0]])
         om = _STANDARD_FORMS[n_modes] = _freeze(np.kron(np.eye(n_modes), block))
     return om
@@ -324,14 +368,14 @@ def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:
     The generator squares to r^2 times the identity, so the exponential
     has the closed form cosh(r) 1 + sinh(r) g(phi).
     """
-    if r < 0.0:
-        raise ValidationError("squeezing magnitude r must be nonnegative")
+    r = _require_real("squeezing magnitude r", r, nonnegative=True)
+    phi = _require_real("squeezing angle phi", phi)
     g = np.array([[np.cos(phi), np.sin(phi)], [np.sin(phi), -np.cos(phi)]])
-    m = np.cosh(r) * np.eye(2) + np.sinh(r) * g
+    with np.errstate(**_QUIET):  # a large r overflows: GaussianTransformation raises NonFinite
+        m = np.cosh(r) * np.eye(2) + np.sinh(r) * g
     return GaussianTransformation(np.zeros(2), m, StateKind.BOSON)
 
 
-_NUMBERS = (int, float, np.integer, np.floating)
 _JSON_NUMBERS = frozenset((float, int))
 
 
@@ -365,8 +409,6 @@ def _floats(value, key: str, not_numeric: str) -> np.ndarray:
 
 
 _KEYS = frozenset(("kind", "n_modes", "sigma", "z"))
-# the kind by value, and each member by itself, as StateKind(kind) takes it
-_KINDS = {**{k.value: k for k in StateKind}, **{k: k for k in StateKind}}
 
 
 def parse_state_dict(data: dict):
@@ -378,10 +420,8 @@ def parse_state_dict(data: dict):
     of "z" finite.  For bosons "sigma" is the symmetric covariance
     matrix; for fermions it is the antisymmetric state symplectic form
     (the covariance is fixed to the identity).  The state checks on
-    "sigma" are state_stack's.
-
-    The kind is looked up in a dict of the values and of the StateKind
-    members, so a member passes, as StateKind(member) takes it.
+    "sigma" are state_stack's.  The kind may also be a StateKind member,
+    as StateKind(member) takes it.
     """
     if not isinstance(data, dict):
         raise SchemaError("state file must contain a JSON object")
@@ -391,9 +431,9 @@ def parse_state_dict(data: dict):
     if not data.keys() <= _KEYS:
         raise SchemaError(f"unknown keys in state file: {sorted(data.keys() - _KEYS)}")
     try:
-        kind = _KINDS[data["kind"]]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
-        raise SchemaError(f"kind must be 'boson' or 'fermion', got {data['kind']!r}")
+        kind = _require_member("kind", data["kind"], _KINDS)
+    except ValidationError as exc:  # in a state file, a bad kind breaks the schema
+        raise SchemaError(str(exc))
     n = data["n_modes"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("n_modes must be a positive integer")

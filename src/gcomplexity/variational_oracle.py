@@ -50,7 +50,7 @@ from .complexity_core import relative_complex_structure
 from .errors import ValidationError
 from .lie_numerics import LieAlgebraElement, algebra_basis, algebra_of_kind, matrix_exp_batch
 from .phase_space import GaussianState, StateKind, group_inverse, standard_symplectic_form
-from .phase_space import _freeze, _require_int
+from .phase_space import _KINDS, _freeze, _require_int, _require_member
 
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -89,14 +89,15 @@ class GroupPath:
     constraint_residual: float = 0.0
 
     def __post_init__(self):
-        inc = _freeze(self.increments)
+        object.__setattr__(self, "kind", _require_member("kind", self.kind, _KINDS))
+        inc = _freeze(self.increments, "increments")
         if inc.ndim != 3 or inc.shape[1] != inc.shape[2]:
             raise ValidationError("increments must have shape (K, 2N, 2N)")
         if inc.shape[0] < 4:
             raise ValidationError("a path needs at least K = 4 segments")
         object.__setattr__(self, "increments", inc)
         if self.displacement_increments is not None:
-            u = _freeze(self.displacement_increments)
+            u = _freeze(self.displacement_increments, "displacement_increments")
             if u.shape != inc.shape[:2]:
                 raise ValidationError("displacement increments must have shape (K, 2N)")
             object.__setattr__(self, "displacement_increments", u)

@@ -1663,3 +1663,10 @@ def test_crlf_state_files_give_the_bytes_of_lf_ones(tmp_path, capsys, route):
         outputs.append((code, capsys.readouterr()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
+
+
+def test_a_target_that_is_not_a_json_object_is_a_schema_error(tmp_path, capsys):
+    target = write_state(tmp_path, "list.json", [])
+    code, out = run_cli(capsys, "complexity", "--reference", boson_ref(tmp_path), "--target", target)
+    assert code == 3
+    assert json.loads(out) == {"error": "SchemaError: state file must contain a JSON object"}

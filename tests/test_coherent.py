@@ -9,6 +9,7 @@ from gcomplexity import (
     GaussianState,
     GaussianTransformation,
     KindMismatch,
+    NumericDomainError,
     StateKind,
     apply_transformation,
     coherent_complexity,
@@ -238,3 +239,10 @@ def test_validation():
     displaced_ref = GaussianState(bref.j, bref.kind, np.array([0.1, 0.0]))
     with pytest.raises(DisplacementPresent):
         coherent_geodesic(displaced_ref, bref)
+
+
+def test_a_huge_displacement_overflows_in_band():
+    vacuum = reference_state(StateKind.BOSON, 1)
+    target = GaussianState(vacuum.j, StateKind.BOSON, z=[1e200, 0.0])
+    with pytest.raises(NumericDomainError, match="^coherent complexity overflows"):
+        coherent_complexity(coherent_geodesic(vacuum, target))

@@ -13,6 +13,7 @@ from gcomplexity import (
     LieAlgebraElement,
     NumericDomainError,
     StateKind,
+    ValidationError,
     algebra_basis,
     algebra_of_kind,
     inner_product_identity,
@@ -308,8 +309,9 @@ def test_inner_product_identity_canonical():
 @pytest.mark.parametrize("algebra", list(LieAlgebra), ids=lambda a: a.name)
 def test_algebra_basis_needs_a_mode(algebra, n_modes):
     # so(0) gave an empty stack, and N = -1 numpy's ValueError for either algebra
-    with pytest.raises(DimensionMismatch, match="^n_modes must be >= 1$"):
+    with pytest.raises(ValidationError, match="^n_modes must be >= 1$") as err:
         algebra_basis(algebra, n_modes)
+    assert type(err.value) is ValidationError
 
 
 def test_algebra_basis_dimensions():
@@ -386,3 +388,8 @@ def test_so_exponential_is_orthogonal(coeffs):
     m = matrix_exp_batch(v[None])[0]
     assert np.linalg.norm(m @ m.T - np.eye(4)) <= 1e-12
     assert np.linalg.det(m) > 0.0
+
+
+def test_inner_product_needs_equal_shapes():
+    with pytest.raises(DimensionMismatch, match=r"^shapes differ: \(2, 2\) vs \(4, 4\)$"):
+        inner_product_identity(np.eye(2), np.eye(4))

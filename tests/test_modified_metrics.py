@@ -121,7 +121,7 @@ def test_weyl_quad_steps_are_capped_integers(quad_steps, message):
 
 def test_weyl_rejects_a_nan_base_complexity():
     # a nan passed the r < 0 check and was reported as an overflow
-    with pytest.raises(ValidationError, match="^base_complexity must be nonnegative$"):
+    with pytest.raises(ValidationError, match="^base_complexity must be finite, got nan$"):
         weyl_complexity(np.nan, WeylFactor.constant(0.0), 4)
 
 
@@ -441,7 +441,8 @@ def test_lorentz_rk_steps_are_capped_integers(rk_steps, message):
 @pytest.mark.parametrize("drift_tol", [np.nan, -1.0, -np.inf])
 def test_lorentz_drift_tol_must_not_be_nan_or_negative(drift_tol):
     # a nan drift_tol skipped the check silently; a negative one always raised StepTooCoarse
-    with pytest.raises(ValidationError, match="drift_tol must be >= 0"):
+    need = "nonnegative" if np.isfinite(drift_tol) else "finite"
+    with pytest.raises(ValidationError, match=f"^drift_tol must be {need}, got {drift_tol}$"):
         lorentz_geodesic((0.5, 0.0), (1.0, 0.3), drift_tol=drift_tol)
 
 
@@ -550,3 +551,33 @@ def test_chart_boundary_partial_path_has_the_bits_of_the_array_rk4(potential):
     assert np.array_equal(partial.velocities, want[:, 2:])
     h = length / n
     assert np.array_equal(partial.params, np.linspace(0.0, cut * h / length, cut + 1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: weyl_complexity(1e308, WeylFactor.constant(10.0), 4),
+         NumericDomainError, "^Weyl complexity overflows$"),
+        (lambda: nonreversible_cost(DiscretizedPath([[199.0, 0.0], [200.0, 1.0]], [0.0, 1.0])),
+         NumericDomainError, "^non-reversible cost overflows on the path$"),
+        (lambda: WeylFactor.tabulated([0.0, 1.0], [0.0, np.nan]),
+         ValidationError, "^tabulated factor contains non-finite values$"),
+        (lambda: WeylFactor.tabulated([0.0, 1e-300], [0.0, 1e300]),
+         NonFiniteFactor, "^tabulated factor's interpolant is not finite$"),
+        (lambda: DiscretizedPath(np.zeros((3, 2)), [0.0, 1.0]),
+         ValidationError, "^params length must match samples$"),
+        (lambda: DiscretizedPath(np.zeros((2, 2)), [0.0, 1.0], np.zeros((3, 2))),
+         ValidationError, "^velocities shape must match samples$"),
+        (lambda: lorentz_geodesic((0.5, 0.0), (0.0, 0.0)),
+         ValidationError, "^initial velocity must be nonzero$"),
+    ],
+    ids=["weyl_overflow", "cost_overflow", "table_nan", "table_slopes", "params", "velocities",
+         "zero_velocity"],
+)
+def test_each_raise_is_reached(call, error, message):
+    # a value a raise is meant for reaches it, with its class; warnings stay errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message) as err:
+            call()
+    assert type(err.value) is error

@@ -1,11 +1,13 @@
 import ast
 import builtins
 import copy
+import dataclasses
 import importlib
 import inspect
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -109,16 +111,35 @@ def _names_read(path):
     }
 
 
+# public members of exported classes that nothing in src/ reads: the acceptance
+# criteria read them (criterion 9 StationarityReport.passed, criterion 7 the ripple)
+NO_SRC_READER = {"StationarityReport.passed", "VectorPotential.ripple"}
+
+
+def _public_members(cls):
+    """A class's own public methods, properties, static constructors and dataclass fields."""
+    members = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    kinds = (property, staticmethod, classmethod, types.FunctionType)
+    return members | {n for n, a in vars(cls).items() if not n.startswith("_") and isinstance(a, kinds)}
+
+
 def test_every_exported_function_has_a_caller_in_src():
-    # library code with no caller in src/ or the CLI is deleted; the list
-    # above is exactly what is kept without one
+    # library code with no caller in src/ or the CLI is deleted; the lists
+    # above are exactly what is kept without one, functions and class members
     read = set()
     for path in Path(gcomplexity.__file__).parent.glob("*.py"):
         if path.name != "__init__.py":
             read |= _names_read(path)
-    exported = [getattr(gcomplexity, name) for name in gcomplexity.__all__]
-    functions = {f.__name__ for f in exported if inspect.isfunction(f)}
+    exported = {name: getattr(gcomplexity, name) for name in gcomplexity.__all__}
+    functions = {f.__name__ for f in exported.values() if inspect.isfunction(f)}
     assert sorted(functions - read) == sorted(NO_SRC_CALLER)
+    members = {
+        f"{name}.{member}"
+        for name, cls in exported.items()
+        if inspect.isclass(cls) and not issubclass(cls, Exception)
+        for member in _public_members(cls)
+    }
+    assert sorted(m for m in members if m.partition(".")[2] not in read) == sorted(NO_SRC_READER)
 
 
 # raises in src/ of a class outside GaussianComplexityError: a programming error,

@@ -375,10 +375,10 @@ def test_state_from_dict_schema_errors():
 def test_tol_must_be_finite_and_positive(tol, message):
     # a nan or negative tol named the wrong cause (NotPure on a pure state); 0 and inf passed
     good = {"kind": "boson", "n_modes": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]]}
-    with pytest.raises(ValidationError, match=f"^{message}$") as err:
+    with pytest.raises(ValidationError, match=f"^{message}, got {tol}$") as err:
         state_from_dict(good, tol=tol)
     assert type(err.value) is ValidationError
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{message}, got {tol}$"):
         GaussianState(standard_symplectic_form(1), StateKind.FERMION, tol=tol)
 
 
@@ -488,3 +488,8 @@ def test_displacement_vector_checks():
             build([np.nan, 0.0, 0.0])
         with pytest.raises(NonFinite, match=f"^{name} contains non-finite entries$"):
             build([np.inf, 0.0])
+
+
+def test_a_non_square_j_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match=r"^j must be a square matrix, got shape \(2, 3\)$"):
+        GaussianState(np.zeros((2, 3)), StateKind.BOSON)
