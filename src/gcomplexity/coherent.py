@@ -35,7 +35,7 @@ import numpy as np
 from .complexity_core import relative_complex_structure
 from .errors import KindMismatch, NumericDomainError
 from .lie_numerics import SpdPencil
-from .phase_space import GaussianState, StateKind
+from .phase_space import GaussianState, StateKind, _require_instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +57,8 @@ def _n_of_log_spectrum(s: np.ndarray) -> np.ndarray:
 
 def coherent_geodesic(reference: GaussianState, target: GaussianState) -> CoherentGeodesic:
     """Build Delta, N and G for a (possibly displaced) bosonic target."""
+    _require_instance("reference", reference, GaussianState)
+    _require_instance("target", target, GaussianState)
     if reference.kind is not StateKind.BOSON or target.kind is not StateKind.BOSON:
         raise KindMismatch("coherent geodesics are defined for bosons only")
     pencil = relative_complex_structure(reference, target)
@@ -75,7 +77,7 @@ def coherent_complexity(geo: CoherentGeodesic) -> float:
     [0, 0]]}: the distance when z_T = 0, an upper bound on it otherwise.
     Raises NumericDomainError when C overflows (a huge but finite z_T).
     """
-    s = geo.delta.radial_exponents
+    s = _require_instance("geo", geo, CoherentGeodesic).delta.radial_exponents
     with np.errstate(over="ignore", invalid="ignore"):
         quad = float(geo.z_target @ geo.g_form @ geo.z_target)
         c = 0.5 * float(np.sqrt(np.sum(s * s) + max(quad, 0.0)))

@@ -24,12 +24,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, DisplacementPresent, KindMismatch
 from .lie_numerics import SpdPencil, rotation_pencil_stack, spd_pencil_stack
-from .phase_space import GaussianState, StateKind, StateStack
+from .phase_space import GaussianState, StateKind, StateStack, _require_instance
 
 
 def _check_pair(reference: GaussianState, kind: StateKind, n_modes: int):
-    """The checks every pencil makes of its reference: zero z, then kind and N."""
-    if np.any(reference.z != 0.0):
+    """The checks every pencil makes of its reference: a state with zero z, then kind and N."""
+    if np.any(_require_instance("reference", reference, GaussianState).z != 0.0):
         raise DisplacementPresent("reference displacement must be zero")
     if reference.kind is not kind:
         raise KindMismatch(f"reference kind {reference.kind} != target kind {kind}")
@@ -50,11 +50,13 @@ def relative_stack(reference: GaussianState, kind: StateKind, targets: StateStac
     sigma_R once; a target whose whitened covariance is not
     positive-definite fails with NumericDomainError.  For fermions Delta
     is special orthogonal and the pencil diagonalizes its Cayley
-    transform; a target fails with BranchCut when a rotation angle
-    reaches pi.  Raises what holds for the whole stack:
-    DisplacementPresent for a displaced reference, KindMismatch or
-    DimensionMismatch against the reference, or a sigma_R that is not
-    positive-definite.
+    transform, one stacked solve and one eigh; a target fails with
+    BranchCut when that spectrum puts a rotation angle within
+    BRANCH_CUT_MARGIN of pi, or when Delta has an exact eigenvalue -1.
+    Raises what holds for the whole stack: a reference that is not a
+    GaussianState (ValidationError), DisplacementPresent for a displaced
+    reference, KindMismatch or DimensionMismatch against the reference,
+    or a sigma_R that is not positive-definite.
     """
     _check_pair(reference, kind, targets.sigma.shape[-1] // 2)
     if kind is StateKind.FERMION:
@@ -64,7 +66,7 @@ def relative_stack(reference: GaussianState, kind: StateKind, targets: StateStac
 
 def relative_complex_structure(reference: GaussianState, target: GaussianState) -> SpdPencil:
     """The pencil of Delta = J_T J_R^{-1} for one target: relative_stack's one-row case."""
-    targets = StateStack(target.sigma[None])
+    targets = StateStack(_require_instance("target", target, GaussianState).sigma[None])
     pencil = relative_stack(reference, target.kind, targets)
     if targets.errors[0] is not None:
         raise targets.errors[0]
@@ -78,7 +80,7 @@ def state_complexity(reference: GaussianState, target: GaussianState) -> float:
     handled by the coherent module.  The metric is g_1 at the covariance
     of the reference, the inner product the geodesic formula is derived in.
     """
-    if np.any(target.z != 0.0):
+    if np.any(_require_instance("target", target, GaussianState).z != 0.0):
         raise DisplacementPresent(
             "state_complexity requires zero displacements; use the coherent "
             "module for displaced targets"
@@ -91,6 +93,6 @@ def complexity_from_relative(pencil: SpdPencil):
 
     A float for one target, an array for a stack.
     """
-    r = pencil.radial_exponents
+    r = _require_instance("pencil", pencil, SpdPencil).radial_exponents
     c = 0.5 * np.sqrt(np.vecdot(r, r))
     return float(c) if r.ndim == 1 else c

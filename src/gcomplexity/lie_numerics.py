@@ -24,6 +24,8 @@ Cayley transform for fermions) instead of taking a dense logarithm; this
 keeps full relative precision on strongly squeezed states and at tiny
 rotation angles.  Both take the targets as a phase_space.StateStack and
 return the pencil of the rows that pass; a failing row leaves the stack.
+Each decomposes Delta once: the fermion branch cut is read off the same
+Cayley spectrum that gives the log, with no eigen-solve of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from .phase_space import (
     standard_symplectic_form,
 )
 from .phase_space import _QUIET, _as_matrix, _freeze, _frobenius, _rel
-from .phase_space import _KINDS, _members, _real_array, _require_int, _require_member
+from .phase_space import _KINDS, _members, _real_array, _require_instance, _require_int
+from .phase_space import _require_member, _rows_where
 
 BRANCH_CUT_MARGIN = 1e-6
 
@@ -268,28 +271,27 @@ def rotation_pencil_stack(targets: StateStack, j_R: np.ndarray) -> SpdPencil:
     i tan(theta/2) for the rotation angles theta of Delta, so the
     Hermitian -i C = V diag(t) V^H gives the principal log
     Delta = V diag(2i arctan t) V^H: the pencil's log-spectrum is
-    i theta = 2i arctan t, and its frame H is 1, as sigma_R = 1.  A
-    rotation angle within BRANCH_CUT_MARGIN of pi, or an eigenvalue -1,
-    has no principal log: such a target leaves ``targets`` with its
-    BranchCut (StateStack.require) before the solve, found from the
-    eigenvalues cos(theta) of (Delta + Delta^T)/2, so one singular
-    Delta + 1 does not fail the stack.  Returns the SpdPencil of the
-    rows that pass.
+    i theta = 2i arctan t, and its frame H is 1, as sigma_R = 1.  The
+    branch cut is read off that spectrum: a target leaves ``targets``
+    with a BranchCut when its largest angle 2 arctan(max |t|) is within
+    BRANCH_CUT_MARGIN of pi, or when an exact eigenvalue -1 makes Delta + 1
+    singular, which fails the stacked solve whole: those rows are found
+    one at a time (_rows_where) and the rest solved again.  Returns the
+    SpdPencil of the rows that pass.
     """
     delta = targets.sigma @ -j_R
     eye = np.eye(delta.shape[-1])
-    cos_min = np.linalg.eigvalsh(0.5 * (delta + delta.mT))[..., 0]
-
-    def cut(k):
-        if cos_min[k] > -1.0:
-            return BranchCut(
-                f"rotation angle {np.arccos(cos_min[k]):.6g} within the branch-cut margin of pi"
-            )
-        return BranchCut("eigenvalue -1 encountered; target lies on the branch cut")
-
-    (delta,) = targets.require(cos_min >= -np.cos(BRANCH_CUT_MARGIN), cut, delta)
-    c = np.linalg.solve(delta + eye, delta - eye)
+    cayley = lambda m: np.linalg.solve(m + eye, m - eye)
+    try:
+        c = cayley(delta)
+    except np.linalg.LinAlgError:  # an exact eigenvalue -1 makes Delta + 1 singular
+        on_cut = lambda k: BranchCut("eigenvalue -1 encountered; target lies on the branch cut")
+        (delta,) = targets.require(_rows_where(cayley, delta), on_cut, delta)
+        c = cayley(delta)
     t, v = np.linalg.eigh(-0.5j * (c - c.mT))
+    theta = 2.0 * np.arctan(np.abs(t).max(axis=-1))
+    near = lambda k: BranchCut(f"rotation angle {theta[k]:.6g} within the branch-cut margin of pi")
+    t, v = targets.require(theta <= np.pi - BRANCH_CUT_MARGIN, near, t, v)
     return SpdPencil(2j * np.arctan(t), v, eye, eye)
 
 
@@ -334,7 +336,7 @@ def stabilizer_basis(reference: GaussianState) -> StabilizerBasis:
     Orthonormality is under the vacuum g_1, 1/2 Tr(V W^T): for a squeezed
     reference, split at the whitened H^{-1} J_R H (the standard J) and map back.
     """
-    algebra = algebra_of_kind(reference.kind)
+    algebra = algebra_of_kind(_require_instance("reference", reference, GaussianState).kind)
     basis = algebra_basis(algebra, reference.n_modes)
     basis = basis / np.sqrt(0.5 * np.einsum("dij,dij->d", basis, basis))[:, None, None]
     jr = reference.j

@@ -39,7 +39,7 @@ from .errors import (
     StepTooCoarse,
     ValidationError,
 )
-from .phase_space import _freeze, _real_array, _require_int, _require_real
+from .phase_space import _freeze, _real_array, _require_instance, _require_int, _require_real
 
 CHART_EPS = 1e-12
 MAX_STEPS = 1 << 20  # cap on rk_steps and quad_steps, checked before anything is allocated
@@ -110,6 +110,7 @@ def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -
     if quad_steps % 2 != 0:
         raise ValidationError("quad_steps must be even for Simpson quadrature")
     r = _require_real("base_complexity", base_complexity, nonnegative=True)
+    _require_instance("weyl", weyl, WeylFactor)
     if r == 0.0:
         return 0.0
     tau = np.linspace(0.0, 1.0, quad_steps + 1)
@@ -182,6 +183,11 @@ class VectorPotential:
         return VectorPotential(a_r, f_rphi)
 
 
+def _potential(a):
+    """a, or no potential for None; ValidationError unless a VectorPotential."""
+    return VectorPotential.none() if a is None else _require_instance("a", a, VectorPotential)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscretizedPath:
     """Sampled chart trajectory: samples[i] = (r_i, phi_i) at params[i]."""
@@ -217,8 +223,10 @@ class DiscretizedPath:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is raised in-band below
-def _cost_terms(path: DiscretizedPath, a: VectorPotential):
-    r = path.samples[:, 0]
+def _cost_terms(path: DiscretizedPath, a: VectorPotential = None):
+    """Each segment's chordal length and trapezoidal potential term; a = None is no potential."""
+    r = _require_instance("path", path, DiscretizedPath).samples[:, 0]
+    a = _potential(a)
     phi = path.samples[:, 1]
     gpp = metric_phiphi(r)
     ar = np.asarray(a.a_r(r, phi), dtype=float)
@@ -248,14 +256,13 @@ def nonreversible_cost(path: DiscretizedPath, a: VectorPotential = None) -> floa
     piecewise-linear paths under constant potentials.  Raises
     PotentialTooLarge when ||A||_g > 1 at any sample.
     """
-    a = a or VectorPotential.none()
     seg_len, seg_pot = _cost_terms(path, a)
     return float(np.sum(seg_len) + np.sum(seg_pot))
 
 
 def path_length(path: DiscretizedPath) -> float:
     """Pure metric length of a discretized chart path."""
-    seg_len, _ = _cost_terms(path, VectorPotential.none())
+    seg_len, _ = _cost_terms(path)
     return float(np.sum(seg_len))
 
 
@@ -263,7 +270,6 @@ def nonreversible_cost_profile(
     path: DiscretizedPath, a: VectorPotential = None
 ) -> np.ndarray:
     """Cumulative cost at each sample, starting from zero."""
-    a = a or VectorPotential.none()
     seg_len, seg_pot = _cost_terms(path, a)
     out = np.zeros(len(path.params))
     np.cumsum(seg_len + seg_pot, out=out[1:])
@@ -334,7 +340,7 @@ def lorentz_geodesic(
     radial launch included) raises ChartBoundary carrying the partial
     path.
     """
-    a = a or VectorPotential.none()
+    a = _potential(a)
     r0, phi0 = _require_pair("start", start, nonnegative=True)
     vr0, vphi0 = _require_pair("initial_velocity", initial_velocity)
     length = _require_real("length", length, nonnegative=True)

@@ -55,14 +55,39 @@ class StateKind(enum.Enum):
     FERMION = "fermion"
 
 
+_JSON_NUMBERS = frozenset((float, int))
+
+
 def _real_array(a, name, copy=False):
-    """a as a float array, a C-ordered copy if asked; a ValidationError names a non-numeric a."""
+    """a as a float array, a C-ordered copy if asked; ValidationError unless each entry is a number.
+
+    np.asarray(..., dtype=float) alone also takes strings, booleans and
+    None.  An integer too large for a float is NonFinite, as 1e400 is.
+    An ndarray is judged by its dtype kind; otherwise the entry types are
+    walked once.  A set of them within {float, int}, the types of JSON
+    numbers, passes at once; any other set takes the general test, which
+    lets numpy numbers pass and rejects bool.
+    """
+    array = isinstance(a, np.ndarray)
+    # signed, unsigned or float, not bool, complex or object; before the cast, where complex warns
+    if array and a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be an array of real numbers")
     try:
-        return np.array(a, dtype=float, order="C") if copy else np.asarray(a, dtype=float)
+        out = np.array(a, dtype=float, order="C") if copy else np.asarray(a, dtype=float)
     except OverflowError:  # an integer past the float range
         raise NonFinite(f"{name} contains non-finite entries")
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be an array of real numbers")
+    if not array:
+        entries = [a] if out.ndim == 0 else a
+        for _ in range(out.ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        types = set(map(type, entries))
+        if not types <= _JSON_NUMBERS and not all(
+            issubclass(t, _NUMBERS) and not issubclass(t, bool) for t in types
+        ):
+            raise ValidationError(f"{name} must be an array of real numbers")
+    return out
 
 
 def _as_square(a, name):
@@ -115,6 +140,13 @@ def _require_real(name, value, nonnegative=False):
     if nonnegative and x < 0.0:
         raise ValidationError(f"{name} must be nonnegative, got {x}")
     return x
+
+
+def _require_instance(name, value, cls):
+    """value itself; ValidationError unless it is a cls."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def _members(cls):
@@ -193,15 +225,15 @@ def _check_symmetric(c: StateStack):
     )
 
 
-def _cholesky_succeeds(m) -> np.ndarray:
-    """Per matrix of a stack: a stacked cholesky fails whole, so a failure is located one by one."""
+def _rows_where(fn, m) -> np.ndarray:
+    """Per matrix of a stack m, whether fn (stacked LAPACK, failing whole) raises no LinAlgError."""
     try:
-        np.linalg.cholesky(m)
+        fn(m)
         return np.ones(len(m), dtype=bool)
     except np.linalg.LinAlgError:
         if len(m) == 1:
             return np.zeros(1, dtype=bool)
-        return np.concatenate([_cholesky_succeeds(x[None]) for x in m])
+        return np.concatenate([_rows_where(fn, x[None]) for x in m])
 
 
 def _check_form(c: StateStack, tol: float):
@@ -351,6 +383,8 @@ def apply_transformation(
     state: GaussianState, t: GaussianTransformation
 ) -> GaussianState:
     """Return the transformed state (M J M^{-1}, M z + v), checked at the state's tol."""
+    _require_instance("state", state, GaussianState)
+    _require_instance("t", t, GaussianTransformation)
     if state.kind is not t.kind:
         raise KindMismatch(f"state kind {state.kind} != transformation kind {t.kind}")
     if state.n_modes != t.n_modes:
@@ -376,36 +410,14 @@ def single_mode_squeezing(r: float, phi: float) -> GaussianTransformation:
     return GaussianTransformation(np.zeros(2), m, StateKind.BOSON)
 
 
-_JSON_NUMBERS = frozenset((float, int))
-
-
-def _floats(value, key: str, not_numeric: str) -> np.ndarray:
-    """value as a float array; SchemaError(not_numeric) unless every entry is a number.
-
-    np.asarray(..., dtype=float) alone also takes strings, booleans and
-    None.  An integer too large for a float is NonFinite, as 1e400 is.
-    The entry types are walked once.  A set of them within {float, int},
-    the types of JSON numbers, passes at once; any other set takes the
-    general test, which lets numpy numbers pass and rejects bool.
-    """
+def _floats(data, key: str, not_numeric: str) -> np.ndarray:
+    """data[key] as a float array (_real_array); SchemaError(not_numeric) unless numeric."""
     try:
-        a = np.asarray(value, dtype=float)
-    except OverflowError:
-        raise NonFinite(f"{key} contains non-finite entries")
-    except (TypeError, ValueError):
+        return _real_array(data[key], key)
+    except NonFinite:
+        raise
+    except ValidationError:  # in a state file, a non-numeric entry breaks the schema
         raise SchemaError(not_numeric)
-    if isinstance(value, np.ndarray):
-        types = {value.dtype.type}
-    else:
-        entries = [value] if a.ndim == 0 else value
-        for _ in range(a.ndim - 1):
-            entries = itertools.chain.from_iterable(entries)
-        types = set(map(type, entries))
-    if not types <= _JSON_NUMBERS and not all(
-        issubclass(t, _NUMBERS) and not issubclass(t, bool) for t in types
-    ):
-        raise SchemaError(not_numeric)
-    return a
 
 
 _KEYS = frozenset(("kind", "n_modes", "sigma", "z"))
@@ -434,18 +446,19 @@ def parse_state_dict(data: dict):
         kind = _require_member("kind", data["kind"], _KINDS)
     except ValidationError as exc:  # in a state file, a bad kind breaks the schema
         raise SchemaError(str(exc))
-    n = data["n_modes"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    try:
+        _require_int("n_modes", data["n_modes"], 1)
+    except ValidationError:
         raise SchemaError("n_modes must be a positive integer")
-    d = 2 * n
-    sig = _floats(data["sigma"], "sigma", "sigma must be a numeric matrix")
+    d = 2 * data["n_modes"]
+    sig = _floats(data, "sigma", "sigma must be a numeric matrix")
     if sig.shape != (d, d):
         raise SchemaError(f"sigma must be {d} x {d}, got {sig.shape}")
     if "z" not in data:
         return kind, sig, None
     if kind is StateKind.FERMION:
         raise DisplacementPresent("fermion state files must not contain 'z'")
-    z = _floats(data["z"], "z", "z must be a numeric vector")
+    z = _floats(data, "z", "z must be a numeric vector")
     if z.shape != (d,):
         raise SchemaError(f"z must have length {d}")
     if not np.all(np.isfinite(z)):
@@ -479,7 +492,7 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -
             j = c.sigma @ om  # J = sigma Omega_N
             # sigma^{-1} = -Omega J; halves taken first: no sum of two finite entries overflows
             (j,) = c.require(
-                _cholesky_succeeds(0.5 * c.sigma - 0.5 * (om @ j)),
+                _rows_where(np.linalg.cholesky, 0.5 * c.sigma - 0.5 * (om @ j)),
                 lambda k: SingularInput("sigma is not positive-definite"),
                 j,
             )
@@ -509,6 +522,7 @@ def state_from_dict(data: dict, tol: float = DEFAULT_TOL) -> GaussianState:
 
 def state_to_dict(state: GaussianState) -> dict:
     """Inverse of state_from_dict: the state's checked "sigma", and z when nonzero."""
+    _require_instance("state", state, GaussianState)
     out = {"kind": state.kind.value, "n_modes": state.n_modes, "sigma": state.sigma.tolist()}
     if np.any(state.z != 0.0):
         out["z"] = state.z.tolist()

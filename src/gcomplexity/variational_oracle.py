@@ -50,7 +50,7 @@ from .complexity_core import relative_complex_structure
 from .errors import ValidationError
 from .lie_numerics import LieAlgebraElement, algebra_basis, algebra_of_kind, matrix_exp_batch
 from .phase_space import GaussianState, StateKind, group_inverse, standard_symplectic_form
-from .phase_space import _KINDS, _freeze, _require_int, _require_member
+from .phase_space import _KINDS, _freeze, _require_instance, _require_int, _require_member
 
 CONSTRAINT_TOL = 1e-6
 PENALTY_SCHEDULE = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -429,6 +429,8 @@ def minimize_to_target(
     residual is returned with ``converged = False``.  Ties keep the
     earlier restart.
     """
+    _require_instance("reference", reference, GaussianState)
+    _require_instance("target", target, GaussianState)
     if reference.n_modes > 2:
         raise ValidationError("the oracle is capped at N <= 2")
     _require_int("segments", segments, 4)
@@ -489,6 +491,7 @@ def check_stabilizer_geodesic(
     must be an integer >= 1 and ``seed`` one >= 0, neither a bool
     (ValidationError otherwise).
     """
+    _require_instance("v", v, LieAlgebraElement)
     _require_int("perturbation_count", perturbation_count, 1)
     _require_int("seed", seed, 0)
     k_seg = STATIONARITY_SEGMENTS

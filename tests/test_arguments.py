@@ -1,9 +1,10 @@
-"""Every public scalar, count, kind and array argument rejects a bad value in-band.
+"""Every public scalar, count, kind, array and object argument rejects a bad value in-band.
 
 Each row names one argument by a call that takes a bad value in its place;
 a bad value must raise a GaussianComplexityError subclass, never numpy's or
-Python's ValueError or TypeError, and a bool or a wrong kind string must not
-pass as a number or as the other kind.
+Python's ValueError, TypeError or AttributeError, and a bool or a wrong kind
+string must not pass as a number or as the other kind.  An array argument
+takes numbers only: one bool, string or None entry is rejected.
 """
 
 import warnings
@@ -20,20 +21,31 @@ from gcomplexity import (
     LieAlgebra,
     LieAlgebraElement,
     StateKind,
+    ValidationError,
     VectorPotential,
     WeylFactor,
     algebra_basis,
     algebra_of_kind,
     apply_transformation,
+    chart_path_length,
     check_stabilizer_geodesic,
+    coherent_complexity,
+    coherent_geodesic,
+    complexity_from_relative,
     inner_product_identity,
     lorentz_geodesic,
     matrix_exp_batch,
+    metric_phiphi,
     minimize_to_target,
+    nonreversible_cost,
+    nonreversible_cost_profile,
     reference_state,
+    relative_complex_structure,
     single_mode_squeezing,
+    stabilizer_basis,
     standard_symplectic_form,
     state_complexity,
+    state_to_dict,
     weyl_complexity,
 )
 
@@ -43,6 +55,8 @@ VACUUM = reference_state(BOSON, 1)
 FLAT = WeylFactor.constant(0.0)
 START, VELOCITY = (0.5, 0.0), (1.0, 0.3)
 GENERATOR = LieAlgebraElement(np.diag([0.1, -0.1]), LieAlgebra.SP)
+PATH = DiscretizedPath([[0.5, 0.0], [1.0, 0.0]], [0.0, 1.0])
+SQUEEZE = single_mode_squeezing(0.1, 0.0)
 
 BAD = {"str": "x", "None": None, "bool": True, "list": [1.0, 2.0]}
 REAL_BAD = {**BAD, "nan": np.nan, "inf": np.inf}
@@ -51,6 +65,8 @@ KIND_BAD = {**BAD, "list": [BOSON], "unknown": "bosons"}
 ALGEBRA_BAD = {**BAD, "list": [LieAlgebra.SP], "unknown": "boson"}
 ARRAY_BAD = {**BAD, "list": ["a", "b"]}
 OPTIONAL_ARRAY_BAD = {k: v for k, v in ARRAY_BAD.items() if k != "None"}  # None is the default
+OBJECT_BAD = {"str": "x", "None": None, "array": np.eye(2), "dict": state_to_dict(VACUUM)}
+OPTIONAL_OBJECT_BAD = {k: v for k, v in OBJECT_BAD.items() if k != "None"}  # None is the default
 
 # (argument, call with the bad value in its place, bad values)
 ARGUMENTS = [
@@ -152,7 +168,82 @@ ARGUMENTS = [
     ("VectorPotential.gradient", lambda x: VectorPotential.gradient(x), ARRAY_BAD),
     ("matrix_exp_batch", lambda x: matrix_exp_batch(x), ARRAY_BAD),
     ("inner_product_identity", lambda x: inner_product_identity(x, np.eye(2)), ARRAY_BAD),
+    ("metric_phiphi", lambda x: metric_phiphi(x), {k: v for k, v in BAD.items() if k != "list"}),
+    # objects
+    ("state_complexity.reference", lambda x: state_complexity(x, VACUUM), OBJECT_BAD),
+    ("state_complexity.target", lambda x: state_complexity(VACUUM, x), OBJECT_BAD),
+    (
+        "relative_complex_structure.reference",
+        lambda x: relative_complex_structure(x, VACUUM),
+        OBJECT_BAD,
+    ),
+    (
+        "relative_complex_structure.target",
+        lambda x: relative_complex_structure(VACUUM, x),
+        OBJECT_BAD,
+    ),
+    ("coherent_geodesic.reference", lambda x: coherent_geodesic(x, VACUUM), OBJECT_BAD),
+    ("coherent_geodesic.target", lambda x: coherent_geodesic(VACUUM, x), OBJECT_BAD),
+    ("coherent_complexity", lambda x: coherent_complexity(x), OBJECT_BAD),
+    ("complexity_from_relative", lambda x: complexity_from_relative(x), OBJECT_BAD),
+    ("minimize_to_target.reference", lambda x: minimize_to_target(x, VACUUM), OBJECT_BAD),
+    ("minimize_to_target.target", lambda x: minimize_to_target(VACUUM, x), OBJECT_BAD),
+    ("apply_transformation.state", lambda x: apply_transformation(x, SQUEEZE), OBJECT_BAD),
+    ("apply_transformation.t", lambda x: apply_transformation(VACUUM, x), OBJECT_BAD),
+    ("stabilizer_basis", lambda x: stabilizer_basis(x), OBJECT_BAD),
+    ("check_stabilizer_geodesic", lambda x: check_stabilizer_geodesic(x), OBJECT_BAD),
+    ("lorentz_geodesic.a", lambda x: lorentz_geodesic(START, VELOCITY, a=x), OPTIONAL_OBJECT_BAD),
+    ("weyl_complexity.weyl", lambda x: weyl_complexity(1.0, x, 4), OBJECT_BAD),
+    ("nonreversible_cost.path", lambda x: nonreversible_cost(x), OBJECT_BAD),
+    ("nonreversible_cost.a", lambda x: nonreversible_cost(PATH, x), OPTIONAL_OBJECT_BAD),
+    ("nonreversible_cost_profile.path", lambda x: nonreversible_cost_profile(x), OBJECT_BAD),
+    (
+        "nonreversible_cost_profile.a",
+        lambda x: nonreversible_cost_profile(PATH, x),
+        OPTIONAL_OBJECT_BAD,
+    ),
+    ("chart_path_length", lambda x: chart_path_length(x), OBJECT_BAD),
+    ("state_to_dict", lambda x: state_to_dict(x), OBJECT_BAD),
 ]
+
+# (array argument, call with the array in its place, a valid value as nested lists)
+ENTRIES = [
+    ("GaussianState.j", lambda x: GaussianState(x, BOSON), OMEGA.tolist()),
+    ("GaussianState.z", lambda x: GaussianState(OMEGA, BOSON, z=x), [0.0, 0.0]),
+    ("GaussianTransformation.m", lambda x: GaussianTransformation(None, x, BOSON), np.eye(2).tolist()),
+    ("GaussianTransformation.v", lambda x: GaussianTransformation(x, np.eye(2), BOSON), [0.0, 0.0]),
+    ("LieAlgebraElement.v", lambda x: LieAlgebraElement(x, LieAlgebra.SP), OMEGA.tolist()),
+    ("DiscretizedPath.samples", lambda x: DiscretizedPath(x, [0.0, 1.0]), [[0.0, 0.0], [1.0, 0.0]]),
+    ("DiscretizedPath.params", lambda x: DiscretizedPath(np.zeros((2, 2)), x), [0.0, 1.0]),
+    (
+        "DiscretizedPath.velocities",
+        lambda x: DiscretizedPath(np.zeros((2, 2)), [0.0, 1.0], x),
+        [[1.0, 0.0], [1.0, 0.0]],
+    ),
+    ("GroupPath.increments", lambda x: GroupPath(x, BOSON), np.zeros((4, 2, 2)).tolist()),
+    (
+        "GroupPath.displacement_increments",
+        lambda x: GroupPath(np.zeros((4, 2, 2)), BOSON, x),
+        np.zeros((4, 2)).tolist(),
+    ),
+    ("WeylFactor.tabulated.r_values", lambda x: WeylFactor.tabulated(x, [1.0, 2.0]), [0.0, 1.0]),
+    (
+        "WeylFactor.tabulated.omega_values",
+        lambda x: WeylFactor.tabulated([0.0, 1.0], x),
+        [0.0, 1.0],
+    ),
+    ("VectorPotential.gradient", lambda x: VectorPotential.gradient(x), [0.0, 1.0]),
+    ("inner_product_identity.v", lambda x: inner_product_identity(x, np.eye(2)), np.eye(2).tolist()),
+    ("inner_product_identity.w", lambda x: inner_product_identity(np.eye(2), x), np.eye(2).tolist()),
+    ("metric_phiphi", lambda x: metric_phiphi(x), [0.5, 1.0]),
+]
+
+
+def _with_last_entry(value, entry):
+    """A copy of nested lists value with its last scalar entry replaced."""
+    if not isinstance(value[-1], list):
+        return [*value[:-1], entry]
+    return [*value[:-1], _with_last_entry(value[-1], entry)]
 
 
 @pytest.mark.parametrize(
@@ -166,6 +257,42 @@ ARGUMENTS = [
 def test_a_bad_argument_raises_a_library_error(call, value):
     with pytest.raises(GaussianComplexityError):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call, valid",
+    [pytest.param(call, valid, id=argument) for argument, call, valid in ENTRIES],
+)
+@pytest.mark.parametrize("entry", [True, "1", None], ids=["bool", "str", "None"])
+def test_an_array_entry_that_is_not_a_number_is_rejected(call, valid, entry):
+    # np.asarray(..., dtype=float) took all three, as 1.0, 1.0 and nan
+    call(valid)
+    with pytest.raises(ValidationError, match="must be an array of real numbers$"):
+        call(_with_last_entry(valid, entry))
+
+
+def test_an_ndarray_is_judged_by_its_dtype():
+    # a list of float arrays passes; a bool array, or a complex one (cast with a warning), does not
+    path = GroupPath([np.zeros((2, 2))] * 4, BOSON)
+    assert path.increments.shape == (4, 2, 2)
+    assert GaussianState([np.array([0.0, 1.0]), [-1.0, np.float32(0.0)]], BOSON).kind is BOSON
+    assert GaussianState(OMEGA.astype(np.int8), BOSON).kind is BOSON
+    with pytest.raises(ValidationError, match="^increments must be an array of real numbers$"):
+        GroupPath([np.zeros((2, 2), dtype=bool)] * 4, BOSON)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^j must be an array of real numbers$"):
+            GaussianState(OMEGA.astype(complex), BOSON)
+
+
+def test_a_wrong_object_names_its_argument_and_class():
+    # each read an attribute of the object and raised AttributeError or TypeError
+    with pytest.raises(ValidationError, match="^target must be a GaussianState, got 'x'$"):
+        state_complexity(VACUUM, "x")
+    with pytest.raises(ValidationError, match="^a must be a VectorPotential, got 0$"):
+        lorentz_geodesic(START, VELOCITY, a=0)
+    with pytest.raises(ValidationError, match="^weyl must be a WeylFactor, got None$"):
+        weyl_complexity(1.0, None, 4)
 
 
 def test_a_kind_is_taken_by_its_value():

@@ -1,5 +1,6 @@
 """Smoke test of tools/cli_bytes.py: record every workload at one seed, compare records."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -11,6 +12,49 @@ TOOL = ROOT / "tools" / "cli_bytes.py"
 
 def _tool(*argv):
     return subprocess.run([sys.executable, str(TOOL), *map(str, argv)], capture_output=True, text=True)
+
+
+def _error_corpus(monkeypatch):
+    """The tool's ``errors`` records of this tree, recorded in this process with no seeds."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # record puts the tree's dirs first
+    spec = importlib.util.spec_from_file_location("cli_bytes", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool, tool.record(ROOT, [])
+
+
+def test_the_error_corpus_is_fixed_and_every_call_exits_in_band(monkeypatch):
+    tool, calls = _error_corpus(monkeypatch)
+    assert all(c["workload"] == "errors" and c["seed"] is None for c in calls)
+    assert [c["index"] for c in calls] == list(range(len(calls)))
+    targets = [*tool.ERROR_TARGETS]
+    assert targets == [
+        "bool_entry", "string_entry", "null_entry", "huge_integer", "nan_z", "fermion_z",
+        "n_modes_half", "n_modes_true", "n_modes_zero", "unknown_kind", "missing_key",
+        "unknown_key", "not_object", "bad_json", "fermion_flipped", "fermion_near_cut",
+    ]
+    options = [
+        "tol x", "tol -1", "tol 0", "tol nan", "tol inf", "quad-steps x", "quad-steps 0",
+        "quad-steps 3", "rk-steps x", "rk-steps 4", "rk-steps 2097152", "segments x", "segments 2",
+    ]
+    assert [c["label"] for c in calls] == [*targets, "batch", *options]
+    for call in calls:
+        assert type(call["exit"]) is int and call["exit"] in (2, 3), (call["label"], call["exit"])
+        assert "<root>" not in call["stdout"] or "not valid JSON" in call["stdout"]
+    # argparse rejects a value its type cannot parse, with exit 2 and nothing on stdout
+    for call in calls:
+        assert (call["stdout"] == "") == call["label"].endswith(" x"), call["label"]
+    for call in calls[: len(targets)]:
+        assert list(json.loads(call["stdout"])) == ["error"]
+    # the batch reports each file's error as its own run does; its one valid file, Omega, is C = 0
+    batch = {e["file"]: e for e in json.loads(calls[len(targets)]["stdout"])["results"]}
+    assert batch.pop("form.json")["complexity"] == 0.0
+    for name, call in zip(targets, calls):
+        single = json.loads(call["stdout"])["error"]
+        assert batch[name + ".json"]["error"] == single.replace("<root>/", "<root>/batch/")
+    assert calls[targets.index("fermion_flipped")]["stdout"] == (
+        '{"error": "BranchCut: eigenvalue -1 encountered; target lies on the branch cut"}\n'
+    )
 
 
 def test_record_one_seed_and_compare(tmp_path, monkeypatch):
@@ -53,6 +97,9 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
             at_defaults, at_bench = json.loads(default["stdout"]), json.loads(bench["stdout"])
             assert (at_defaults["segments"], at_defaults["restarts"]) == (16, 5)
             assert at_defaults["closed_form"] == at_bench["closed_form"]
+    # the error corpus is recorded once, whatever the seeds, and the same in every record
+    _, errors = _error_corpus(monkeypatch)
+    assert [c for c in calls if c["workload"] == "errors"] == errors
     small = [c for c in calls if c["workload"] == "batch_small"]
     for call in small:
         assert call["argv"][0] == "complexity"

@@ -22,6 +22,7 @@ from gcomplexity import (
     stabilizer_basis,
     standard_symplectic_form,
 )
+from gcomplexity import lie_numerics
 from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN, rotation_pencil_stack, spd_pencil_stack
 from gcomplexity.phase_space import StateStack
 from helpers import random_target, random_with_norm1
@@ -280,22 +281,81 @@ def test_rotation_stack_reports_cut_targets_in_band():
     )]
     near = scipy.linalg.expm(_so_generator((np.pi - 0.5 * BRANCH_CUT_MARGIN, 0.2), 7))
     flipped = -np.eye(4)  # Delta of J_T = -J_R
-    stack = np.stack([good[0], near, good[1], flipped, good[2], good[3]])
+    half_flipped = scipy.linalg.block_diag(rotation(0.7), -np.eye(2))  # one exact -1 pair
+    stack = np.stack([good[0], near, good[1], flipped, good[2], half_flipped, good[3]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pencil, targets = rotation_stack(stack)
         logs = pencil.apply(lambda s: s)
-    cut, errors = [1, 3], targets.errors
+    cut, errors = [1, 3, 5], targets.errors
     assert [i for i, e in enumerate(errors) if e is not None] == cut
     assert all(isinstance(errors[i], BranchCut) for i in cut)
     assert "within the branch-cut margin of pi" in str(errors[1])
-    assert "eigenvalue -1" in str(errors[3])
+    assert "eigenvalue -1" in str(errors[3]) and "eigenvalue -1" in str(errors[5])
+    assert errors[3] is not errors[5]
     assert np.all(np.isfinite(logs)) and np.all(np.isfinite(pencil.radial_exponents))
-    assert targets.index.tolist() == [0, 2, 4, 5]
+    assert targets.index.tolist() == [0, 2, 4, 6]
     for k, delta in enumerate(good):  # row k of the pencil is input targets.index[k]
         log_one, radial_one = rotation_log(delta)
         assert np.array_equal(logs[k], log_one)
         assert np.array_equal(pencil.radial_exponents[k], radial_one)
+
+
+class _Counts:
+    """Counts the calls of numpy.linalg functions, patched where lie_numerics reads them."""
+
+    def __init__(self, monkeypatch, names):
+        self.calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(lie_numerics.np.linalg, name, self._counted(name))
+
+    def _counted(self, name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 8])
+def test_the_rotation_pencil_decomposes_delta_once(monkeypatch, n_modes):
+    # the branch cut is read off the Cayley spectrum: no eigvalsh pre-pass
+    deltas = np.stack([
+        scipy.linalg.expm(_so_generator(np.linspace(0.1, 3.0, n_modes) + 0.01 * i, i))
+        for i in range(6)
+    ])
+    deltas[2] = scipy.linalg.expm(_so_generator([np.pi - 0.5 * BRANCH_CUT_MARGIN] * n_modes, 9))
+    counts = _Counts(monkeypatch, ["solve", "eigh", "eigvalsh", "eigvals", "eig"])
+    pencil, targets = rotation_stack(deltas)
+    assert counts.calls == {"solve": 1, "eigh": 1, "eigvalsh": 0, "eigvals": 0, "eig": 0}
+    assert targets.index.tolist() == [0, 1, 3, 4, 5]
+    assert isinstance(targets.errors[2], BranchCut)
+
+
+def test_a_singular_cayley_solve_is_located_row_by_row(monkeypatch):
+    # the stacked solve fails whole; the locator tries the stack, then each row alone,
+    # and the rows that pass are solved again
+    good = [scipy.linalg.expm(_so_generator((0.4, 2.9), i)) for i in range(3)]
+    stack = np.stack([good[0], -np.eye(4), good[1], good[2]])
+    counts = _Counts(monkeypatch, ["solve", "eigh"])
+    pencil, targets = rotation_stack(stack)
+    assert counts.calls == {"solve": 1 + 1 + len(stack) + 1, "eigh": 1}
+    assert targets.index.tolist() == [0, 2, 3]
+    assert [type(e) for e in targets.errors] == [type(None), BranchCut, type(None), type(None)]
+
+
+def test_the_branch_cut_margin_is_read_off_the_largest_angle():
+    kept_angle, cut_angle = np.pi - 2.0 * BRANCH_CUT_MARGIN, np.pi - 0.5 * BRANCH_CUT_MARGIN
+    kept = scipy.linalg.block_diag(rotation(0.3), rotation(kept_angle))
+    cut = scipy.linalg.block_diag(rotation(cut_angle), rotation(0.3))
+    pencil, targets = rotation_stack(np.stack([kept, cut]))
+    assert targets.index.tolist() == [0]
+    assert targets.errors[0] is None
+    assert isinstance(targets.errors[1], BranchCut)
+    assert str(targets.errors[1]) == "rotation angle 3.14159 within the branch-cut margin of pi"
+    assert np.allclose(pencil.radial_exponents[0], [kept_angle, 0.3], rtol=0.0, atol=1e-9)
 
 
 def test_inner_product_identity_canonical():

@@ -460,6 +460,20 @@ def test_state_stack_keeps_the_surviving_input_rows_in_order():
         assert stack.sigma.tobytes() == sigmas[[0, 1, 3, 4]].tobytes()
 
 
+def test_state_stack_gives_each_non_positive_row_its_own_error():
+    # the stacked Cholesky fails whole; each failing row is located and keeps its own error
+    rng = np.random.default_rng(34)
+    rows = [state_to_dict(random_target(StateKind.BOSON, 1, rng))["sigma"] for _ in range(4)]
+    sigmas = np.array(rows)
+    sigmas[1] = -np.eye(2)
+    sigmas[3] = -sigmas[3]
+    stack = phase_space.state_stack(StateKind.BOSON, sigmas)
+    assert stack.index.tolist() == [0, 2]
+    bad = [stack.errors[1], stack.errors[3]]
+    assert all(type(e) is SingularInput and str(e) == "sigma is not positive-definite" for e in bad)
+    assert bad[0] is not bad[1]
+
+
 def test_random_transformations_preserve_purity():
     rng = np.random.default_rng(5)
     for kind in StateKind:

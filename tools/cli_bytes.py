@@ -17,7 +17,11 @@ records ``<workload>@squeezed``.  The benchmark runs oracle-verify below
 the CLI's defaults (workloads.ORACLE_ARGS), so ``record`` last puts the
 vacuum reference back and runs each oracle-verify call once more without
 those arguments, at the defaults, labelled ``<workload>@defaults``.
-``compare`` lists the
+Last, and once whatever the seeds, ``record`` runs a fixed error-path
+corpus labelled ``errors`` (seed null; error_calls): ``complexity
+--target`` on each bad state file of ERROR_TARGETS, one ``--batch``
+holding all of them, and bad --tol, --quad-steps, --rk-steps and
+--segments values, each of which must exit 2 or 3.  ``compare`` lists the
 calls whose exit code or stdout differ, or that only one record has, and
 exits 1 if there are any; for a stdout difference it prints the first
 differing byte offset and about 40 bytes of each side around it and,
@@ -29,6 +33,8 @@ written under bench/.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -62,6 +68,82 @@ def squeezed_reference(kind: str, n: int) -> dict:
         o = scipy.linalg.expm(g - g.T)
         sigma = o @ om @ o.T
     return {"kind": kind, "n_modes": n, "sigma": sigma.tolist()}
+
+
+_VACUUM = '{"kind": "boson", "n_modes": 1, "sigma": [[1.0, 0.0], [0.0, 1.0]]}'
+_FORM = '{"kind": "fermion", "n_modes": 1, "sigma": [[0.0, 1.0], [-1.0, 0.0]]}'
+_IDENTITY = '"sigma": [[1.0, 0.0], [0.0, 1.0]]'
+
+
+def _near_cut(margin: float) -> str:
+    """The N = 1 fermion form R(pi - margin / 2) Omega, antisymmetric only to about margin / 2."""
+    theta = math.pi - 0.5 * margin
+    c, s = math.cos(theta), math.sin(theta)
+    form = [[s, c], [-c, s]]  # [[c, -s], [s, c]] @ [[0, 1], [-1, 0]]
+    return json.dumps({"kind": "fermion", "n_modes": 1, "sigma": form})
+
+
+# name -> text of each bad target file (the near-cut form takes its text from error_calls)
+ERROR_TARGETS = {
+    "bool_entry": '{"kind": "boson", "n_modes": 1, "sigma": [[true, 0.0], [0.0, 1.0]]}',
+    "string_entry": '{"kind": "boson", "n_modes": 1, "sigma": [["1", 0.0], [0.0, 1.0]]}',
+    "null_entry": '{"kind": "boson", "n_modes": 1, "sigma": [[null, 0.0], [0.0, 1.0]]}',
+    "huge_integer": '{"kind": "boson", "n_modes": 1, "sigma": [[1%s, 0.0], [0.0, 1.0]]}' % ("0" * 400),
+    "nan_z": '{"kind": "boson", "n_modes": 1, %s, "z": [NaN, 0.0]}' % _IDENTITY,
+    "fermion_z": '{"kind": "fermion", "n_modes": 1, "sigma": [[0.0, 1.0], [-1.0, 0.0]], "z": [0, 0]}',
+    "n_modes_half": '{"kind": "boson", "n_modes": 1.5, %s}' % _IDENTITY,
+    "n_modes_true": '{"kind": "boson", "n_modes": true, %s}' % _IDENTITY,
+    "n_modes_zero": '{"kind": "boson", "n_modes": 0, %s}' % _IDENTITY,
+    "unknown_kind": '{"kind": "bosons", "n_modes": 1, %s}' % _IDENTITY,
+    "missing_key": '{"kind": "boson", "n_modes": 1}',
+    "unknown_key": '{"kind": "boson", "n_modes": 1, %s, "tol": 1e-6}' % _IDENTITY,
+    "not_object": "[1.0, 2.0]",
+    "bad_json": '{"kind": "boson", "n_modes": 1,',
+    "fermion_flipped": '{"kind": "fermion", "n_modes": 1, "sigma": [[0.0, -1.0], [1.0, 0.0]]}',
+    "fermion_near_cut": None,
+}
+# fermion targets run against the form Omega at a tol the near-cut form loads at
+_FERMION_FLAGS = ["--tol", "1e-6"]
+
+
+def error_calls(root: Path, margin: float) -> list:
+    """The error-path corpus as (label, argv) pairs, writing its files under root.
+
+    Each target of ERROR_TARGETS runs alone, against the vacuum for a
+    boson file and the fermion form Omega otherwise.  One --batch holds
+    them all and Omega itself (Delta = 1), against Omega, so that the
+    fermion group's pencil keeps a row past the failed solve.  Then each
+    bad option value.  ``margin`` is the tree's BRANCH_CUT_MARGIN.
+    """
+    vacuum, form = root / "vacuum.json", root / "form.json"
+    vacuum.write_text(_VACUUM)
+    form.write_text(_FORM)
+    batch = root / "batch"
+    batch.mkdir()
+    (batch / "form.json").write_text(_FORM)
+    calls = []
+    for name, text in ERROR_TARGETS.items():
+        text = _near_cut(margin) if text is None else text
+        target = root / f"{name}.json"
+        target.write_text(text)
+        (batch / target.name).write_text(text)
+        fermion = name.startswith("fermion")
+        ref, flags = (form, _FERMION_FLAGS) if fermion else (vacuum, [])
+        calls.append((name, ["complexity", "--reference", str(ref), "--target", str(target), *flags]))
+    calls.append(
+        ("batch", ["complexity", "--reference", str(form), "--batch", str(batch), *_FERMION_FLAGS])
+    )
+    pair = ["--reference", str(vacuum), "--target", str(vacuum)]
+    for tol in ("x", "-1", "0", "nan", "inf"):
+        calls.append((f"tol {tol}", ["complexity", *pair, "--tol", tol]))
+    for steps in ("x", "0", "3"):
+        calls.append((f"quad-steps {steps}", ["weyl", *pair, "--omega", "const:0", "--quad-steps", steps]))
+    nonrev = ["nonrev", "--start", "0.5,0", "--velocity", "1,0"]
+    for steps in ("x", "4", str(2**21)):
+        calls.append((f"rk-steps {steps}", [*nonrev, "--rk-steps", steps]))
+    for segments in ("x", "2"):
+        calls.append((f"segments {segments}", ["oracle-verify", *pair, "--segments", segments]))
+    return calls
 
 
 def record(tree: Path, seeds) -> list:
@@ -108,6 +190,22 @@ def record(tree: Path, seeds) -> list:
                         if call.argv[-tail:] != workloads.ORACLE_ARGS:
                             raise SystemExit(f"{name} call {index} does not end with ORACLE_ARGS")
                         invoke(name + "@defaults", index, call.argv[:-tail])
+    from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN
+
+    with tempfile.TemporaryDirectory() as tmp:
+        runner = run.Runner(cli, None)
+        for index, (label, argv) in enumerate(error_calls(Path(tmp), BRANCH_CUT_MARGIN)):
+            with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text
+                _, code, out = runner.invoke(argv)
+            calls.append({
+                "workload": "errors",
+                "seed": None,
+                "index": index,
+                "label": label,
+                "argv": [a.replace(tmp, ROOT) for a in argv],
+                "exit": code,
+                "stdout": out.replace(tmp, ROOT),
+            })
     return calls
 
 
