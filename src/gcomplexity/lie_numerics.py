@@ -275,19 +275,15 @@ def rotation_pencil_stack(targets: StateStack, j_R: np.ndarray) -> SpdPencil:
     branch cut is read off that spectrum: a target leaves ``targets``
     with a BranchCut when its largest angle 2 arctan(max |t|) is within
     BRANCH_CUT_MARGIN of pi, or when an exact eigenvalue -1 makes Delta + 1
-    singular, which fails the stacked solve whole: those rows are found
-    one at a time (_rows_where) and the rest solved again.  Returns the
-    SpdPencil of the rows that pass.
+    singular, which fails the stacked solve whole: then each row is
+    solved once on its own (_rows_where), and the rows that pass keep
+    their solves.  Returns the SpdPencil of the rows that pass.
     """
     delta = targets.sigma @ -j_R
     eye = np.eye(delta.shape[-1])
-    cayley = lambda m: np.linalg.solve(m + eye, m - eye)
-    try:
-        c = cayley(delta)
-    except np.linalg.LinAlgError:  # an exact eigenvalue -1 makes Delta + 1 singular
-        on_cut = lambda k: BranchCut("eigenvalue -1 encountered; target lies on the branch cut")
-        (delta,) = targets.require(_rows_where(cayley, delta), on_cut, delta)
-        c = cayley(delta)
+    ok, c = _rows_where(lambda m: np.linalg.solve(m + eye, m - eye), delta)
+    on_cut = lambda k: BranchCut("eigenvalue -1 encountered; target lies on the branch cut")
+    targets.require(ok, on_cut)  # an exact eigenvalue -1 makes Delta + 1 singular
     t, v = np.linalg.eigh(-0.5j * (c - c.mT))
     theta = 2.0 * np.arctan(np.abs(t).max(axis=-1))
     near = lambda k: BranchCut(f"rotation angle {theta[k]:.6g} within the branch-cut margin of pi")

@@ -58,6 +58,14 @@ class StateKind(enum.Enum):
 _JSON_NUMBERS = frozenset((float, int))
 
 
+def _entries(a, ndim):
+    """The entries of a nested sequence a of depth ndim, as an iterable to walk once."""
+    entries = [a] if ndim == 0 else a
+    for _ in range(ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    return entries
+
+
 def _real_array(a, name, copy=False):
     """a as a float array, a C-ordered copy if asked; ValidationError unless each entry is a number.
 
@@ -66,7 +74,9 @@ def _real_array(a, name, copy=False):
     An ndarray is judged by its dtype kind; otherwise the entry types are
     walked once.  A set of them within {float, int}, the types of JSON
     numbers, passes at once; any other set takes the general test, which
-    lets numpy numbers pass and rejects bool.
+    lets numpy numbers pass and rejects bool.  0-d ndarray entries stand
+    for their dtype's scalar type, read by a second walk made only when
+    there are any.
     """
     array = isinstance(a, np.ndarray)
     # signed, unsigned or float, not bool, complex or object; before the cast, where complex warns
@@ -79,10 +89,10 @@ def _real_array(a, name, copy=False):
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be an array of real numbers")
     if not array:
-        entries = [a] if out.ndim == 0 else a
-        for _ in range(out.ndim - 1):
-            entries = itertools.chain.from_iterable(entries)
-        types = set(map(type, entries))
+        types = set(map(type, _entries(a, out.ndim)))
+        if np.ndarray in types:
+            types.remove(np.ndarray)
+            types |= {x.dtype.type for x in _entries(a, out.ndim) if type(x) is np.ndarray}
         if not types <= _JSON_NUMBERS and not all(
             issubclass(t, _NUMBERS) and not issubclass(t, bool) for t in types
         ):
@@ -225,15 +235,20 @@ def _check_symmetric(c: StateStack):
     )
 
 
-def _rows_where(fn, m) -> np.ndarray:
-    """Per matrix of a stack m, whether fn (stacked LAPACK, failing whole) raises no LinAlgError."""
+def _rows_where(fn, m):
+    """(ok, out) of a stacked LAPACK call fn, failing whole, on a stack m.
+
+    ok is per matrix whether fn raises no LinAlgError; out is fn's result,
+    shaped as m, on the rows that pass.  A failed stack is tried row by row
+    once, and the results joined: a stacked solve or cholesky gives each
+    matrix the bits it gets alone."""
     try:
-        fn(m)
-        return np.ones(len(m), dtype=bool)
+        return np.ones(len(m), dtype=bool), fn(m)
     except np.linalg.LinAlgError:
         if len(m) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_rows_where(fn, x[None]) for x in m])
+            return np.zeros(1, dtype=bool), m[:0]
+        ok, out = zip(*(_rows_where(fn, x[None]) for x in m))
+        return np.concatenate(ok), np.concatenate(out)
 
 
 def _check_form(c: StateStack, tol: float):
@@ -491,11 +506,8 @@ def state_stack(kind: StateKind, sigmas: np.ndarray, tol: float = DEFAULT_TOL) -
             _check_symmetric(c)
             j = c.sigma @ om  # J = sigma Omega_N
             # sigma^{-1} = -Omega J; halves taken first: no sum of two finite entries overflows
-            (j,) = c.require(
-                _rows_where(np.linalg.cholesky, 0.5 * c.sigma - 0.5 * (om @ j)),
-                lambda k: SingularInput("sigma is not positive-definite"),
-                j,
-            )
+            ok, _ = _rows_where(np.linalg.cholesky, 0.5 * c.sigma - 0.5 * (om @ j))
+            (j,) = c.require(ok, lambda k: SingularInput("sigma is not positive-definite"), j)
         else:
             # sigma = 1, so J = Omega sigma^{-1} is the state's own form
             _check_finite(c, "omega")

@@ -285,6 +285,17 @@ def test_an_ndarray_is_judged_by_its_dtype():
             GaussianState(OMEGA.astype(complex), BOSON)
 
 
+def test_a_0d_ndarray_entry_is_judged_by_its_dtype():
+    # the entry walk read the type np.ndarray and rejected a 0-d float entry
+    assert GaussianState([[np.array(0.0), 1.0], [-1.0, 0.0]], BOSON).kind is BOSON
+    assert GaussianState([[np.array(0), 1.0], [-1.0, np.array(0, dtype=np.uint8)]], BOSON).kind is BOSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)  # the cast, as a complex scalar's
+        for entry in (np.array(False), np.array(0j), np.array(0.0, dtype=object)):
+            with pytest.raises(ValidationError, match="^j must be an array of real numbers$"):
+                GaussianState([[entry, 1.0], [-1.0, 0.0]], BOSON)
+
+
 def test_a_wrong_object_names_its_argument_and_class():
     # each read an attribute of the object and raised AttributeError or TypeError
     with pytest.raises(ValidationError, match="^target must be a GaussianState, got 'x'$"):

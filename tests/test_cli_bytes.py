@@ -31,7 +31,8 @@ def test_the_error_corpus_is_fixed_and_every_call_exits_in_band(monkeypatch):
     assert targets == [
         "bool_entry", "string_entry", "null_entry", "huge_integer", "nan_z", "fermion_z",
         "n_modes_half", "n_modes_true", "n_modes_zero", "unknown_kind", "missing_key",
-        "unknown_key", "not_object", "bad_json", "fermion_flipped", "fermion_near_cut",
+        "unknown_key", "not_object", "bad_json", "not_positive", "fermion_flipped",
+        "fermion_near_cut",
     ]
     options = [
         "tol x", "tol -1", "tol 0", "tol nan", "tol inf", "quad-steps x", "quad-steps 0",
@@ -46,9 +47,14 @@ def test_the_error_corpus_is_fixed_and_every_call_exits_in_band(monkeypatch):
         assert (call["stdout"] == "") == call["label"].endswith(" x"), call["label"]
     for call in calls[: len(targets)]:
         assert list(json.loads(call["stdout"])) == ["error"]
-    # the batch reports each file's error as its own run does; its one valid file, Omega, is C = 0
+    # the batch reports each file's error as its own run does; of its two valid files, Omega
+    # is C = 0 and the vacuum passes the boson check list beside not_positive, then meets
+    # the fermion reference
     batch = {e["file"]: e for e in json.loads(calls[len(targets)]["stdout"])["results"]}
     assert batch.pop("form.json")["complexity"] == 0.0
+    assert batch.pop("vacuum.json")["error"] == (
+        "KindMismatch: reference kind StateKind.FERMION != target kind StateKind.BOSON"
+    )
     for name, call in zip(targets, calls):
         single = json.loads(call["stdout"])["error"]
         assert batch[name + ".json"]["error"] == single.replace("<root>/", "<root>/batch/")

@@ -24,7 +24,7 @@ from gcomplexity import (
 )
 from gcomplexity import lie_numerics
 from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN, rotation_pencil_stack, spd_pencil_stack
-from gcomplexity.phase_space import StateStack
+from gcomplexity.phase_space import StateStack, state_stack
 from helpers import random_target, random_with_norm1
 
 
@@ -335,15 +335,47 @@ def test_the_rotation_pencil_decomposes_delta_once(monkeypatch, n_modes):
 
 
 def test_a_singular_cayley_solve_is_located_row_by_row(monkeypatch):
-    # the stacked solve fails whole; the locator tries the stack, then each row alone,
-    # and the rows that pass are solved again
+    # the stacked solve fails whole; each row is then solved once alone, and the rows
+    # that pass keep their solves
     good = [scipy.linalg.expm(_so_generator((0.4, 2.9), i)) for i in range(3)]
     stack = np.stack([good[0], -np.eye(4), good[1], good[2]])
     counts = _Counts(monkeypatch, ["solve", "eigh"])
     pencil, targets = rotation_stack(stack)
-    assert counts.calls == {"solve": 1 + 1 + len(stack) + 1, "eigh": 1}
+    assert counts.calls == {"solve": 1 + len(stack), "eigh": 1}
     assert targets.index.tolist() == [0, 2, 3]
     assert [type(e) for e in targets.errors] == [type(None), BranchCut, type(None), type(None)]
+
+
+def _boson_sigmas(n_modes, count, seed):
+    """count random pure boson covariances sigma = -J Omega_N, stacked."""
+    rng = np.random.default_rng(seed)
+    om = standard_symplectic_form(n_modes)
+    return np.stack([-random_target(StateKind.BOSON, n_modes, rng).j @ om for _ in range(count)])
+
+
+def test_a_non_positive_row_is_located_row_by_row(monkeypatch):
+    # the boson twin: sigma = -1 is pure, but fails the stacked Cholesky whole; each
+    # row is then tried once alone
+    sigmas = _boson_sigmas(2, 4, 35)
+    sigmas[1] = -np.eye(4)
+    counts = _Counts(monkeypatch, ["cholesky"])
+    targets = state_stack(StateKind.BOSON, sigmas)
+    assert counts.calls == {"cholesky": 1 + len(sigmas)}
+    assert targets.index.tolist() == [0, 2, 3]
+
+
+@pytest.mark.parametrize("kind", list(StateKind), ids=lambda k: k.name)
+def test_the_rows_past_a_failed_stack_get_the_bits_of_a_stack_without_it(kind):
+    # the rows that pass the row-by-row retry are decomposed as a stack that never failed
+    if kind is StateKind.BOSON:
+        good = _boson_sigmas(2, 3, 36)
+        pencil = lambda rows: spd_pencil_stack(state_stack(kind, rows), np.eye(4))
+    else:
+        good = np.stack([scipy.linalg.expm(_so_generator((0.4, 2.9), i)) for i in range(3)])
+        pencil = lambda rows: rotation_stack(rows)[0]
+    with_bad, without = pencil(np.insert(good, 1, -np.eye(4), axis=0)), pencil(good)
+    assert np.array_equal(with_bad.logs, without.logs)
+    assert np.array_equal(with_bad.u, without.u)
 
 
 def test_the_branch_cut_margin_is_read_off_the_largest_angle():

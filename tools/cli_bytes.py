@@ -20,14 +20,14 @@ those arguments, at the defaults, labelled ``<workload>@defaults``.
 Last, and once whatever the seeds, ``record`` runs a fixed error-path
 corpus labelled ``errors`` (seed null; error_calls): ``complexity
 --target`` on each bad state file of ERROR_TARGETS, one ``--batch``
-holding all of them, and bad --tol, --quad-steps, --rk-steps and
---segments values, each of which must exit 2 or 3.  ``compare`` lists the
-calls whose exit code or stdout differ, or that only one record has, and
-exits 1 if there are any; for a stdout difference it prints the first
-differing byte offset and about 40 bytes of each side around it and,
-when both stdouts are JSON, the largest relative change over their
-numbers and where it is, or where their structure differs.  Nothing is
-written under bench/.
+holding all of them and a valid vacuum and form, and bad --tol,
+--quad-steps, --rk-steps and --segments values, each of which must exit
+2 or 3.  ``compare`` lists the calls whose exit code or stdout differ,
+or that only one record has, and exits 1 if there are any; for a stdout
+difference it prints the first differing byte offset and about 40 bytes
+of each side around it and, when both stdouts are JSON, the largest
+relative change over their numbers and where it is, or where their
+structure differs.  Nothing is written under bench/.
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ ERROR_TARGETS = {
     "unknown_key": '{"kind": "boson", "n_modes": 1, %s, "tol": 1e-6}' % _IDENTITY,
     "not_object": "[1.0, 2.0]",
     "bad_json": '{"kind": "boson", "n_modes": 1,',
+    "not_positive": '{"kind": "boson", "n_modes": 1, "sigma": [[-1.0, 0.0], [0.0, -1.0]]}',
     "fermion_flipped": '{"kind": "fermion", "n_modes": 1, "sigma": [[0.0, -1.0], [1.0, 0.0]]}',
     "fermion_near_cut": None,
 }
@@ -111,9 +112,10 @@ def error_calls(root: Path, margin: float) -> list:
 
     Each target of ERROR_TARGETS runs alone, against the vacuum for a
     boson file and the fermion form Omega otherwise.  One --batch holds
-    them all and Omega itself (Delta = 1), against Omega, so that the
-    fermion group's pencil keeps a row past the failed solve.  Then each
-    bad option value.  ``margin`` is the tree's BRANCH_CUT_MARGIN.
+    them all, Omega itself (Delta = 1) and the vacuum, against Omega, so
+    that the fermion group's pencil keeps a row past the failed solve and
+    the boson group's check list a row past the failed Cholesky.  Then
+    each bad option value.  ``margin`` is the tree's BRANCH_CUT_MARGIN.
     """
     vacuum, form = root / "vacuum.json", root / "form.json"
     vacuum.write_text(_VACUUM)
@@ -121,6 +123,7 @@ def error_calls(root: Path, margin: float) -> list:
     batch = root / "batch"
     batch.mkdir()
     (batch / "form.json").write_text(_FORM)
+    (batch / "vacuum.json").write_text(_VACUUM)
     calls = []
     for name, text in ERROR_TARGETS.items():
         text = _near_cut(margin) if text is None else text
