@@ -53,19 +53,22 @@ def metric_phiphi(r):
 
 @dataclass(frozen=True)
 class WeylFactor:
-    """Scalar conformal factor omega(r)."""
+    """Scalar conformal factor omega(r).
+
+    ``fn`` returns a value broadcastable against r; __call__ broadcasts it to r's shape.
+    """
 
     fn: object
 
     @staticmethod
     def constant(c: float) -> "WeylFactor":
         c = _require_real("constant factor", c)
-        return WeylFactor(lambda r: np.full_like(np.asarray(r, dtype=float), c))
+        return WeylFactor(lambda r: c)
 
     @staticmethod
     def linear(beta: float) -> "WeylFactor":
         beta = _require_real("linear factor", beta)
-        return WeylFactor(lambda r: beta * np.asarray(r, dtype=float))
+        return WeylFactor(lambda r: beta * r)
 
     @staticmethod
     def tabulated(r_values, omega_values) -> "WeylFactor":
@@ -89,7 +92,8 @@ class WeylFactor:
         return WeylFactor(interp)
 
     def __call__(self, r):
-        return np.asarray(self.fn(np.asarray(r, dtype=float)), dtype=float)
+        r = np.asarray(r, dtype=float)
+        return np.full(r.shape, self.fn(r), dtype=float)
 
 
 def _simpson(values: np.ndarray, step: float) -> float:
@@ -126,14 +130,18 @@ def weyl_complexity(base_complexity: float, weyl: WeylFactor, quad_steps: int) -
 
 
 def _zero(r, phi):
-    return np.zeros_like(np.asarray(r, dtype=float))
+    return 0.0
 
 
 @dataclass(frozen=True)
 class VectorPotential:
     """Background 1-form A = a_r dr on the chart.
 
-    ``f_rphi`` is the analytic field strength F_rphi = -d_phi a_r.
+    ``f_rphi`` is the analytic field strength F_rphi = -d_phi a_r.  Each of
+    a_r(r, phi) and f_rphi(r, phi) returns a value broadcastable against
+    r: _cost_terms broadcasts a_r to a path's samples, as
+    WeylFactor.__call__ does omega, and lorentz_geodesic reads f_rphi
+    at one state as a float.
     """
 
     a_r: object
@@ -146,8 +154,7 @@ class VectorPotential:
     @staticmethod
     def constant(f0: float) -> "VectorPotential":
         f0 = _require_real("constant potential", f0, nonnegative=True)
-        a_r = lambda r, phi: np.full_like(np.asarray(r, dtype=float), -f0)
-        return VectorPotential(a_r, _zero)
+        return VectorPotential(lambda r, phi: -f0, _zero)
 
     @staticmethod
     def gradient(h_coeffs) -> "VectorPotential":
@@ -158,10 +165,7 @@ class VectorPotential:
         with np.errstate(over="ignore"):  # an inf coefficient is PotentialTooLarge where A is used
             dc = c[1:] * np.arange(1, len(c))
 
-        def a_r(r, phi):
-            r = np.asarray(r, dtype=float)
-            return -np.polyval(dc[::-1], r) if len(dc) else np.zeros_like(r)
-
+        a_r = lambda r, phi: -np.polyval(dc[::-1], r) if len(dc) else 0.0
         return VectorPotential(a_r, _zero)
 
     @staticmethod
@@ -174,13 +178,8 @@ class VectorPotential:
         eps = _require_real("ripple eps", eps)
         if abs(eps) > 1.0:
             raise ValidationError(f"ripple eps must lie in [-1, 1], got {eps}")
-        a_r = lambda r, phi: -f0 * (1.0 + eps * np.cos(phi)) * np.ones_like(
-            np.asarray(r, dtype=float)
-        )
-        f_rphi = lambda r, phi: -f0 * eps * np.sin(phi) * np.ones_like(
-            np.asarray(r, dtype=float)
-        )
-        return VectorPotential(a_r, f_rphi)
+        a_r = lambda r, phi: -f0 * (1.0 + eps * np.cos(phi))
+        return VectorPotential(a_r, lambda r, phi: -f0 * eps * np.sin(phi))
 
 
 def _potential(a):
@@ -229,7 +228,7 @@ def _cost_terms(path: DiscretizedPath, a: VectorPotential = None):
     a = _potential(a)
     phi = path.samples[:, 1]
     gpp = metric_phiphi(r)
-    ar = np.asarray(a.a_r(r, phi), dtype=float)
+    ar = np.full(r.shape, a.a_r(r, phi), dtype=float)
     norm_sq = ar * ar  # g^{ij} A_i A_j, with g_rr = 1
     if np.any(norm_sq > 1.0 + 1e-12):
         i = int(np.argmax(norm_sq))

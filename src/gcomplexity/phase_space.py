@@ -71,19 +71,22 @@ def _real_array(a, name, copy=False):
 
     np.asarray(..., dtype=float) alone also takes strings, booleans and
     None.  An integer too large for a float is NonFinite, as 1e400 is.
-    An ndarray is judged by its dtype kind; otherwise the entry types are
-    walked once.  A set of them within {float, int}, the types of JSON
-    numbers, passes at once; any other set takes the general test, which
-    lets numpy numbers pass and rejects bool.  0-d ndarray entries stand
-    for their dtype's scalar type, read by a second walk made only when
-    there are any.
+    An ndarray is judged by its dtype kind, and so is any other input by
+    the dtype numpy infers for it, which may also be object (a Python
+    int past int64, None); then the entry types are walked once.  A set
+    of them within {float, int}, the types of JSON numbers, passes at
+    once; any other set takes the general test, which lets numpy numbers
+    pass and rejects bool, upcast to float beside a number.  0-d ndarray
+    entries stand for their dtype's scalar type, read by a second walk
+    made only when there are any.
     """
     array = isinstance(a, np.ndarray)
-    # signed, unsigned or float, not bool, complex or object; before the cast, where complex warns
-    if array and a.dtype.kind not in "iuf":
-        raise ValidationError(f"{name} must be an array of real numbers")
     try:
-        out = np.array(a, dtype=float, order="C") if copy else np.asarray(a, dtype=float)
+        raw = np.asarray(a)
+        # not bool, complex or a string: judged before the cast, where complex warns
+        if raw.dtype.kind not in "iuf" and (array or raw.dtype.kind != "O"):
+            raise ValidationError(f"{name} must be an array of real numbers")
+        out = np.array(raw, dtype=float, order="C") if copy else np.asarray(raw, dtype=float)
     except OverflowError:  # an integer past the float range
         raise NonFinite(f"{name} contains non-finite entries")
     except (TypeError, ValueError):

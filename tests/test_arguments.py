@@ -289,9 +289,16 @@ def test_a_0d_ndarray_entry_is_judged_by_its_dtype():
     # the entry walk read the type np.ndarray and rejected a 0-d float entry
     assert GaussianState([[np.array(0.0), 1.0], [-1.0, 0.0]], BOSON).kind is BOSON
     assert GaussianState([[np.array(0), 1.0], [-1.0, np.array(0, dtype=np.uint8)]], BOSON).kind is BOSON
+    for entry in (np.array(False), np.array(0j), np.array(0.0, dtype=object)):
+        with pytest.raises(ValidationError, match="^j must be an array of real numbers$"):
+            GaussianState([[entry, 1.0], [-1.0, 0.0]], BOSON)
+
+
+def test_a_complex_entry_is_rejected_before_it_is_cast():
+    # the float cast of a list came first, and warned that it dropped the imaginary part
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)  # the cast, as a complex scalar's
-        for entry in (np.array(False), np.array(0j), np.array(0.0, dtype=object)):
+        warnings.simplefilter("error")
+        for entry in (np.complex128(0), np.array(0j), 0j):
             with pytest.raises(ValidationError, match="^j must be an array of real numbers$"):
                 GaussianState([[entry, 1.0], [-1.0, 0.0]], BOSON)
 

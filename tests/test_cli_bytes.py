@@ -14,8 +14,8 @@ def _tool(*argv):
     return subprocess.run([sys.executable, str(TOOL), *map(str, argv)], capture_output=True, text=True)
 
 
-def _error_corpus(monkeypatch):
-    """The tool's ``errors`` records of this tree, recorded in this process with no seeds."""
+def _fixed_corpora(monkeypatch):
+    """The tool's ``errors`` and ``formats`` records of this tree, recorded in this process."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # record puts the tree's dirs first
     spec = importlib.util.spec_from_file_location("cli_bytes", TOOL)
     tool = importlib.util.module_from_spec(spec)
@@ -24,7 +24,8 @@ def _error_corpus(monkeypatch):
 
 
 def test_the_error_corpus_is_fixed_and_every_call_exits_in_band(monkeypatch):
-    tool, calls = _error_corpus(monkeypatch)
+    tool, calls = _fixed_corpora(monkeypatch)
+    calls = [c for c in calls if c["workload"] == "errors"]
     assert all(c["workload"] == "errors" and c["seed"] is None for c in calls)
     assert [c["index"] for c in calls] == list(range(len(calls)))
     targets = [*tool.ERROR_TARGETS]
@@ -61,6 +62,29 @@ def test_the_error_corpus_is_fixed_and_every_call_exits_in_band(monkeypatch):
     assert calls[targets.index("fermion_flipped")]["stdout"] == (
         '{"error": "BranchCut: eigenvalue -1 encountered; target lies on the branch cut"}\n'
     )
+
+
+def test_the_format_corpus_is_fixed_and_every_call_exits_0(monkeypatch):
+    _, calls = _fixed_corpora(monkeypatch)
+    calls = [c for c in calls if c["workload"] == "formats"]
+    assert all(c["seed"] is None for c in calls)
+    assert [c["index"] for c in calls] == list(range(len(calls)))
+    assert [c["label"] for c in calls] == [
+        "nonrev none", "nonrev const:0.3", "nonrev grad:h=0.2r+0.1r^2", "nonrev none --csv-out",
+        "complexity", "coherent", "weyl linear:0.5", "weyl table",
+    ]
+    for call in calls:
+        assert call["exit"] == 0, (call["label"], call["exit"])
+    nonrev = calls[:4]
+    for call in nonrev:
+        rows = call["stdout"].splitlines()
+        assert rows[0] == "tau,r,phi,cost_accumulated" and len(rows) == 66  # 64 steps and a header
+    # writing the CSV to a file leaves it on stdout as it was; each potential costs the path its own
+    assert nonrev[3]["stdout"] == nonrev[0]["stdout"]
+    assert len({c["stdout"] for c in nonrev[:3]}) == 3
+    for call in calls[4:7]:
+        assert call["stdout"].startswith("key,value\ncomplexity,")
+    assert json.loads(calls[7]["stdout"])["omega"] == "table:<root>/omega.csv"
 
 
 def test_record_one_seed_and_compare(tmp_path, monkeypatch):
@@ -103,9 +127,13 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
             at_defaults, at_bench = json.loads(default["stdout"]), json.loads(bench["stdout"])
             assert (at_defaults["segments"], at_defaults["restarts"]) == (16, 5)
             assert at_defaults["closed_form"] == at_bench["closed_form"]
-    # the error corpus is recorded once, whatever the seeds, and the same in every record
-    _, errors = _error_corpus(monkeypatch)
+    # the fixed corpora are recorded once, whatever the seeds, and the same in every record
+    _, fixed = _fixed_corpora(monkeypatch)
+    errors = [c for c in fixed if c["workload"] == "errors"]
     assert [c for c in calls if c["workload"] == "errors"] == errors
+    assert [c for c in calls if c["workload"] == "formats"] == [
+        c for c in fixed if c["workload"] == "formats"
+    ]
     small = [c for c in calls if c["workload"] == "batch_small"]
     for call in small:
         assert call["argv"][0] == "complexity"

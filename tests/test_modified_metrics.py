@@ -234,6 +234,25 @@ def test_cost_terms_checks_the_potential_norm_at_each_sample():
         _cost_terms(path, VectorPotential.constant(1.0 + 1e-11))
 
 
+def test_a_scalar_value_is_broadcast_to_the_samples():
+    # a potential or factor returns a value broadcastable against r; a 0-d value broke ar[1:]
+    # and Simpson's slices, and now gives the bits of the built-in that returns the same value
+    path = random_path(np.random.default_rng(44))
+    scalar = VectorPotential(lambda r, phi: -0.4, lambda r, phi: 0.0)
+    built_in = VectorPotential.constant(0.4)
+    for cost in (nonreversible_cost, nonreversible_cost_profile):
+        assert np.array_equal(cost(path, a=scalar), cost(path, a=built_in))
+        assert np.array_equal(cost(path.reversed(), a=scalar), cost(path.reversed(), a=built_in))
+    no_potential = VectorPotential(lambda r, phi: 0.0, lambda r, phi: 0.0)
+    assert nonreversible_cost(path, a=no_potential) == chart_path_length(path)
+    geodesics = [lorentz_geodesic((0.6, 0.2), (0.3, 0.4), a=a) for a in (scalar, built_in)]
+    assert np.array_equal(geodesics[0].samples, geodesics[1].samples)
+    weyl, constant = WeylFactor(lambda r: 0.3), WeylFactor.constant(0.3)
+    assert weyl(np.zeros((2, 3))).shape == (2, 3)
+    for steps in (2, 16, 128):
+        assert weyl_complexity(1.7, weyl, steps) == weyl_complexity(1.7, constant, steps)
+
+
 def test_discretized_path_validation():
     with pytest.raises(ValidationError):
         DiscretizedPath(np.zeros((1, 2)), np.array([0.0]))

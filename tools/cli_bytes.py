@@ -22,12 +22,14 @@ corpus labelled ``errors`` (seed null; error_calls): ``complexity
 --target`` on each bad state file of ERROR_TARGETS, one ``--batch``
 holding all of them and a valid vacuum and form, and bad --tol,
 --quad-steps, --rk-steps and --segments values, each of which must exit
-2 or 3.  ``compare`` lists the calls whose exit code or stdout differ,
-or that only one record has, and exits 1 if there are any; for a stdout
-difference it prints the first differing byte offset and about 40 bytes
-of each side around it and, when both stdouts are JSON, the largest
-relative change over their numbers and where it is, or where their
-structure differs.  Nothing is written under bench/.
+2 or 3.  Then, also once, a fixed corpus of the output routes no
+benchmark call reaches, labelled ``formats`` (seed null; format_calls),
+each of which must exit 0.  ``compare`` lists the calls whose exit code
+or stdout differ, or that only one record has, and exits 1 if there are
+any; for a stdout difference it prints the first differing byte offset
+and about 40 bytes of each side around it and, when both stdouts are
+JSON, the largest relative change over their numbers and where it is,
+or where their structure differs.  Nothing is written under bench/.
 """
 
 from __future__ import annotations
@@ -149,6 +151,39 @@ def error_calls(root: Path, margin: float) -> list:
     return calls
 
 
+def format_calls(root: Path) -> list:
+    """The format-route corpus as (label, argv) pairs, writing its files under root.
+
+    ``nonrev --format csv`` at 64 RK4 steps under each potential
+    grammar, the first once more with --csv-out; ``--format csv`` of
+    ``complexity --target``, ``coherent`` and ``weyl --omega linear:0.5``;
+    and ``weyl --omega table:`` on a fixed table.  The states are the
+    squeezed references of N = 2 (a target against the N = 2 vacuum)
+    and of N = 1 (displaced by z = (0.3, -0.2), against the vacuum).
+    """
+    vacuum_1, vacuum_2 = root / "vacuum_1.json", root / "vacuum_2.json"
+    squeezed, displaced = root / "squeezed.json", root / "displaced.json"
+    table = root / "omega.csv"
+    vacuum_1.write_text(_VACUUM)
+    vacuum_2.write_text(json.dumps({"kind": "boson", "n_modes": 2, "sigma": np.eye(4).tolist()}))
+    squeezed.write_text(json.dumps(squeezed_reference("boson", 2)))
+    displaced.write_text(json.dumps({**squeezed_reference("boson", 1), "z": [0.3, -0.2]}))
+    table.write_text("r,omega\n0.0,0.0\n0.4,0.3\n1.0,0.1\n2.5,0.7\n")
+    nonrev = ["nonrev", "--start", "0.5,0.3", "--velocity", "0.6,0.2", "--rk-steps", "64"]
+    csv = ["--format", "csv"]
+    potentials = ("none", "const:0.3", "grad:h=0.2r+0.1r^2")
+    calls = [(f"nonrev {p}", [*nonrev, "--potential", p, *csv]) for p in potentials]
+    calls.append(("nonrev none --csv-out", [*calls[0][1], "--csv-out", str(root / "path.csv")]))
+    pair = ["--reference", str(vacuum_2), "--target", str(squeezed)]
+    calls += [
+        ("complexity", ["complexity", *pair, *csv]),
+        ("coherent", ["coherent", "--reference", str(vacuum_1), "--target", str(displaced), *csv]),
+        ("weyl linear:0.5", ["weyl", *pair, "--omega", "linear:0.5", *csv]),
+        ("weyl table", ["weyl", *pair, "--omega", f"table:{table}"]),
+    ]
+    return calls
+
+
 def record(tree: Path, seeds) -> list:
     tree = tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
@@ -195,20 +230,22 @@ def record(tree: Path, seeds) -> list:
                         invoke(name + "@defaults", index, call.argv[:-tail])
     from gcomplexity.lie_numerics import BRANCH_CUT_MARGIN
 
-    with tempfile.TemporaryDirectory() as tmp:
-        runner = run.Runner(cli, None)
-        for index, (label, argv) in enumerate(error_calls(Path(tmp), BRANCH_CUT_MARGIN)):
-            with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text
-                _, code, out = runner.invoke(argv)
-            calls.append({
-                "workload": "errors",
-                "seed": None,
-                "index": index,
-                "label": label,
-                "argv": [a.replace(tmp, ROOT) for a in argv],
-                "exit": code,
-                "stdout": out.replace(tmp, ROOT),
-            })
+    corpora = {"errors": lambda root: error_calls(root, BRANCH_CUT_MARGIN), "formats": format_calls}
+    for workload, corpus in corpora.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            runner = run.Runner(cli, None)
+            for index, (label, argv) in enumerate(corpus(Path(tmp))):
+                with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text
+                    _, code, out = runner.invoke(argv)
+                calls.append({
+                    "workload": workload,
+                    "seed": None,
+                    "index": index,
+                    "label": label,
+                    "argv": [a.replace(tmp, ROOT) for a in argv],
+                    "exit": code,
+                    "stdout": out.replace(tmp, ROOT),
+                })
     return calls
 
 
