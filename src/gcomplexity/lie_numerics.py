@@ -338,7 +338,7 @@ def stabilizer_basis(reference: GaussianState) -> StabilizerBasis:
     jr = reference.j
     comm = (basis @ jr - jr @ basis).reshape(len(basis), -1).T
     _, svals, vt = np.linalg.svd(comm, full_matrices=False)
-    cutoff = max(comm.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    cutoff = max(comm.shape) * np.finfo(float).eps * svals[0]
     rank = int(np.sum(svals > max(cutoff, 1e-12)))
     mats = np.einsum("cd,dij->cij", vt, basis)
     elements = tuple(LieAlgebraElement(m, algebra) for m in mats[rank:])

@@ -337,7 +337,9 @@ def lorentz_geodesic(
     where g_phiphi overflowed (r above about 178), raises
     NumericDomainError instead.  A trajectory reaching r = 0 (an inward
     radial launch included) raises ChartBoundary carrying the partial
-    path.
+    path.  From r < CHART_EPS only an outward radial launch is valid; it
+    runs the same RK4, which keeps it on its ray where F_rphi = 0 and
+    raises a NumericDomainError where not, as just off the origin.
     """
     a = _potential(a)
     r0, phi0 = _require_pair("start", start, nonnegative=True)
@@ -355,10 +357,6 @@ def lorentz_geodesic(
             )
         if vr0 <= 0.0:
             raise ValidationError("launch from r = 0 requires positive radial velocity")
-        s = np.linspace(0.0, length, n + 1)
-        samples = np.stack([s, np.full(n + 1, phi0)], axis=1)
-        vel = np.tile([1.0, 0.0], (n + 1, 1))
-        return DiscretizedPath(samples, s / length if length > 0 else np.linspace(0, 1, n + 1), vel)
     # a radial launch has no g_phiphi term, as in _lorentz_acceleration
     speed = np.sqrt(vr0 * vr0 + (float(metric_phiphi(r0)) * vphi0 * vphi0 if vphi0 else 0.0))
     if speed == 0.0:

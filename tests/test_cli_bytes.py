@@ -72,9 +72,13 @@ def test_the_format_corpus_is_fixed_and_every_call_exits_0(monkeypatch):
     assert [c["label"] for c in calls] == [
         "nonrev none", "nonrev const:0.3", "nonrev grad:h=0.2r+0.1r^2", "nonrev none --csv-out",
         "complexity", "coherent", "weyl linear:0.5", "weyl table",
+        "nonrev origin grad:h=0.5r", "nonrev origin const:0.3",
     ]
     for call in calls:
         assert call["exit"] == 0, (call["label"], call["exit"])
+    # the one --csv-out call also passes --format csv: the file it wrote is its stdout
+    assert [c["label"] for c in calls if "files" in c] == ["nonrev none --csv-out"]
+    assert calls[3]["files"] == {"<root>/path.csv": calls[3]["stdout"]}
     nonrev = calls[:4]
     for call in nonrev:
         rows = call["stdout"].splitlines()
@@ -85,6 +89,13 @@ def test_the_format_corpus_is_fixed_and_every_call_exits_0(monkeypatch):
     for call in calls[4:7]:
         assert call["stdout"].startswith("key,value\ncomplexity,")
     assert json.loads(calls[7]["stdout"])["omega"] == "table:<root>/omega.csv"
+    # README's dyadic launch from the origin, and a non-dyadic one on the ray phi = 0.7
+    dyadic = json.loads(calls[8]["stdout"])
+    assert (dyadic["forward_cost"], dyadic["reverse_cost"], dyadic["length"]) == (1.0, 3.0, 2.0)
+    assert dyadic["samples"] == 257
+    rows = [row.split(",") for row in calls[9]["stdout"].splitlines()[1:]]
+    assert len(rows) == 101 and rows[0][:3] == ["0", "0", "0.69999999999999996"]
+    assert all(row[2] == "0.69999999999999996" for row in rows)
 
 
 def test_record_one_seed_and_compare(tmp_path, monkeypatch):
@@ -158,6 +169,12 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
     renamed["stdout"] = renamed["stdout"].replace('"complexity"', '"Complexity"', 1)
     renamed_at = renamed_before.index(b'"complexity"') + 1
     renamed_start = max(0, renamed_at - 20)
+    # a written file is compared as stdout is
+    written = next(c for c in calls if "files" in c)
+    (path, text), = written["files"].items()
+    written["files"][path] = text.replace("\n", "\n\n", 1)
+    written_at = text.index("\n") + 1
+    written_start = max(0, written_at - 20)
     changed = tmp_path / "b.json"
     changed.write_text(json.dumps([c for c in calls if c is not last]))
     proc = _tool("compare", out, changed)
@@ -172,5 +189,23 @@ def test_record_one_seed_and_compare(tmp_path, monkeypatch):
         f"  b: {renamed['stdout'].encode()[renamed_start : renamed_start + 40]!r}",
         "  JSON structure differs at $.results[0]",
         f"batch_small seed=1 call={last['index']}: only in a",
-        f"3 of {len(calls)} calls differ",
+        f"formats seed=None call={written['index']} " + " ".join(written["argv"])
+        + f": {path} differs at byte {written_at}",
+        f"  a: {text.encode()[written_start : written_start + 40]!r}",
+        f"  b: {written['files'][path].encode()[written_start : written_start + 40]!r}",
+        f"4 of {len(calls)} calls differ",
+    ]
+    # a file that only one record has is named, after the call's stdout difference
+    one, other = tmp_path / "one.json", tmp_path / "other.json"
+    one.write_text(json.dumps([written]))
+    other.write_text(json.dumps([{**written, "stdout": "", "files": {}}]))
+    proc = _tool("compare", one, other)
+    assert proc.returncode == 1
+    head = f"formats seed=None call={written['index']} " + " ".join(written["argv"])
+    assert proc.stdout.splitlines() == [
+        f"{head}: stdout differs at byte 0",
+        f"  a: {written['stdout'].encode()[:40]!r}",
+        "  b: b''",
+        f"{head}: {path} only in a",
+        "1 of 1 calls differ",
     ]

@@ -282,6 +282,52 @@ def test_lorentz_radial_launch_from_origin():
         lorentz_geodesic((0.0, 0.0), (-1.0, 0.0))
 
 
+def test_lorentz_start_below_the_chart_eps_is_kept():
+    # an origin launch runs the RK4 from its own start, not from r = 0
+    path = lorentz_geodesic((1e-13, 0.2), (1.0, 0.0), length=1.0, rk_steps=64)
+    assert path.samples[0, 0] == 1e-13
+    assert path.samples[-1, 0] == pytest.approx(1.0 + 1e-13, abs=1e-15)
+    assert np.all(path.samples[:, 1] == 0.2)
+
+
+@pytest.mark.parametrize("r0", [0.0, 1e-9])
+@pytest.mark.parametrize("phi0", [0.5, 1.0, 3.0])
+def test_lorentz_magnetic_potential_at_the_origin_as_just_off_it(r0, phi0):
+    # the ripple's F_rphi = -f0 eps sin(phi) turns a radial launch off its ray
+    with pytest.raises(NumericDomainError):
+        lorentz_geodesic((r0, phi0), (1.0, 0.0), a=POTENTIALS["ripple"], length=1.0)
+
+
+def test_lorentz_magnetic_potential_at_the_origin_on_a_curl_free_ray():
+    # on phi = 0 the ripple's F_rphi is 0, and the launch is the free radial path
+    path = lorentz_geodesic((0.0, 0.0), (1.0, 0.0), a=POTENTIALS["ripple"], length=1.0)
+    free = lorentz_geodesic((0.0, 0.0), (1.0, 0.0), length=1.0)
+    assert np.array_equal(path.samples, free.samples)
+    assert np.all(path.velocities == [1.0, 0.0])
+
+
+def test_lorentz_zero_length_launch_from_the_origin_meets_the_chart_boundary():
+    # a zero step leaves the state at r = 0, which the loop reads as the boundary
+    with pytest.raises(ChartBoundary, match=r"^trajectory reached r = 0 after arc length 0$") as info:
+        lorentz_geodesic((0.0, 0.3), (1.0, 0.0), length=0.0)
+    assert info.value.partial_path is None
+
+
+@pytest.mark.parametrize("rk_steps", [8, 100, 256, 1000, 1024])
+@pytest.mark.parametrize("potential", ["none", "constant", "gradient"])
+def test_lorentz_curl_free_launch_from_the_origin_is_the_radial_line(potential, rk_steps):
+    for phi0, speed, length in ((0.0, 1.0, 0.37), (0.7, 2.5, 1.3), (-2.0, 0.1, 2.9)):
+        path = lorentz_geodesic(
+            (0.0, phi0), (speed, 0.0), a=POTENTIALS[potential], length=length, rk_steps=rk_steps
+        )
+        line = path.params * length
+        assert path.samples[0, 0] == 0.0
+        tol = 4.0 * np.finfo(float).eps * rk_steps
+        assert np.all(np.abs(path.samples[:, 0] - line) <= tol * line)
+        assert np.all(path.samples[:, 1] == phi0)
+        assert np.all(path.velocities == [1.0, 0.0])
+
+
 @pytest.mark.parametrize("rk_steps", [8, 256, 4096])
 def test_lorentz_radial_launch_past_the_overflow_radius(rk_steps):
     # a radial state has no g_phiphi term, so inf * 0 does not turn the

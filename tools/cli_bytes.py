@@ -1,4 +1,4 @@
-"""Record gcx stdout and exit codes on the benchmark's inputs; compare two records.
+"""Record what gcx writes and its exit codes on the benchmark's inputs; compare two records.
 
     python3 tools/cli_bytes.py record <tree> <out.json> [--seeds 1 2 3]
     python3 tools/cli_bytes.py compare <a.json> <b.json>
@@ -7,9 +7,11 @@
 in a temporary directory and runs each call through <tree>'s own
 ``gcomplexity.cli.main``, in this process, with the benchmark's own
 invoker (``Runner.invoke`` of <tree>/bench/run.py), so a call is made
-exactly as the benchmark makes it.  The temporary directory is written
-as ``<root>`` in the argv and stdout it keeps, so the records of two
-trees are equal exactly when their output is.  Every benchmark reference
+exactly as the benchmark makes it.  It keeps each call's exit code and
+stdout and, for a call with --csv-out, the text of the file written, in
+``files`` by path.  The temporary directory is written as ``<root>`` in
+the argv, stdout and files it keeps, so the records of two trees are
+equal exactly when their output is.  Every benchmark reference
 is the vacuum, so ``record`` then runs each call that has --reference
 again against a fixed non-vacuum reference of the same kind and N
 (squeezed_reference), written over the reference file, and labels those
@@ -24,12 +26,13 @@ holding all of them and a valid vacuum and form, and bad --tol,
 --quad-steps, --rk-steps and --segments values, each of which must exit
 2 or 3.  Then, also once, a fixed corpus of the output routes no
 benchmark call reaches, labelled ``formats`` (seed null; format_calls),
-each of which must exit 0.  ``compare`` lists the calls whose exit code
-or stdout differ, or that only one record has, and exits 1 if there are
-any; for a stdout difference it prints the first differing byte offset
-and about 40 bytes of each side around it and, when both stdouts are
-JSON, the largest relative change over their numbers and where it is,
-or where their structure differs.  Nothing is written under bench/.
+each of which must exit 0.  ``compare`` lists the calls whose exit code,
+stdout or files differ, or that only one record has, and exits 1 if
+there are any; for a stdout or file difference it prints the first
+differing byte offset and about 40 bytes of each side around it and,
+when both texts are JSON, the largest relative change over their
+numbers and where it is, or where their structure differs; a file that
+only one record has is named.  Nothing is written under bench/.
 """
 
 from __future__ import annotations
@@ -157,9 +160,12 @@ def format_calls(root: Path) -> list:
     ``nonrev --format csv`` at 64 RK4 steps under each potential
     grammar, the first once more with --csv-out; ``--format csv`` of
     ``complexity --target``, ``coherent`` and ``weyl --omega linear:0.5``;
-    and ``weyl --omega table:`` on a fixed table.  The states are the
-    squeezed references of N = 2 (a target against the N = 2 vacuum)
-    and of N = 1 (displaced by z = (0.3, -0.2), against the vacuum).
+    ``weyl --omega table:`` on a fixed table; and two outward launches
+    from the origin, README's dyadic one (JSON) and a non-dyadic one
+    (CSV), whose samples come from the RK4 as every launch's do.  The
+    states are the squeezed references of N = 2 (a target against the
+    N = 2 vacuum) and of N = 1 (displaced by z = (0.3, -0.2), against
+    the vacuum).
     """
     vacuum_1, vacuum_2 = root / "vacuum_1.json", root / "vacuum_2.json"
     squeezed, displaced = root / "squeezed.json", root / "displaced.json"
@@ -180,8 +186,32 @@ def format_calls(root: Path) -> list:
         ("coherent", ["coherent", "--reference", str(vacuum_1), "--target", str(displaced), *csv]),
         ("weyl linear:0.5", ["weyl", *pair, "--omega", "linear:0.5", *csv]),
         ("weyl table", ["weyl", *pair, "--omega", f"table:{table}"]),
+        ("nonrev origin grad:h=0.5r", [
+            "nonrev", "--start", "0,0", "--velocity", "1,0", "--potential", "grad:h=0.5r",
+            "--length", "2",
+        ]),
+        ("nonrev origin const:0.3", [
+            "nonrev", "--start", "0,0.7", "--velocity", "2.5,0", "--potential", "const:0.3",
+            "--length", "0.37", "--rk-steps", "100", *csv,
+        ]),
     ]
     return calls
+
+
+def _call(tmp: str, argv, code, out: str, **keys) -> dict:
+    """The record of one call, tmp written as <root>: keys, argv, exit, stdout, and files.
+
+    ``files`` is there only for a call with --csv-out: its path and the
+    text of the file, or empty when the call wrote none.
+    """
+    call = {**keys, "argv": [a.replace(tmp, ROOT) for a in argv], "exit": code,
+            "stdout": out.replace(tmp, ROOT)}
+    if "--csv-out" in argv:
+        path = Path(argv[argv.index("--csv-out") + 1])
+        call["files"] = {}
+        if path.exists():
+            call["files"][str(path).replace(tmp, ROOT)] = path.read_text().replace(tmp, ROOT)
+    return call
 
 
 def record(tree: Path, seeds) -> list:
@@ -202,14 +232,7 @@ def record(tree: Path, seeds) -> list:
 
                 def invoke(label, index, argv):
                     _, code, out = runner.invoke(argv)
-                    calls.append({
-                        "workload": label,
-                        "seed": seed,
-                        "index": index,
-                        "argv": [a.replace(tmp, ROOT) for a in argv],
-                        "exit": code,
-                        "stdout": out.replace(tmp, ROOT),
-                    })
+                    calls.append(_call(tmp, argv, code, out, workload=label, seed=seed, index=index))
 
                 for index, call in enumerate(inputs.calls):
                     invoke(name, index, call.argv)
@@ -237,15 +260,9 @@ def record(tree: Path, seeds) -> list:
             for index, (label, argv) in enumerate(corpus(Path(tmp))):
                 with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text
                     _, code, out = runner.invoke(argv)
-                calls.append({
-                    "workload": workload,
-                    "seed": None,
-                    "index": index,
-                    "label": label,
-                    "argv": [a.replace(tmp, ROOT) for a in argv],
-                    "exit": code,
-                    "stdout": out.replace(tmp, ROOT),
-                })
+                calls.append(
+                    _call(tmp, argv, code, out, workload=workload, seed=None, index=index, label=label)
+                )
     return calls
 
 
@@ -292,15 +309,30 @@ def _change_line(a: str, b: str):
     return f"  largest relative change {rel:.3g} at {at}"
 
 
-def compare(a: list, b: list) -> list:
-    """One report per call whose exit code or stdout differ, or that one record lacks.
+def _difference(head: str, a: str, b: str) -> str:
+    """The report lines on two differing texts, the first of them head and its byte offset."""
+    x, y = a.encode(), b.encode()
+    at = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+    start = max(0, at - CONTEXT // 2)
+    change = _change_line(a, b)
+    return (
+        f"{head} differs at byte {at}\n"
+        f"  a: {x[start : start + CONTEXT]!r}\n"
+        f"  b: {y[start : start + CONTEXT]!r}"
+        + ("" if change is None else "\n" + change)
+    )
 
-    A report is one line, except for a stdout difference: its line names
-    the first byte offset where the two differ, two more lines show the
-    bytes around it from a and from b, and when both stdouts parse as
-    JSON a last line gives the largest relative change over their
-    numbers with its JSON path, or the path where their structure
-    differs.
+
+def compare(a: list, b: list) -> list:
+    """One report per call whose exit code, stdout or files differ, or that one record lacks.
+
+    A report is one line, except where a stdout or a written file
+    differs: for each such text a line names the first byte offset where
+    the two differ, two more lines show the bytes around it from a and
+    from b, and when both texts parse as JSON a last line gives the
+    largest relative change over their numbers with its JSON path, or
+    the path where their structure differs.  A file that only one
+    record has is one line.
     """
     def by_key(calls):
         return {(c["workload"], c["seed"], c["index"]): c for c in calls}
@@ -312,19 +344,21 @@ def compare(a: list, b: list) -> list:
         label = "{} seed={} call={}".format(*key)
         if x is None or y is None:
             lines.append(f"{label}: only in {'b' if x is None else 'a'}")
-        elif x["exit"] != y["exit"]:
-            lines.append(f"{label} {' '.join(x['argv'])}: exit {x['exit']!r} != {y['exit']!r}")
-        elif x["stdout"] != y["stdout"]:
-            a, b = x["stdout"].encode(), y["stdout"].encode()
-            at = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
-            start = max(0, at - CONTEXT // 2)
-            change = _change_line(x["stdout"], y["stdout"])
-            lines.append(
-                f"{label} {' '.join(x['argv'])}: stdout differs at byte {at}\n"
-                f"  a: {a[start : start + CONTEXT]!r}\n"
-                f"  b: {b[start : start + CONTEXT]!r}"
-                + ("" if change is None else "\n" + change)
-            )
+            continue
+        head = f"{label} {' '.join(x['argv'])}:"
+        if x["exit"] != y["exit"]:
+            lines.append(f"{head} exit {x['exit']!r} != {y['exit']!r}")
+            continue
+        texts = {"stdout": (x["stdout"], y["stdout"])}
+        fx, fy = x.get("files", {}), y.get("files", {})
+        texts.update((path, (fx.get(path), fy.get(path))) for path in sorted(fx.keys() | fy.keys()))
+        parts = [
+            f"{head} {name} only in {'b' if p is None else 'a'}" if p is None or q is None
+            else _difference(f"{head} {name}", p, q)
+            for name, (p, q) in texts.items() if p != q
+        ]
+        if parts:
+            lines.append("\n".join(parts))
     return lines
 
 
