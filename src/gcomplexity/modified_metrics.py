@@ -19,13 +19,14 @@ which stays nonnegative while ||A||_g <= 1 and produces Lorentz-force
 geodesics r'' + Gamma = F^i_j gamma'^j with F_ij = d_i A_j - d_j A_i.
 lorentz_geodesic integrates them by fixed-step RK4 whose state is four
 Python floats.  A stage's position slope is its own velocity, so each
-stage computes only the Lorentz-force acceleration; its metric terms use
-numpy's sinh/cosh, so each step has the bits the vectorized
-metric_phiphi would give it.
+stage computes only the Lorentz-force acceleration; its metric terms
+take libm's sinh/cosh for |r| < 170, within 10 ulps of the vectorized
+metric_phiphi, and numpy's beyond, where they overflow to inf.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,19 +289,20 @@ def _lorentz_acceleration(r, phi, vr, vphi, field):
 
     The velocity half of an RK4 slope is the state's own (vr, vphi), so
     only the acceleration is returned.  g_phiphi and its analytic
-    derivative 2 sinh(2r) sinh^2(r) + cosh(2r) sinh(2r) are formed as
-    metric_phiphi forms g_phiphi on a scalar: numpy's sinh/cosh of a
-    float carry the bits of its array loop (libm's differ in the last
-    place), and sinh(r) ** 2 stays numpy's scalar power, which rounds as
-    pow does and overflows to inf where a float ** would raise.
+    derivative 2 sinh(2r) sinh^2(r) + cosh(2r) sinh(2r) take libm's
+    sinh/cosh for |r| < 170 (a stage radius can be negative), within 10
+    ulps of numpy's on arrays, and numpy's scalars beyond, which
+    overflow to inf where math raises OverflowError (past r of about
+    355), so an overflow's inf and nan land as on arrays.
     ``field`` is None for a curl-free potential, whose F_rphi is +0.0
     everywhere.  A radial state (vphi == 0) has no g_phiphi term, also
     where g_phiphi overflowed (inf * 0 would be nan).
     """
     r2 = 2.0 * r
-    sh2 = float(sinh(r) ** 2)
-    s2 = float(sinh(r2))
-    c2 = float(cosh(r2))
+    if -170.0 < r < 170.0:
+        sh2, s2, c2 = math.sinh(r) ** 2, math.sinh(r2), math.cosh(r2)
+    else:
+        sh2, s2, c2 = float(sinh(r) ** 2), float(sinh(r2)), float(cosh(r2))
     gpp = c2 * sh2
     dgpp = 2.0 * s2 * sh2 + c2 * s2 if vphi else 0.0
     fs = 0.0 if field is None else float(field(r, phi))
@@ -324,7 +326,7 @@ def lorentz_geodesic(
     must be finite reals and ``rk_steps`` an integer in [8, MAX_STEPS],
     not bool (ValidationError otherwise, before anything is allocated).  The
     state is four Python floats, advanced in numpy's operation order
-    with numpy's sinh/cosh (see _lorentz_acceleration), so each sample
+    on the scalar metric terms of _lorentz_acceleration, so each sample
     has the bits of the same RK4 run on numpy arrays.  Each stage's
     position slope is that stage's velocity, held by name in the loop;
     only its acceleration is computed.  The initial velocity is
@@ -335,11 +337,12 @@ def lorentz_geodesic(
     convergence studies, or inf to skip the check; a drift_tol that is
     not a nonnegative real is a ValidationError); a nan or inf speed,
     where g_phiphi overflowed (r above about 178), raises
-    NumericDomainError instead.  A trajectory reaching r = 0 (an inward
-    radial launch included) raises ChartBoundary carrying the partial
-    path.  From r < CHART_EPS only an outward radial launch is valid; it
-    runs the same RK4, which keeps it on its ray where F_rphi = 0 and
-    raises a NumericDomainError where not, as just off the origin.
+    NumericDomainError naming its first step and the radius it left.
+    A trajectory reaching r = 0 (an inward radial launch included)
+    raises ChartBoundary carrying the partial path.  From r < CHART_EPS
+    only an outward radial launch is valid; it runs the same RK4, which
+    keeps it on its ray where F_rphi = 0 and raises a
+    NumericDomainError where not, as just off the origin.
     """
     a = _potential(a)
     r0, phi0 = _require_pair("start", start, nonnegative=True)
@@ -369,8 +372,7 @@ def lorentz_geodesic(
     r, phi, vr, vphi = r0, phi0, float(vr0 / speed), float(vphi0 / speed)
     h = length / n
     half, sixth = 0.5 * h, h / 6.0
-    traj = np.empty((n + 1, 4))
-    traj[0] = r, phi, vr, vphi
+    rows = [(r, phi, vr, vphi)]
     for i in range(n):
         # classic RK4 in numpy's order: x + (h/2) k per stage, x + (h/6)(((k1 + 2k2) + 2k3) + k4);
         # a stage's position slope is its own velocity, so only accelerations are computed
@@ -386,24 +388,28 @@ def lorentz_geodesic(
         vr += sixth * (ar1 + 2.0 * ar2 + 2.0 * ar3 + ar4)
         vphi += sixth * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
         if r < CHART_EPS:
+            traj = np.array(rows)
             partial = DiscretizedPath(
-                traj[: i + 1, :2],
+                traj[:, :2],
                 np.linspace(0.0, i * h / length, i + 1),
-                traj[: i + 1, 2:],
+                traj[:, 2:],
             ) if i > 0 else None
             raise ChartBoundary(
                 f"trajectory reached r = 0 after arc length {i * h:.6g}",
                 partial_path=partial,
             )
-        traj[i + 1] = r, phi, vr, vphi
+        rows.append((r, phi, vr, vphi))
+    traj = np.array(rows)
     if drift_tol < np.inf:  # an infinite tolerance returns the trajectory unchecked
         gpp_term = np.where(traj[:, 3] == 0.0, 0.0, metric_phiphi(traj[:, 0]) * traj[:, 3] ** 2)
         speeds = np.sqrt(traj[:, 2] ** 2 + gpp_term)
         drift = float(np.abs(speeds - 1.0).max())
         if not np.isfinite(drift):  # a non-finite r, vr or vphi leaves its speed non-finite
+            k = int(np.argmax(~np.isfinite(speeds)))  # >= 1: the start's speed is finite
             raise NumericDomainError(
                 "g_phiphi = cosh(2r) sinh^2(r) overflowed on the trajectory "
-                "(it does above r of about 178)"
+                f"(it does above r of about 178): the speed is first not finite at step {k} "
+                f"of {n} (arc length {k * h:.6g}), which starts from r = {traj[k - 1, 0]:.6g}"
             )
         if drift > drift_tol:
             raise StepTooCoarse(

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import warnings
 
 import numpy as np
@@ -519,15 +521,25 @@ def test_lorentz_infinite_drift_tol_skips_the_check():
     assert path.samples.shape == (9, 2)
 
 
-def reference_rhs(state, a):
-    """The array-state right-hand side the float integrator replaced, kept verbatim."""
-    def metric_phiphi_dr(r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * np.sinh(2.0 * r) * np.sinh(r) ** 2 + np.cosh(2.0 * r) * np.sinh(2.0 * r)
+def numpy_metric_terms(r):
+    """g_phiphi and its analytic r-derivative from numpy's sinh/cosh, metric_phiphi's way."""
+    r = np.asarray(r, dtype=float)
+    dg = 2.0 * np.sinh(2.0 * r) * np.sinh(r) ** 2 + np.cosh(2.0 * r) * np.sinh(2.0 * r)
+    return metric_phiphi(r), dg
 
+
+def scalar_metric_terms(r):
+    """The same two terms at one float r from the integrator's scalars: libm for |r| < 170."""
+    if -170.0 < r < 170.0:
+        sh2, s2, c2 = math.sinh(r) ** 2, math.sinh(2.0 * r), math.cosh(2.0 * r)
+        return c2 * sh2, 2.0 * s2 * sh2 + c2 * s2
+    return numpy_metric_terms(r)
+
+
+def reference_rhs(state, a, terms=scalar_metric_terms):
+    """The array-state right-hand side the float integrator replaced, on the given metric terms."""
     r, phi, vr, vphi = state
-    gpp = float(metric_phiphi(r))
-    dgpp = float(metric_phiphi_dr(r))
+    gpp, dgpp = map(float, terms(r))
     fs = float(a.f_rphi(r, phi))
     ar = 0.5 * dgpp * vphi * vphi + fs * vphi
     aphi = (-dgpp * vr * vphi - fs * vr) / gpp if gpp > 0.0 else 0.0
@@ -535,7 +547,10 @@ def reference_rhs(state, a):
 
 
 def reference_rk4(start, velocity, a, length, n):
-    """The array-state RK4 the float integrator replaced, kept verbatim as the bit reference.
+    """The array-state RK4 the float integrator replaced, the bit reference for its stage order.
+
+    Its stages take the integrator's scalar metric terms, so a change to
+    the order of the stages or of a step's sums shows in the last place.
 
     Returns the (n + 1, 4) trajectory, or the rows up to the step whose
     update crossed the chart boundary together with that step's index.
@@ -580,6 +595,68 @@ def test_lorentz_rhs_has_the_bits_of_the_array_rhs(potential):
     for state in states:
         got = _lorentz_acceleration(*state.tolist(), field)
         assert np.array(got).tobytes() == reference_rhs(state, a)[2:].tobytes(), state
+
+
+LIBM_ULPS = 10  # measured: at most 4 for dg_phiphi and 9 for 1/g_phiphi over 2e6 radii
+
+
+def test_lorentz_rhs_is_within_ulps_of_numpy_inside_the_guard():
+    # a_r = dg/2 at (vr, vphi) = (0, 1) with no field, a_phi = 1/g at (1, 0) with F_rphi = -1
+    rng = np.random.default_rng(29)
+    r = np.concatenate([
+        [0.0, 1e-12, 169.999], rng.uniform(0.0, 170.0, 6000),
+        -rng.uniform(0.0, 170.0, 3000), 10.0 ** rng.uniform(-12.0, 0.0, 3000),
+    ])
+    minus_one = lambda r, phi: -1.0
+    half_dg = np.array([_lorentz_acceleration(x, 0.0, 0.0, 1.0, None)[0] for x in r.tolist()])
+    inv_g = np.array([_lorentz_acceleration(x, 0.0, 1.0, 0.0, minus_one)[1] for x in r.tolist()])
+    g, dg = numpy_metric_terms(r)
+    want_inv_g = np.divide(1.0, g, out=np.zeros_like(g), where=g > 0.0)
+    for got, want in ((2.0 * half_dg, dg), (inv_g, want_inv_g)):
+        ulps = np.abs(got - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= LIBM_ULPS
+
+
+def test_lorentz_rhs_beyond_the_guard_has_the_bits_of_numpy():
+    # past |r| = 170 the terms are numpy's scalars: an overflow's inf and nan land as on arrays
+    rng = np.random.default_rng(31)
+    r = np.concatenate([[170.0, 177.6, 178.0, 355.0, 400.0], rng.uniform(170.0, 400.0, 2000)])
+    r = np.concatenate([r, -r])
+    phi = rng.uniform(0.0, 2.0 * np.pi, r.size)
+    states = np.column_stack([r, phi, rng.normal(size=(r.size, 2))])
+    a = POTENTIALS["ripple"]
+    got = np.empty((r.size, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, state in enumerate(states):
+            got[i] = _lorentz_acceleration(*state.tolist(), a.f_rphi)
+            want = reference_rhs(state, a, numpy_metric_terms)[2:]
+            assert got[i].tobytes() == want.tobytes(), state
+    assert np.isinf(got).any() and np.isnan(got).any() and np.isfinite(got).any()
+
+
+@pytest.mark.parametrize(
+    "start, velocity, a, length, rk_steps, tail",
+    [
+        # from inside the guard across it and past the overflow radius, at numpy's terms there
+        ((169.9, 0.0), (1.0, 1e-300), None, 9.0, 256,
+         "step 220 of 256 (arc length 7.73438), which starts from r = 177.599"),
+        # a_phi = -F_rphi v_r / g_phiphi grows like 1/r^2 near the origin: step 1 throws r to 7e20
+        ((1e-9, 0.5), (1.0, 0.0), POTENTIALS["ripple"], 1.0, 256,
+         "step 1 of 256 (arc length 0.00390625), which starts from r = 1e-09"),
+    ],
+)
+def test_lorentz_overflow_names_the_first_non_finite_step(
+    start, velocity, a, length, rk_steps, tail
+):
+    message = (
+        "g_phiphi = cosh(2r) sinh^2(r) overflowed on the trajectory (it does above r of about "
+        "178): the speed is first not finite at " + tail
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericDomainError, match=f"^{re.escape(message)}$") as raised:
+            lorentz_geodesic(start, velocity, a=a, length=length, rk_steps=rk_steps)
+    assert type(raised.value) is NumericDomainError
 
 
 @pytest.mark.parametrize("rk_steps", [8, 64, 256, 1024])
